@@ -36,8 +36,7 @@ for y in ("log(3)", "2", "pi", "600*log(8)"):
     print(f"  Y = {y:12} -> X = {shown}")
 
 print()
-print("count_words accepts a workers argument; partial sums over the")
-print("first-syllable groups are merged in a fixed order, so any worker")
-print("count returns the same integer.")
+print("count_words accepts a workers argument that has no effect; every")
+print("count runs in one process and returns the same integer.")
 print(f"  count_words(59049, workers=1) = {count_words(59049, workers=1)}")
 print(f"  count_words(59049, workers=8) = {count_words(59049, workers=8)}")

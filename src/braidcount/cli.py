@@ -320,7 +320,7 @@ def main(argv=None) -> int:
             "report": cmd_report,
         }[args.command]
         rows = handler(args)
-    except InputError as exc:
+    except ValueError as exc:  # InputError, or a library function rejecting a value
         print(f"error: {exc}", file=sys.stderr)
         return 2
     _emit(rows, args.format)

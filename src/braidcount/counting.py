@@ -6,15 +6,17 @@ the same as a lower weight of at most ``log X``.  Keeping the threshold
 integral makes every counter exact:
 
 * ``count_tuples_j(j, X)``: ordered degree tuples of length ``j``;
-* ``count_tuples(X)``: tuples of any length (empty for ``X < 3``);
+* ``count_tuples(X)``: tuples of any length (empty for ``X < 3``), by its
+  own recursion ``T(X) = sum_{d <= X/3} (1 + T(X // 3d))``;
 * ``count_words(X)``: nonidentity reduced words in two generators whose
   degree product passes the threshold, via a syllable-transfer DP;
 * ``count_words_bounded(X, L)``: the same with total degree at most
   ``L``, the shape the brute-force oracle can cross-check.
 
-All recursions are memoized on the distinct values of ``X // (3d)``,
-which form a divisor-summatory family of roughly square-root size, so
-thresholds far beyond enumeration range stay exact and fast.  The
+The unbounded recursions sum over ``d`` in runs that share the quotient
+``X // (3d)`` (``_quotient_groups``) and are memoized on those
+quotients, which form a divisor-summatory family of roughly square-root
+size, so thresholds far beyond enumeration range stay exact and fast.  The
 analytic companions (``bound_tuples_j``, ``bound_tuples_total``,
 ``bound_words``) are evaluated with interval arithmetic and rounded up,
 so a reported violation of ``exact <= bound`` is always genuine.
@@ -22,7 +24,7 @@ so a reported violation of ``exact <= bound`` is always genuine.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
@@ -37,6 +39,7 @@ FIRST = 0
 SECOND = 1
 
 _TUPLE_MEMO: dict[tuple[int, int], int] = {}
+_TUPLE_TOTAL_MEMO: dict[int, int] = {}
 _WORD_MEMO: dict[tuple[int, int], int] = {}
 _WORD_BOUNDED_MEMO: dict[tuple[int, int, int], int] = {}
 
@@ -55,24 +58,29 @@ def max_tuple_length(x: int) -> int:
     return j
 
 
-def _count_tuples_j(j: int, x: int) -> int:
-    if j == 0:
-        return 1
-    if x < 3 ** j:
-        return 0
-    key = (j, x)
-    cached = _TUPLE_MEMO.get(key)
-    if cached is not None:
-        return cached
-    # sum of N_{j-1}(m // d) over d = 1..m, grouped by equal quotients
-    m = x // 3
-    total = 0
+def _quotient_groups(m: int) -> Iterator[tuple[int, int, int]]:
+    """Maximal runs of ``d`` in ``1..m`` sharing ``q = m // d``, as ``(d, size, q)``."""
     d = 1
     while d <= m:
         q = m // d
         d_last = m // q
-        total += (d_last - d + 1) * _count_tuples_j(j - 1, q)
+        yield d, d_last - d + 1, q
         d = d_last + 1
+
+
+def _count_tuples_j(j: int, x: int) -> int:
+    if x < 3 ** j:
+        return 0
+    if j == 1:
+        return x // 3
+    key = (j, x)
+    cached = _TUPLE_MEMO.get(key)
+    if cached is not None:
+        return cached
+    # a length-j tuple is a first degree d and a length-(j-1) tuple under x // 3d
+    total = 0
+    for _, size, q in _quotient_groups(x // 3):
+        total += size * _count_tuples_j(j - 1, q)
     _TUPLE_MEMO[key] = total
     return total
 
@@ -84,9 +92,25 @@ def count_tuples_j(j: int, x: int) -> int:
     return _count_tuples_j(j, x)
 
 
+def _count_tuples_total(x: int) -> int:
+    if x < 3:
+        return 0
+    cached = _TUPLE_TOTAL_MEMO.get(x)
+    if cached is not None:
+        return cached
+    # a nonempty tuple is a first degree d followed by a possibly empty tuple
+    # under x // 3d; recursion stays on the private name so that rebinding
+    # the public one (as a tracer does) wraps only the outer call
+    total = 0
+    for _, size, q in _quotient_groups(x // 3):
+        total += size * (1 + _count_tuples_total(q))
+    _TUPLE_TOTAL_MEMO[x] = total
+    return total
+
+
 def count_tuples(x: int) -> int:
     """Exact number of nonempty ordered degree tuples with prod(3 d_k) <= x."""
-    return sum(_count_tuples_j(j, x) for j in range(1, max_tuple_length(x) + 1))
+    return _count_tuples_total(x)
 
 
 # --- word counting ----------------------------------------------------------
@@ -111,61 +135,29 @@ def _word_suffixes(x: int, prev_kind: int) -> int:
     cached = _WORD_MEMO.get(key)
     if cached is not None:
         return cached
+    to_second = _transition(prev_kind, SECOND)
+    to_first = _transition(prev_kind, FIRST)
     total = 1
-    m = x // 3
-    d = 1
-    while d <= m:
-        q = m // d
-        d_last = m // q
-        group = d_last - d + 1
-        total += group * _transition(prev_kind, SECOND) * _word_suffixes(q, SECOND)
+    for d, size, q in _quotient_groups(x // 3):
+        total += size * to_second * _word_suffixes(q, SECOND)
         # first-kind syllables need degree >= 2
-        group_first = group - (1 if d == 1 else 0)
-        if group_first:
-            total += group_first * _transition(prev_kind, FIRST) * _word_suffixes(q, FIRST)
-        d = d_last + 1
+        size_first = size - (1 if d == 1 else 0)
+        if size_first:
+            total += size_first * to_first * _word_suffixes(q, FIRST)
     _WORD_MEMO[key] = total
-    return total
-
-
-def _first_syllable_groups(x: int) -> list[tuple[int, int, int]]:
-    """Top-level quotient groups (d_first, d_last, budget) for the first syllable."""
-    groups = []
-    m = x // 3
-    d = 1
-    while d <= m:
-        q = m // d
-        d_last = m // q
-        groups.append((d, d_last, q))
-        d = d_last + 1
-    return groups
-
-
-def _sum_first_groups(groups: list[tuple[int, int, int]]) -> int:
-    total = 0
-    for d, d_last, q in groups:
-        group = d_last - d + 1
-        total += group * 4 * _word_suffixes(q, SECOND)
-        group_first = group - (1 if d == 1 else 0)
-        if group_first:
-            total += group_first * 4 * _word_suffixes(q, FIRST)
     return total
 
 
 def count_words(x: int, workers: int = 1) -> int:
     """Exact number of nonidentity reduced words with prod(3 d_k) <= x.
 
-    With ``workers > 1`` the top-level quotient groups are partitioned
-    into contiguous chunks summed in separate processes; the result is
-    identical for every worker count.
+    The first syllable has 4 spellings of either kind, twice the 2 that
+    follow a first-kind syllable, so the count is twice the nonempty
+    continuations after a first-kind syllable with the whole budget.
+    ``workers`` is accepted for compatibility and has no effect: the
+    count is computed in this process and is the same for every value.
     """
-    groups = _first_syllable_groups(x)
-    if workers <= 1 or len(groups) < 2 * workers:
-        return _sum_first_groups(groups)
-    step = -(-len(groups) // workers)
-    chunks = [groups[i : i + step] for i in range(0, len(groups), step)]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return sum(pool.map(_sum_first_groups, chunks))
+    return 2 * (_word_suffixes(x, FIRST) - 1)
 
 
 def _word_suffixes_bounded(x: int, prev_kind: int, degree_left: int) -> int:

@@ -159,8 +159,9 @@ class BoundInterval:
     def to_json(self) -> dict:
         return {
             "exact_zero": self.exact_zero,
-            "lower_log_arg": str(self.lower_log_arg.argument),
-            "upper_log_arg": str(self.upper_log_arg.argument),
+            # Decimal renders an int exactly and past the int-to-str digit limit
+            "lower_log_arg": str(Decimal(self.lower_log_arg.argument)),
+            "upper_log_arg": str(Decimal(self.upper_log_arg.argument)),
             "lower_value": self.lower_decimal(),
             "upper_value": self.upper_decimal(),
         }

@@ -92,15 +92,15 @@ def word_weight(w: FreeWord) -> int:
 
 def brute_count_words(x: int, max_len: int) -> int:
     """Number of reduced words of length <= max_len with weight <= x."""
-    if max_len > 14:
-        raise ValueError("brute word enumeration is limited to length 14")
+    if not 0 <= max_len <= 14:
+        raise ValueError("brute word enumeration needs a length from 0 to 14")
     return sum(1 for w in enumerate_reduced_words(max_len) if word_weight(w) <= x)
 
 
 def word_product_histogram(max_len: int) -> dict[tuple[int, int], int]:
     """Counts of reduced words by (letter length, weight), one enumeration pass."""
-    if max_len > 14:
-        raise ValueError("brute word enumeration is limited to length 14")
+    if not 0 <= max_len <= 14:
+        raise ValueError("brute word enumeration needs a length from 0 to 14")
     hist: dict[tuple[int, int], int] = {}
     for w in enumerate_reduced_words(max_len):
         key = (w.total_degree, word_weight(w))

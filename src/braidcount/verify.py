@@ -100,6 +100,9 @@ def words_suite(samples: int = 300) -> list[CheckResult]:
 
 
 def braid_suite(max_len: int = 6) -> list[CheckResult]:
+    # all 4^n letter sequences are enumerated; each extra letter costs 4x
+    if not 0 <= max_len <= 10:
+        raise ValueError("braid suite word length must be from 0 to 10")
     rows: list[CheckResult] = []
     ev, pb = braid.evaluate, braid.parse_braid
 
@@ -276,7 +279,7 @@ def classes_suite(pairs: int = 3, conj_len: int = 3) -> list[CheckResult]:
 
 SUITES = {
     "words": lambda limits: words_suite(),
-    "braid": lambda limits: braid_suite(),
+    "braid": lambda limits: braid_suite(max_len=limits.get("max_len", 6)),
     "counting": lambda limits: counting_suite(
         max_x=limits.get("max_x", 600), max_len=limits.get("max_len", 8)
     ),

@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+from braidcount import braid
 from braidcount.cli import main
 
 
@@ -141,6 +142,10 @@ class TestCount:
         code, _ = run(capsys, "count", "words", "--Y", "nope(3)")
         assert code == 2
 
+    def test_negative_max_len_exits_2(self, capsys):
+        assert main(["count", "words", "--X", "100", "--max-len", "-1"]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_worker_output_identical(self, capsys):
         _, one = run(capsys, "count", "words", "--X", "2187", "--workers", "1")
         _, many = run(capsys, "count", "words", "--X", "2187", "--workers", "4")
@@ -204,6 +209,33 @@ class TestVerify:
     def test_rows_have_fixed_keys(self, capsys):
         rows = run_json(capsys, "verify", "--suite", "words")
         assert list(rows[0]) == ["suite", "check", "passed", "detail"]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("--suite", "counting", "--max-x", "-5"),
+            ("--max-len", "-1"),
+            ("--suite", "braid", "--max-len", "11"),
+        ],
+    )
+    def test_bad_limit_exits_2(self, capsys, argv):
+        assert main(["verify", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+
+    def test_max_len_reaches_braid_suite(self, capsys, monkeypatch):
+        calls = []
+        original = braid.normal_form
+        monkeypatch.setattr(braid, "normal_form", lambda x: calls.append(x) or original(x))
+        counts, checks = [], []
+        for max_len in ("1", "2"):
+            calls.clear()
+            rows = run_json(capsys, "verify", "--suite", "braid", "--max-len", max_len)
+            counts.append(len(calls))
+            checks.append([r["check"] for r in rows])
+        assert counts[0] < counts[1]
+        assert checks[0] == checks[1]
 
     def test_suite_all_covers_everything(self, capsys):
         rows = run_json(

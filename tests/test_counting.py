@@ -48,11 +48,16 @@ class TestTupleCounts:
         assert max_tuple_length(28) == 3
 
     def test_total_sums_lengths(self):
-        for x in (1, 3, 10, 81, 500):
+        for x in (1, 3, 10, 81, 500, 3**13, 10**6):
             total = sum(
                 count_tuples_j(j, x) for j in range(1, max_tuple_length(x) + 1)
             )
             assert count_tuples(x) == total
+
+    def test_pinned_large_values(self):
+        # computed earlier as the sum of count_tuples_j over every length
+        assert count_tuples(10**6) == 9821112
+        assert count_tuples(3**14) == 73469460
 
     @given(st.integers(min_value=0, max_value=800))
     def test_matches_oracle(self, x):
@@ -137,6 +142,11 @@ class TestWordCounts:
     def test_bounded_rejects_negative(self):
         with pytest.raises(ValueError):
             count_words_bounded(9, -1)
+
+    def test_pinned_large_values(self):
+        # computed earlier as a sum over the first syllable's quotient groups
+        assert count_words(10**6) == 2265097728
+        assert count_words(3**14) == 27978681272
 
     def test_worker_partitions_agree(self):
         x = 3**8

@@ -225,3 +225,10 @@ class TestDecimals:
         iv = extremal_length_bounds_word(parse_word("a1"))
         assert iv.lower_decimal() == "0"
         assert iv.upper_decimal() == "0"
+
+    def test_json_log_args_past_int_str_limit(self):
+        # 8**6000 has 5419 digits, past the default 4300-digit str(int) limit
+        iv = extremal_length_bounds_word(parse_word(" ".join(["a1^2 a2^2"] * 3000)))
+        row = iv.to_json()
+        assert Decimal(row["upper_log_arg"]) == Decimal(8**6000)
+        assert Decimal(row["lower_log_arg"]) == Decimal(6**6000)
