@@ -25,6 +25,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -157,17 +158,33 @@ def cmd_bounds(args) -> list[dict]:
     return rows
 
 
+#: Largest threshold ``count`` accepts.  ``count words`` at ``X = 10**11``
+#: (its exact count plus the ``count_tuples`` of its bound chain) takes
+#: about 25 s and 80 MB on a 2-core x86 host; past ``10**10`` the cost
+#: grows about linearly in ``X``, so ``10**12`` would take minutes.
+MAX_X = 10**11
+
+
 def _resolve_x(args) -> int:
     if args.X is not None:
         if args.X < 0:
             raise InputError("--X must be nonnegative")
-        return args.X
-    if args.Y is not None:
-        try:
-            return counting.threshold_from_y(args.Y)
-        except ValueError as exc:
-            raise InputError(str(exc)) from exc
-    raise InputError("one of --X or --Y is required")
+        x = args.X
+    elif args.Y is not None:
+        y = counting.parse_y_expression(args.Y)
+        # a 15-digit estimate rejects a far too large Y before the floor of
+        # e^Y is certified; the exact X is checked against MAX_X below
+        estimate = y.evalf(15)
+        if not estimate.is_real:
+            raise InputError(f"--Y {args.Y!r} is not a real number")
+        if estimate > math.log(MAX_X) + 1:
+            raise InputError(f"--Y {args.Y!r} gives X above the ceiling {MAX_X}")
+        x = counting.threshold_from_y(y)
+    else:
+        raise InputError("one of --X or --Y is required")
+    if x > MAX_X:
+        raise InputError(f"X = {x} is above the ceiling {MAX_X}")
+    return x
 
 
 def _count_row(function: str, j, x: int, exact: int, bound, satisfied: bool) -> dict:
@@ -320,7 +337,9 @@ def main(argv=None) -> int:
             "report": cmd_report,
         }[args.command]
         rows = handler(args)
-    except ValueError as exc:  # InputError, or a library function rejecting a value
+    # InputError, a library function rejecting a value, or sympy giving up
+    # on an exact evaluation (PrecisionExhausted is an ArithmeticError)
+    except (ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     _emit(rows, args.format)

@@ -6,17 +6,20 @@ the same as a lower weight of at most ``log X``.  Keeping the threshold
 integral makes every counter exact:
 
 * ``count_tuples_j(j, X)``: ordered degree tuples of length ``j``;
-* ``count_tuples(X)``: tuples of any length (empty for ``X < 3``), by its
-  own recursion ``T(X) = sum_{d <= X/3} (1 + T(X // 3d))``;
+* ``count_tuples(X)``: tuples of any length (empty for ``X < 3``);
 * ``count_words(X)``: nonidentity reduced words in two generators whose
-  degree product passes the threshold, via a syllable-transfer DP;
+  degree product passes the threshold, via a two-state syllable transfer;
 * ``count_words_bounded(X, L)``: the same with total degree at most
   ``L``, the shape the brute-force oracle can cross-check.
 
-The unbounded recursions sum over ``d`` in runs that share the quotient
-``X // (3d)`` (``_quotient_groups``) and are memoized on those
-quotients, which form a divisor-summatory family of roughly square-root
-size, so thresholds far beyond enumeration range stay exact and fast.  The
+``count_tuples`` and ``count_words`` are summatory functions of Dirichlet
+series over the products ``3d``.  Each call sieves their coefficients up
+to ``N``, about ``X^(2/3) / 2`` and at most ``2*10^6``, takes prefix sums,
+and recurses only on the quotients ``X // k`` above ``N``, summing each
+by the hyperbola split.  That costs about ``X^(2/3)`` steps until ``N``
+reaches its cap near ``X = 10^10``, and grows about linearly beyond.
+``count_tuples_j`` recurses over runs of ``d`` sharing the quotient
+``X // (3d)`` (``_quotient_groups``), memoized on ``(j, X)``.  The
 analytic companions (``bound_tuples_j``, ``bound_tuples_total``,
 ``bound_words``) are evaluated with interval arithmetic and rounded up,
 so a reported violation of ``exact <= bound`` is always genuine.
@@ -24,10 +27,13 @@ so a reported violation of ``exact <= bound`` is always genuine.
 
 from __future__ import annotations
 
+from array import array
 from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from itertools import accumulate
+from math import factorial, isqrt
+from operator import mul, sub
 
 import mpmath
 import sympy
@@ -39,8 +45,6 @@ FIRST = 0
 SECOND = 1
 
 _TUPLE_MEMO: dict[tuple[int, int], int] = {}
-_TUPLE_TOTAL_MEMO: dict[int, int] = {}
-_WORD_MEMO: dict[tuple[int, int], int] = {}
 _WORD_BOUNDED_MEMO: dict[tuple[int, int, int], int] = {}
 
 
@@ -92,25 +96,106 @@ def count_tuples_j(j: int, x: int) -> int:
     return _count_tuples_j(j, x)
 
 
-def _count_tuples_total(x: int) -> int:
-    if x < 3:
-        return 0
-    cached = _TUPLE_TOTAL_MEMO.get(x)
-    if cached is not None:
-        return cached
-    # a nonempty tuple is a first degree d followed by a possibly empty tuple
-    # under x // 3d; recursion stays on the private name so that rebinding
-    # the public one (as a tracer does) wraps only the outer call
-    total = 0
-    for _, size, q in _quotient_groups(x // 3):
-        total += size * (1 + _count_tuples_total(q))
-    _TUPLE_TOTAL_MEMO[x] = total
-    return total
+# --- sieve plus recursion ---------------------------------------------------
+#
+# The unbounded counters are summatory functions F(x) = sum_{n <= x} f(n) of
+# Dirichlet series supported on n = 1 and on multiples of 3 (each syllable
+# contributes a factor 3d), with f(1) = 1.  A push sieve gives f(3i) for every
+# 3i <= N, about x^(2/3) / 2, and prefix sums replace the coefficients, so
+# that F(q) = 1 + table[q // 3] for q <= N.  Above N the kernels recurse on
+# the quotients q = x // k, about x / N of them, each summing about sqrt(q)
+# table reads in _quotient_sums; both halves then take about x^(2/3) steps.
+# This is the split of Lagarias-Miller-Odlyzko (Math. Comp. 44, 1985) and
+# Deleglise-Rivat (Exp. Math. 5, 1996).  The tables live for one call.
+#
+# Tables are array('q').  The largest entry is F_FIRST(N) - 1, and the cube
+# majorant count_words(n) <= n^3 / 2 gives F_FIRST(n) <= n^3 / 4 + 1, so the
+# cap N <= 2*10^6 keeps every entry below 2*10^18 < 2^63.  A store that did
+# overflow would raise OverflowError, never wrap.
+
+_SIEVE_CAP = 2 * 10**6
+
+
+def _sieve_limit(x: int) -> int:
+    # at least 2, so that every q above the limit has q // 3 >= 1
+    if x >= _SIEVE_CAP**2:
+        return _SIEVE_CAP
+    return min(x, _SIEVE_CAP, max(2, int(x ** (2 / 3)) // 2))
+
+
+def _prefix_sums(counts: array) -> array:
+    return array("q", accumulate(counts))
+
+
+def _quotient_sums(y: int, n: int, tables: list[array], values) -> list[int]:
+    """``sum(F(y // d) for d in 1..y)`` for the ``F`` of each table.
+
+    ``F(q)`` is ``1 + table[q // 3]`` for ``q <= n``, and ``values(q)`` holds
+    one ``F(q)`` per table above that.  The terms with ``d <= split`` (at
+    least ``sqrt(y)``) are read one by one; the rest regroup by coefficient,
+    as ``f(m) = F(m) - F(m - 1)`` for ``m <= y // (split + 1)`` appears in
+    ``y // m - split`` of them.
+    """
+    deep = y // (n + 1)  # d <= deep leaves y // d above the sieve
+    split = max(isqrt(y), deep)
+    top = y // (split + 1) // 3
+    # the 1 in F(y // d) for deep < d <= split, and f(1) = 1 for d > split
+    sums = [y - deep] * len(tables)
+    for d in range(1, deep + 1):
+        sums = [s + v for s, v in zip(sums, values(y // d))]
+    near = range(3 * deep + 3, 3 * split + 1, 3)
+    weights = list(map(y.__floordiv__, range(3, 3 * top + 1, 3)))
+    for k, table in enumerate(tables):
+        sums[k] += sum(map(table.__getitem__, map(y.__floordiv__, near)))
+        coefficients = map(sub, table[1 : top + 1], table[:top])
+        sums[k] += sum(map(mul, coefficients, weights)) - split * table[top]
+    return sums
+
+
+def _summatory(x: int, sieve, step) -> list[int]:
+    """The summatory functions at ``x`` whose tables ``sieve(n // 3)`` builds.
+
+    Above the sieve limit, ``step(sums, at_y)`` gives their values at ``q``
+    from the quotient sums at ``y = q // 3`` and their values at ``y``.
+    """
+    n = _sieve_limit(x)
+    tables = sieve(n // 3)
+    memo: dict[int, list[int]] = {}
+
+    def values(q: int) -> list[int]:
+        if q <= n:
+            return [1 + table[q // 3] for table in tables]
+        got = memo.get(q)
+        if got is None:
+            y = q // 3
+            got = memo[q] = step(_quotient_sums(y, n, tables, values), values(y))
+        return got
+
+    return values(x)
+
+
+def _tuple_sieve(m: int) -> list[array]:
+    """Prefix sums over ``i <= m`` of the tuples with ``prod(3 d_k) = 3i``."""
+    # such a tuple is the single degree i, or a tuple of product 3j
+    # followed by the degree i / 3j for a multiple i of 3j
+    counts = array("q", [1]) * (m + 1)
+    counts[0] = 0
+    for j in range(1, m // 3 + 1):
+        step = 3 * j
+        counts[step::step] = array("q", map(counts[j].__add__, counts[step::step]))
+    return [_prefix_sums(counts)]
+
+
+def _tuple_step(sums: list[int], at_y: list[int]) -> list[int]:
+    # a tuple is empty, or a first degree d followed by a tuple under x // 3d
+    return [1 + sums[0]]
 
 
 def count_tuples(x: int) -> int:
     """Exact number of nonempty ordered degree tuples with prod(3 d_k) <= x."""
-    return _count_tuples_total(x)
+    if x < 3:
+        return 0
+    return _summatory(x, _tuple_sieve, _tuple_step)[0] - 1
 
 
 # --- word counting ----------------------------------------------------------
@@ -120,7 +205,8 @@ def count_tuples(x: int) -> int:
 # spellings for either kind (start generator x sign); afterwards the start
 # generator is forced by the previous syllable's last term, leaving 2
 # spellings per kind except second kind after second kind, where the sign is
-# also forced (equal signs would merge the runs), leaving 1.
+# also forced (equal signs would merge the runs), leaving 1.  First-kind
+# syllables have degree at least 2.
 
 
 def _transition(prev_kind: int, kind: int) -> int:
@@ -129,23 +215,41 @@ def _transition(prev_kind: int, kind: int) -> int:
     return 2
 
 
-def _word_suffixes(x: int, prev_kind: int) -> int:
-    """Continuations (including stopping) with budget x after a prev_kind syllable."""
-    key = (x, prev_kind)
-    cached = _WORD_MEMO.get(key)
-    if cached is not None:
-        return cached
-    to_second = _transition(prev_kind, SECOND)
-    to_first = _transition(prev_kind, FIRST)
-    total = 1
-    for d, size, q in _quotient_groups(x // 3):
-        total += size * to_second * _word_suffixes(q, SECOND)
-        # first-kind syllables need degree >= 2
-        size_first = size - (1 if d == 1 else 0)
-        if size_first:
-            total += size_first * to_first * _word_suffixes(q, FIRST)
-    _WORD_MEMO[key] = total
-    return total
+def _word_sieve(m: int) -> list[array]:
+    """Prefix sums over ``i <= m`` of the spelled continuations with product 3i.
+
+    One table for continuations after a FIRST syllable, one after a SECOND.
+    """
+    # a continuation opens with a syllable of degree d and goes on with a
+    # continuation of product 1 (d = i) or 3j (i = 3jd); it has 2 spellings
+    # of the second kind after FIRST and 1 after SECOND, plus 2 of the first
+    # kind after either when d >= 2
+    first = array("q", [4]) * (m + 1)
+    second = array("q", [3]) * (m + 1)
+    first[0] = second[0] = 0
+    if m >= 1:
+        first[1], second[1] = 2, 1
+    for j in range(1, m // 3 + 1):
+        after_first, after_second = first[j], second[j]
+        step = 3 * j
+        first[step] += 2 * after_second
+        second[step] += after_second
+        add = 2 * after_second + 2 * after_first
+        first[2 * step :: step] = array("q", map(add.__add__, first[2 * step :: step]))
+        add = after_second + 2 * after_first
+        second[2 * step :: step] = array("q", map(add.__add__, second[2 * step :: step]))
+    return [_prefix_sums(first), _prefix_sums(second)]
+
+
+def _word_step(sums: list[int], at_y: list[int]) -> list[int]:
+    # with F_k(q) the continuations (stopping included) after a kind-k
+    # syllable, the next syllable of degree d leaves q // 3d; dropping the
+    # d = 1 term F_FIRST(y) from the FIRST sum keeps first-kind degrees >= 2.
+    # After FIRST a second-kind syllable has 2 spellings instead of 1, so
+    # F_FIRST exceeds F_SECOND by the SECOND sum.
+    first_sum, second_sum = sums
+    after_second = 1 + second_sum + 2 * (first_sum - at_y[FIRST])
+    return [after_second + second_sum, after_second]
 
 
 def count_words(x: int, workers: int = 1) -> int:
@@ -157,7 +261,9 @@ def count_words(x: int, workers: int = 1) -> int:
     ``workers`` is accepted for compatibility and has no effect: the
     count is computed in this process and is the same for every value.
     """
-    return 2 * (_word_suffixes(x, FIRST) - 1)
+    if x < 3:
+        return 0
+    return 2 * (_summatory(x, _word_sieve, _word_step)[FIRST] - 1)
 
 
 def _word_suffixes_bounded(x: int, prev_kind: int, degree_left: int) -> int:

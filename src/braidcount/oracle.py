@@ -24,8 +24,11 @@ def enumerate_reduced_words(max_len: int) -> Iterator[FreeWord]:
     """All reduced words of letter length 1..max_len, each exactly once.
 
     A letter sequence is reduced when no letter is followed by its
-    inverse; there are 4 * 3^(l-1) such sequences of length l.
+    inverse; there are 4 * 3^(l-1) such sequences of length l.  Raises
+    ``ValueError`` for a negative ``max_len``.
     """
+    if max_len < 0:
+        raise ValueError("word length must be nonnegative")
 
     def walk(letters: list[tuple[int, int]]) -> Iterator[FreeWord]:
         if letters:
@@ -39,7 +42,7 @@ def enumerate_reduced_words(max_len: int) -> Iterator[FreeWord]:
             yield from walk(letters)
             letters.pop()
 
-    yield from walk([])
+    return walk([])
 
 
 def _word_from_letters(letters: list[tuple[int, int]]) -> FreeWord:

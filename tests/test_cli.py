@@ -3,11 +3,13 @@
 import csv
 import io
 import json
+import time
 
 import pytest
+from sympy.core.evalf import PrecisionExhausted
 
-from braidcount import braid
-from braidcount.cli import main
+from braidcount import braid, counting
+from braidcount.cli import MAX_X, main
 
 
 def run(capsys, *argv):
@@ -145,6 +147,40 @@ class TestCount:
     def test_negative_max_len_exits_2(self, capsys):
         assert main(["count", "words", "--X", "100", "--max-len", "-1"]) == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("argv", [
+        ["count", "words", "--X", str(10**20)],
+        ["count", "tuples", "--Y", "10**6"],
+        ["count", "tuples", "--Y", "2000"],
+        ["count", "tuples", "--X", str(MAX_X + 1)],
+        ["count", "words", "--Y", "log(100000000001)"],
+    ])
+    def test_x_above_ceiling_exits_2_at_once(self, capsys, argv):
+        start = time.perf_counter()
+        assert main(argv) == 2
+        assert time.perf_counter() - start < 1.0
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and "ceiling" in captured.err
+        assert captured.out == ""
+
+    def test_x_at_ceiling_is_accepted(self, capsys):
+        # no tuple of length 40 fits under 3^40 > MAX_X, so this is instant
+        rows = run_json(capsys, "count", "tuples", "--X", str(MAX_X), "--j", "40")
+        assert rows[0]["X"] == MAX_X and rows[0]["exact"] == "0"
+
+    def test_complex_y_exits_2(self, capsys):
+        assert main(["count", "words", "--Y", "log(-1)"]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_arithmetic_error_exits_2(self, capsys, monkeypatch):
+        # sympy raises PrecisionExhausted, an ArithmeticError, when it cannot
+        # certify a floor; the command reports it like any unusable input
+        def give_up(y):
+            raise PrecisionExhausted("cannot certify the floor")
+
+        monkeypatch.setattr(counting, "threshold_from_y", give_up)
+        assert main(["count", "tuples", "--Y", "log(27)"]) == 2
+        assert capsys.readouterr().err == "error: cannot certify the floor\n"
 
     def test_worker_output_identical(self, capsys):
         _, one = run(capsys, "count", "words", "--X", "2187", "--workers", "1")

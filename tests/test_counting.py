@@ -1,5 +1,6 @@
 """Exact counting functions, analytic bounds, and threshold certification."""
 
+import random
 from fractions import Fraction
 
 import mpmath
@@ -7,7 +8,10 @@ import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
+from braidcount import counting
 from braidcount.counting import (
+    FIRST,
+    SECOND,
     BoundNotApplicable,
     bound_tuples_j,
     bound_tuples_total,
@@ -177,6 +181,76 @@ class TestWordBounds:
         n = count_words(x)
         assert n <= chain.chain_value
         assert n <= chain.cube_half
+
+
+# The memoized quotient-group recursions that count_tuples and count_words
+# used before the sieve-plus-recursion engine, kept as references.
+
+
+def _reference_groups(m):
+    d = 1
+    while d <= m:
+        q = m // d
+        d_last = m // q
+        yield d, d_last - d + 1, q
+        d = d_last + 1
+
+
+def _reference_tuples(x, memo):
+    if x < 3:
+        return 0
+    if x not in memo:
+        memo[x] = sum(
+            size * (1 + _reference_tuples(q, memo))
+            for _, size, q in _reference_groups(x // 3)
+        )
+    return memo[x]
+
+
+def _reference_suffixes(x, prev_kind, memo):
+    key = (x, prev_kind)
+    if key not in memo:
+        to_second = 1 if prev_kind == SECOND else 2
+        total = 1
+        for d, size, q in _reference_groups(x // 3):
+            total += size * to_second * _reference_suffixes(q, SECOND, memo)
+            size_first = size - (1 if d == 1 else 0)
+            if size_first:
+                total += size_first * 2 * _reference_suffixes(q, FIRST, memo)
+        memo[key] = total
+    return memo[key]
+
+
+def _reference_words(x, memo):
+    return 2 * (_reference_suffixes(x, FIRST, memo) - 1)
+
+
+class TestSieveEngine:
+    def test_matches_replaced_kernels(self):
+        rng = random.Random(20260101)
+        grid = list(range(-3, 3000))
+        grid += [3**k - e for k in range(1, 16) for e in (0, 1)]
+        grid += [rng.randrange(10**8) for _ in range(6)]
+        tuple_memo, word_memo = {}, {}
+        for x in grid:
+            assert count_tuples(x) == _reference_tuples(x, tuple_memo), x
+            assert count_words(x) == _reference_words(x, word_memo), x
+
+    def test_pinned_large_values(self):
+        # values of the replaced kernels
+        assert count_words(10**8) == 3631813354452
+        assert count_tuples(10**8) == 3649790245
+        assert count_words(10**9) == 146067466598256
+        assert count_tuples(10**9) == 70392958006
+
+    @pytest.mark.parametrize("cap", [2, 3, 40, 700])
+    def test_sieve_cap_does_not_change_counts(self, monkeypatch, cap):
+        # large thresholds meet the cap; small caps push the same regime
+        # (many quotients above the sieve) down to thresholds cheap to check
+        xs = (10**5, 3**10 - 1, 123457)
+        expected = [(count_tuples(x), count_words(x)) for x in xs]
+        monkeypatch.setattr(counting, "_SIEVE_CAP", cap)
+        assert [(count_tuples(x), count_words(x)) for x in xs] == expected
 
 
 class TestThresholds:

@@ -24,6 +24,14 @@ class TestEnumeration:
             by_len[w.total_degree] = by_len.get(w.total_degree, 0) + 1
         assert by_len == {n: 4 * 3 ** (n - 1) for n in range(1, 6)}
 
+    def test_zero_length_is_empty(self):
+        assert list(enumerate_reduced_words(0)) == []
+
+    def test_rejects_negative_length(self):
+        # raised at the call, before any word is generated
+        with pytest.raises(ValueError):
+            enumerate_reduced_words(-1)
+
     def test_all_reduced_and_distinct(self):
         words = list(enumerate_reduced_words(6))
         assert len(set(words)) == len(words)
