@@ -9,7 +9,8 @@ alternating word over the two factors as a tuple of letters ``0`` (for
 never place two letters of the same factor side by side.
 Multiplication pushes letters onto a stack and resolves ``a*a -> 1``
 and ``t^i * t^j -> t^(i+j mod 3)`` locally, so canonicalization is
-linear and tuple equality decides equality in the quotient.
+linear and tuple equality decides equality in the quotient; words of
+``(generator, sign)`` letters become cosets in one such stack walk.
 
 Generator images, pinned down by the relation tests:
 
@@ -20,10 +21,14 @@ Generator images, pinned down by the relation tests:
 Every element that is not a power of the half twist factors uniquely
 as ``sigma_j^k  b1  delta^ell`` with ``k != 0``, ``ell`` in ``{0, 1}``
 and ``b1`` a reduced word in ``sigma1^2, sigma2^2`` whose first term,
-if any, uses the generator other than ``j``.  :func:`normal_form`
-recovers that factorization from the canonical coset word and
-:func:`pure_projection` maps it to the reduced pure word obtained by
-rounding the leading exponent to the nearest even integer toward zero.
+if any, uses the generator other than ``j``.  :func:`normal_form` reads
+it off in one pass: exactly one ``ell`` puts the strand permutation of
+``y = x delta^ell`` in ``{id, s1, s2}``; ``s_j`` means ``k`` is odd, and
+one :func:`unembed` of ``sigma_j^-1 y`` (of ``y`` for ``id``) gives the
+pure word, whose first term joins the leading power if it uses ``j``.
+:func:`pure_projection` maps the factorization to the reduced pure word
+obtained by rounding the leading exponent to the nearest even integer
+toward zero.
 
 Text syntax (shared with the command line): whitespace-separated
 tokens ``s1``, ``s2`` with optional caret exponents (``s1^-4``);
@@ -35,7 +40,8 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from itertools import chain
+from typing import Iterable
 
 from .words import FreeWord, other_generator
 
@@ -79,10 +85,13 @@ class BraidWord:
         return braid_to_text(self)
 
 
+def _sigma_letters(gen: int, exp: int) -> tuple[tuple[int, int], ...]:
+    return ((gen, 1 if exp > 0 else -1),) * abs(exp)
+
+
 def sigma_word(gen: int, exp: int) -> BraidWord:
     """The braid word ``sigma_gen^exp``."""
-    sign = 1 if exp > 0 else -1
-    return BraidWord.from_letters(((gen, sign),) * abs(exp))
+    return BraidWord.from_letters(_sigma_letters(gen, exp))
 
 
 def half_twist_word(exp: int = 1) -> BraidWord:
@@ -190,29 +199,32 @@ _SIGMA_LETTERS = {
 }
 
 
-def evaluate(b: BraidWord) -> CosetElement:
-    """The canonical coset of a braid word."""
+def _coset(letters: Iterable[tuple[int, int]]) -> CosetElement:
+    """The canonical coset of ``(generator, sign)`` letters, in one stack walk."""
     stack: list[int] = []
-    for gen_sign in b.letters:
+    for gen_sign in letters:
         for letter in _SIGMA_LETTERS[gen_sign]:
             _push_letter(stack, letter)
     return CosetElement(tuple(stack))
 
 
+def evaluate(b: BraidWord) -> CosetElement:
+    """The canonical coset of a braid word."""
+    return _coset(b.letters)
+
+
 def sigma_power(gen: int, exp: int) -> CosetElement:
-    """Canonical coset of ``sigma_gen^exp`` built without repeated multiplication."""
-    if exp == 0:
-        return IDENTITY
-    sign = 1 if exp > 0 else -1
-    return CosetElement(_SIGMA_LETTERS[(gen, sign)] * abs(exp))
+    """Canonical coset of ``sigma_gen^exp``."""
+    return _coset(_sigma_letters(gen, exp))
+
+
+def _pure_letters(w: FreeWord) -> Iterable[tuple[int, int]]:
+    return chain.from_iterable(_sigma_letters(gen, 2 * e) for gen, e in w.terms)
 
 
 def embed_pure(w: FreeWord) -> CosetElement:
     """Coset of a pure word, sending generator ``i`` to ``sigma_i^2``."""
-    out = IDENTITY
-    for gen, e in w.terms:
-        out = out * sigma_power(gen, 2 * e)
-    return out
+    return _coset(_pure_letters(w))
 
 
 def conjugate(g: CosetElement, x: CosetElement) -> CosetElement:
@@ -372,72 +384,36 @@ def unembed(x: CosetElement) -> FreeWord | None:
     return FreeWord(tuple(terms))
 
 
-def _parse_branches(x: CosetElement) -> Iterator[tuple[tuple[int, int] | None, int]]:
-    """Candidate (leading letter, ell) pairs compatible with the permutation."""
-    perm = s3_image(x)
-    for ell in (0, 1):
-        target = _compose(perm, _PERM_LETTER[A_LETTER]) if ell else perm
-        if target == PERM_ID:
-            yield None, ell
-        elif target == PERM_S1:
-            yield (1, 1), ell
-            yield (1, -1), ell
-        elif target == PERM_S2:
-            yield (2, 1), ell
-            yield (2, -1), ell
-
-
-def _form_from_branch(
-    x: CosetElement, prefix: tuple[int, int] | None, ell: int
-) -> NormalForm | None:
-    y = x * HALF_TWIST if ell else x
-    if prefix is not None:
-        y = sigma_power(*prefix).inverse() * y
-    w = unembed(y)
-    if w is None:
-        return None
-    if prefix is None:
-        if w.is_identity:
-            return NormalForm.power_of_delta(ell)
-        (g1, e1) = w.terms[0]
-        return NormalForm.general(g1, 2 * e1, FreeWord(w.terms[1:]), ell)
-    j, eps = prefix
-    if w.is_identity:
-        return NormalForm.general(j, eps, w, ell)
-    g1, e1 = w.terms[0]
-    if g1 == j:
-        if (1 if e1 > 0 else -1) != eps:
-            return None
-        return NormalForm.general(j, 2 * e1 + eps, FreeWord(w.terms[1:]), ell)
-    return NormalForm.general(j, eps, w, ell)
-
-
-def all_normal_forms(x: CosetElement) -> list[NormalForm]:
-    """Every factorization the parser accepts; unique by the uniqueness tests."""
-    forms = []
-    for prefix, ell in _parse_branches(x):
-        form = _form_from_branch(x, prefix, ell)
-        if form is not None:
-            forms.append(form)
-    return forms
+_PERM_GEN = {PERM_ID: 0, PERM_S1: 1, PERM_S2: 2}
 
 
 def normal_form(b: BraidWord | CosetElement) -> NormalForm:
     """The factorization ``sigma_j^k b1 delta^ell`` of a braid or coset."""
     x = evaluate(b) if isinstance(b, BraidWord) else b
-    for prefix, ell in _parse_branches(x):
-        form = _form_from_branch(x, prefix, ell)
-        if form is not None:
-            return form
-    raise ArithmeticError("canonical coset word did not parse; invariant violated")
+    perm = s3_image(x)
+    ell = int(perm not in _PERM_GEN)
+    if ell:
+        x = x * HALF_TWIST
+        perm = _compose(perm, _PERM_LETTER[A_LETTER])
+    # a transposition s_j leaves k odd: strip one sigma_j before unembedding
+    j = _PERM_GEN[perm]
+    w = unembed(sigma_power(j, -1) * x if j else x)
+    if w is None:
+        raise ArithmeticError("canonical coset word did not parse; invariant violated")
+    if j and (not w.terms or w.terms[0][0] != j):
+        return NormalForm.general(j, 1, w, ell)
+    if not w.terms:
+        return NormalForm.power_of_delta(ell)
+    # k = 2e, plus the stripped sigma_j when the pure word opens with sigma_j^(2e)
+    (g, e), rest = w.terms[0], FreeWord(w.terms[1:])
+    return NormalForm.general(g, 2 * e + (1 if j else 0), rest, ell)
 
 
 def remultiply(form: NormalForm) -> CosetElement:
     """Re-evaluate a normal form back to its coset element."""
-    if form.is_power_of_delta:
-        return HALF_TWIST if form.ell else IDENTITY
-    out = sigma_power(form.j, form.k) * embed_pure(form.b1)
-    return out * HALF_TWIST if form.ell else out
+    # a power of the half twist has k = 0 and an empty b1
+    head = _sigma_letters(form.j, form.k)
+    return _coset(chain(head, _pure_letters(form.b1), half_twist_word(form.ell).letters))
 
 
 def pure_projection(form: NormalForm | BraidWord | CosetElement) -> FreeWord:

@@ -45,7 +45,7 @@ from .braid import (
     swap_generators,
     unembed,
 )
-from .counting import parse_y_expression
+from .counting import y_expression
 from .invariants import DISPLAY_DIGITS
 from .words import FreeWord
 
@@ -187,7 +187,7 @@ def lower_bound_report(y, variant: str) -> LowerBoundReport:
     exp(Y/(900 pi))/2.  Rejects Y with an index below 2.
     """
     y_text = y if isinstance(y, str) else str(y)
-    expr = parse_y_expression(y) if isinstance(y, str) else sympy.sympify(y)
+    expr = y_expression(y)
     log8 = sympy.log(8)
     if variant == LAMBDA_VARIANT:
         index = int(sympy.floor(expr / (300 * log8)))

@@ -27,19 +27,18 @@ so a reported violation of ``exact <= bound`` is always genuine.
 
 from __future__ import annotations
 
+import ast
 from array import array
 from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
-from math import factorial, isqrt
-from operator import mul, sub
+from math import factorial, isfinite, isqrt
+from operator import add, mul, neg, pos, sub, truediv
 
-import mpmath
 import sympy
-from sympy.parsing.sympy_parser import parse_expr
 
-from .invariants import working_precision
+from .invariants import endpoint_fraction, interval_precision
 
 FIRST = 0
 SECOND = 1
@@ -307,12 +306,6 @@ def _iv_fraction(ctx, value: Fraction):
     return ctx.mpf(value.numerator) / ctx.mpf(value.denominator)
 
 
-def _upper_fraction(value) -> Fraction:
-    sign, man, exp, _ = value._mpi_[1]
-    out = Fraction(int(man)) * Fraction(2) ** int(exp)
-    return -out if sign else out
-
-
 def bound_tuples_j(j: int, x: int) -> Fraction:
     """Round-up value of the length-j tuple bound, valid for x >= 3^j.
 
@@ -324,16 +317,11 @@ def bound_tuples_j(j: int, x: int) -> Fraction:
     if x < 3 ** j:
         raise BoundNotApplicable(f"bound needs x >= 3^{j}")
     scale = Fraction(2 ** (j - 1) * x, 3 ** j)
-    iv = mpmath.iv
-    old = iv.prec
-    try:
-        iv.prec = working_precision()
+    with interval_precision() as iv:
         value = _iv_fraction(iv, scale / factorial(j - 1))
         if j > 1:
             value *= iv.log(_iv_fraction(iv, scale)) ** (j - 1)
-        return _upper_fraction(value)
-    finally:
-        iv.prec = old
+    return endpoint_fraction(value, "upper")
 
 
 def bound_tuples_total(x: int) -> Fraction:
@@ -342,14 +330,9 @@ def bound_tuples_total(x: int) -> Fraction:
         raise ValueError("threshold must be nonnegative")
     if x == 0:
         return Fraction(0)
-    iv = mpmath.iv
-    old = iv.prec
-    try:
-        iv.prec = working_precision()
+    with interval_precision() as iv:
         value = (iv.mpf(x) / iv.mpf(3)) ** (iv.mpf(5) / iv.mpf(3))
-        return _upper_fraction(value)
-    finally:
-        iv.prec = old
+    return endpoint_fraction(value, "upper")
 
 
 @dataclass(frozen=True)
@@ -373,51 +356,88 @@ def bound_words(x: int) -> WordBoundChain:
 
 # --- thresholds from exponential form ---------------------------------------
 
-_Y_LOCALS = {
-    "log": sympy.log,
-    "exp": sympy.exp,
-    "sqrt": sympy.sqrt,
-    "pi": sympy.pi,
-    "E": sympy.E,
-}
-# names the parser's generated code itself relies on; anything else stays out
-_Y_GLOBALS = {
-    "Integer": sympy.Integer,
-    "Float": sympy.Float,
-    "Rational": sympy.Rational,
-    "Symbol": sympy.Symbol,
-}
+_Y_FUNCTIONS = {"log": sympy.log, "exp": sympy.exp, "sqrt": sympy.sqrt}
+_Y_CONSTANTS = {"pi": sympy.pi, "E": sympy.E}
+_Y_UNARY = {ast.USub: neg, ast.UAdd: pos}
+# sympy expands exact powers such as 10**k, (2*pi)**k or sqrt(10)**k at once;
+# 10^4 bits, about 3000 digits, is far beyond any usable threshold
+_MAX_POWER_BITS = 10**4
 
 
-def parse_y_expression(text: str) -> sympy.Expr:
-    """Parse a closed-form nonnegative expression like ``600*log(8)`` or ``2``."""
-    try:
-        expr = parse_expr(text, local_dict=_Y_LOCALS, global_dict=_Y_GLOBALS, evaluate=True)
-    except Exception as exc:
-        raise ValueError(f"cannot parse expression {text!r}: {exc}") from None
-    if not isinstance(expr, sympy.Expr) or expr.free_symbols:
-        raise ValueError(f"expression {text!r} is not a closed-form number")
+def _power(base: sympy.Expr, exponent: sympy.Expr) -> sympy.Expr:
+    if exponent.is_Rational:
+        # about the bits of the exact value: |exponent| log2 of each rational
+        bits = sum(max(abs(r.p), r.q).bit_length() - 1 for r in base.atoms(sympy.Rational))
+        if abs(exponent) * bits > _MAX_POWER_BITS:
+            raise ValueError(f"power above {_MAX_POWER_BITS} bits")
+    return base**exponent
+
+
+_Y_BINARY = {ast.Add: add, ast.Sub: sub, ast.Mult: mul, ast.Div: truediv, ast.Pow: _power}
+
+
+def _y_node(node: ast.AST, text: str) -> sympy.Expr:
+    if isinstance(node, ast.Constant) and type(node.value) is int:
+        return sympy.Integer(node.value)
+    if isinstance(node, ast.Constant) and type(node.value) is float:
+        # the literal's own digits set the Float's precision
+        return sympy.Float(ast.get_source_segment(text, node).replace("_", ""))
+    if isinstance(node, ast.Name) and node.id in _Y_CONSTANTS:
+        return _Y_CONSTANTS[node.id]
+    if isinstance(node, ast.UnaryOp) and type(node.op) in _Y_UNARY:
+        return _Y_UNARY[type(node.op)](_y_node(node.operand, text))
+    if isinstance(node, ast.BinOp) and type(node.op) in _Y_BINARY:
+        return _Y_BINARY[type(node.op)](_y_node(node.left, text), _y_node(node.right, text))
+    if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and not node.keywords:
+        if node.func.id in _Y_FUNCTIONS and len(node.args) == 1:
+            return _Y_FUNCTIONS[node.func.id](_y_node(node.args[0], text))
+    raise ValueError(f"unsupported syntax {ast.get_source_segment(text, node)!r}")
+
+
+def _require_real(expr: sympy.Expr, y) -> sympy.Expr:
+    if expr.is_real is not True:
+        raise ValueError(f"Y = {y} is not a real number")
     return expr
 
 
-def threshold_from_y(y) -> int:
-    """The exact integer floor of e^y, for y given exactly.
+def parse_y_expression(text: str) -> sympy.Expr:
+    """Parse a real closed form like ``600*pi*log(8)`` or ``2``.
 
-    Accepts a string in the closed-form syntax, an int, a Fraction, or a
-    sympy expression; floats go through their shortest decimal spelling.
-    The floor is certified by symbolic evaluation, which refines its
-    working precision until the integer part is unambiguous.
+    Only numbers, ``+ - * / **``, unary minus, parentheses, ``log``,
+    ``exp``, ``sqrt``, ``pi`` and ``E`` are evaluated.  A power above
+    about 3000 digits and a value that is not real raise ValueError.
     """
+    source = text.strip()
+    try:
+        expr = _y_node(ast.parse(source, mode="eval").body, source)
+    # CPython's parser reports nesting that is too deep as MemoryError
+    except (SyntaxError, ValueError, MemoryError, RecursionError) as exc:
+        raise ValueError(f"cannot parse expression {text!r}: {exc}") from None
+    return _require_real(expr, text)
+
+
+def y_expression(y) -> sympy.Expr:
+    """``Y`` (a string, float, int, Fraction or sympy number) as a real sympy number."""
     if isinstance(y, str):
-        expr = parse_y_expression(y)
-    elif isinstance(y, float):
-        expr = sympy.Rational(str(y))
+        return parse_y_expression(y)
+    if isinstance(y, float):  # through its shortest decimal spelling
+        expr = sympy.Rational(str(y)) if isfinite(y) else sympy.nan
     elif isinstance(y, Fraction):
         expr = sympy.Rational(y.numerator, y.denominator)
     elif isinstance(y, sympy.Expr):
         expr = y
     else:
         expr = sympy.Integer(y)
+    return _require_real(expr, y)
+
+
+def threshold_from_y(y) -> int:
+    """The exact integer floor of e^y, for any y that :func:`y_expression` takes.
+
+    The floor is certified by symbolic evaluation, which refines its
+    working precision until the integer part is unambiguous.
+    """
+    expr = y_expression(y)
     if expr.is_negative:
         raise ValueError("exponent must be nonnegative")
     return int(sympy.floor(sympy.exp(expr)))

@@ -28,6 +28,7 @@ endpoints and ceiling on upper ones.
 from __future__ import annotations
 
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass
 from decimal import Context, Decimal, ROUND_CEILING, ROUND_FLOOR
 from fractions import Fraction
@@ -51,6 +52,16 @@ def working_precision() -> int:
     if bits < 8:
         raise ValueError("BRAIDCOUNT_PRECISION must be at least 8 bits")
     return bits
+
+
+@contextmanager
+def interval_precision():
+    """``mpmath.iv`` at :func:`working_precision` bits, restored on exit."""
+    old, mpmath.iv.prec = mpmath.iv.prec, working_precision()
+    try:
+        yield mpmath.iv
+    finally:
+        mpmath.iv.prec = old
 
 
 @total_ordering
@@ -229,11 +240,12 @@ def entropy_bounds(w: FreeWord) -> BoundInterval:
 # --- rigorous decimal rendering -------------------------------------------
 
 
-def _endpoint_fraction(raw: tuple) -> Fraction:
-    # raw libmp tuple (sign, mantissa, exponent, bitcount): exact binary rational
-    sign, man, exp, _ = raw
-    value = Fraction(int(man)) * Fraction(2) ** int(exp)
-    return -value if sign else value
+def endpoint_fraction(value, direction: str) -> Fraction:
+    """The lower or upper endpoint of an ``mpmath.iv`` interval, exactly."""
+    # raw libmp tuple (sign, mantissa, exponent, bitcount): a binary rational
+    sign, man, exp, _ = value._mpi_[0 if direction == "lower" else 1]
+    out = Fraction(int(man)) * Fraction(2) ** int(exp)
+    return -out if sign else out
 
 
 def directed_fraction_decimal(value: Fraction, direction: str) -> str:
@@ -250,16 +262,10 @@ def scaled_log_decimal(scale: Scale, log_arg: LogInteger, direction: str) -> str
     """
     if direction not in ("lower", "upper"):
         raise ValueError("direction must be 'lower' or 'upper'")
-    iv = mpmath.iv
-    old = iv.prec
-    try:
-        iv.prec = working_precision()
+    with interval_precision() as iv:
         value = iv.log(iv.mpf(log_arg.argument))
         value *= iv.mpf(scale.rational.numerator)
         value /= iv.mpf(scale.rational.denominator)
         if scale.pi_power:
             value *= iv.pi ** scale.pi_power
-        raw = value._mpi_[0] if direction == "lower" else value._mpi_[1]
-    finally:
-        iv.prec = old
-    return directed_fraction_decimal(_endpoint_fraction(raw), direction)
+    return directed_fraction_decimal(endpoint_fraction(value, direction), direction)

@@ -1,17 +1,24 @@
 """Braid words modulo the center: coset algebra, normal form, projection."""
 
+import random
+from itertools import product
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from braidcount import braid
 from braidcount.braid import (
     GENERAL,
     HALF_TWIST,
     IDENTITY,
+    PERM_ID,
+    PERM_S1,
+    PERM_S2,
     POWER_OF_DELTA,
     BraidSyntaxError,
     BraidWord,
     CosetElement,
-    all_normal_forms,
+    NormalForm,
     braid_to_text,
     conjugate,
     embed_pure,
@@ -50,6 +57,47 @@ def pure_words(draw, max_terms=6):
 
 def coset(text: str) -> CosetElement:
     return evaluate(parse_braid(text))
+
+
+def reference_normal_forms(x: CosetElement) -> list[NormalForm]:
+    """Every factorization found by trying each leading letter and ``ell``.
+
+    This is the branch-trial parser that :func:`normal_form` replaced: for
+    each ``ell`` whose permutation fits, it strips each candidate leading
+    letter ``sigma_j^eps`` and keeps the results that unembed.
+    """
+    forms = []
+    for ell in (0, 1):
+        y = x * HALF_TWIST if ell else x
+        perm = s3_image(y)
+        if perm == PERM_ID:
+            prefixes = [None]
+        elif perm in (PERM_S1, PERM_S2):
+            j = 1 if perm == PERM_S1 else 2
+            prefixes = [(j, 1), (j, -1)]
+        else:
+            continue
+        for prefix in prefixes:
+            w = unembed(sigma_power(*prefix).inverse() * y if prefix else y)
+            if w is None:
+                continue
+            if prefix is None:
+                if w.is_identity:
+                    forms.append(NormalForm.power_of_delta(ell))
+                else:
+                    g1, e1 = w.terms[0]
+                    forms.append(NormalForm.general(g1, 2 * e1, FreeWord(w.terms[1:]), ell))
+                continue
+            j, eps = prefix
+            if w.terms and w.terms[0][0] == j:
+                e1 = w.terms[0][1]
+                if (1 if e1 > 0 else -1) == eps:
+                    forms.append(
+                        NormalForm.general(j, 2 * e1 + eps, FreeWord(w.terms[1:]), ell)
+                    )
+            else:
+                forms.append(NormalForm.general(j, eps, w, ell))
+    return forms
 
 
 class TestParsing:
@@ -172,9 +220,42 @@ class TestNormalForm:
     @settings(max_examples=300)
     def test_round_trip_and_uniqueness(self, b):
         x = evaluate(b)
-        forms = all_normal_forms(x)
-        assert len(forms) == 1
+        forms = reference_normal_forms(x)
+        assert forms == [normal_form(x)]
         assert remultiply(forms[0]) == x
+
+    def test_matches_reference_on_all_short_words(self):
+        letters = ((1, 1), (1, -1), (2, 1), (2, -1))
+        for n in range(8):
+            for combo in product(letters, repeat=n):
+                x = evaluate(BraidWord(combo))
+                assert reference_normal_forms(x) == [normal_form(x)], combo
+
+    def test_one_unembed_per_call(self, monkeypatch):
+        calls = []
+
+        def counted(x):
+            calls.append(x)
+            return unembed(x)
+
+        monkeypatch.setattr(braid, "unembed", counted)
+        rng = random.Random(11)
+        texts = ["", "D", "s1", "S2", "s1^2 s2^2", "s1 s2", "S1^3 s2^4 D"]
+        texts += [" ".join(rng.choice(("s1", "s2", "S1", "S2")) for _ in range(40))
+                  for _ in range(20)]
+        for text in texts:
+            calls.clear()
+            normal_form(coset(text))
+            assert len(calls) == 1, text
+
+    def test_long_word_round_trip(self):
+        # 20 000 letters, where a coset build that copies its stack per term is quadratic
+        rng = random.Random(2020)
+        letters = ((1, 1), (1, -1), (2, 1), (2, -1))
+        x = evaluate(BraidWord(tuple(rng.choice(letters) for _ in range(20000))))
+        form = normal_form(x)
+        assert len(form.b1.terms) > 1000
+        assert remultiply(form) == x
 
     @given(braid_words)
     def test_first_term_constraint(self, b):

@@ -3,6 +3,7 @@
 from math import gcd
 
 import pytest
+import sympy
 from hypothesis import given, strategies as st
 
 from braidcount.braid import conjugate, embed_pure, evaluate, parse_braid, unembed
@@ -140,6 +141,11 @@ class TestReports:
     def test_small_y_rejected(self):
         with pytest.raises(ValueError):
             lower_bound_report("log(2)", LAMBDA_VARIANT)
+
+    @pytest.mark.parametrize("y", ["1/0", sympy.log(-1)])
+    def test_non_real_y_rejected(self, y):
+        with pytest.raises(ValueError, match="not a real number"):
+            lower_bound_report(y, LAMBDA_VARIANT)
 
     def test_json_keys(self):
         rep = lower_bound_report("600*log(8)", LAMBDA_VARIANT)

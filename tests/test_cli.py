@@ -210,6 +210,16 @@ class TestReport:
         code, _ = run(capsys, "report", "lambda", "--Y", "1")
         assert code == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["report", "lambda", "--Y", "1/0"],
+        ["report", "entropy", "--Y", "log(-1)"],
+    ])
+    def test_non_real_y_exits_2(self, capsys, argv):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and "not a real number" in captured.err
+        assert captured.out == ""
+
 
 class TestFormats:
     def test_csv_columns_are_json_keys(self, capsys):

@@ -1,6 +1,7 @@
 """Exact counting functions, analytic bounds, and threshold certification."""
 
 import random
+import time
 from fractions import Fraction
 
 import mpmath
@@ -281,6 +282,35 @@ class TestThresholds:
     def test_parser_accepts_constants(self):
         expr = parse_y_expression("600*pi*log(8)")
         assert expr == 600 * sympy.pi * sympy.log(8)
+
+    def test_parser_grammar(self):
+        assert parse_y_expression("-2**2 + 1/2") == sympy.Rational(-7, 2)
+        assert parse_y_expression(" sqrt(E) - exp(1/2) ") == 0
+        assert parse_y_expression("0.5") == sympy.Float("0.5")
+        assert parse_y_expression("2**-1") == sympy.Rational(1, 2)
+        assert parse_y_expression("(2*pi)**3") == 8 * sympy.pi**3
+
+    @pytest.mark.parametrize("text", [
+        "10**10**10",
+        "(2*pi)**(10**9)",
+        "(lambda: 5)()",
+        "[1,2][0]",
+        "2 if 1 else 3",
+        "2^3",
+        "log(8, 2)",
+        "True",
+        "-" * 100000 + "1",
+    ])
+    def test_parser_refuses_quickly(self, text):
+        start = time.perf_counter()
+        with pytest.raises(ValueError):
+            parse_y_expression(text)
+        assert time.perf_counter() - start < 1.0
+
+    @pytest.mark.parametrize("y", ["log(-1)", "1/0", "sqrt(-2)", sympy.log(-1), float("nan")])
+    def test_rejects_non_real(self, y):
+        with pytest.raises(ValueError, match="not a real number"):
+            threshold_from_y(y)
 
     @given(st.fractions(min_value=0, max_value=30))
     def test_floor_certificate(self, y):
