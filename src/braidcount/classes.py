@@ -13,8 +13,9 @@ enumeration at small sizes.
 
 The lower-bound reports instantiate the family at the largest index
 whose upper weight fits under a budget ``Y`` and compare the resulting
-word or class count against the matching exponential floor; all
-comparisons are exact symbolic arithmetic.
+word or class count against the matching exponential floor; every
+comparison is decided exactly, by sympy's sign evaluation with tracked
+accuracy, and by symbolic simplification where that cannot settle it.
 
 ``search_forbidden_conjugations`` is the falsification half: it
 exhaustively conjugates family words by braids of the shape
@@ -30,9 +31,7 @@ from dataclasses import dataclass
 from decimal import Context, Decimal, ROUND_CEILING
 from itertools import product
 from math import gcd
-from typing import Iterator
-
-import sympy
+from typing import TYPE_CHECKING, Iterator
 
 from .braid import (
     BraidWord,
@@ -45,11 +44,20 @@ from .braid import (
     swap_generators,
     unembed,
 )
-from .counting import y_expression
+from .counting import estimate_exceeds, y_expression
 from .invariants import DISPLAY_DIGITS
 from .words import FreeWord
 
+if TYPE_CHECKING:  # sympy costs about 0.3 s to import; only the reports need it
+    import sympy
+
 ENUMERATION_LIMIT = 10  # 2^(2j) direct orbit walk stays desk-scale up to here
+#: Largest family index a lower-bound report takes (``Y`` up to about
+#: 4.4e6 for lambda and 1.4e7 for entropy).  The entropy family size
+#: ``4^index`` then has at most 4215 digits, within Python's 4300-digit
+#: limit for printing an int, and a report at the ceiling takes about
+#: 0.06 s once sympy is imported, on a 2-core x86 host.
+MAX_REPORT_INDEX = 7000
 
 
 @dataclass(frozen=True)
@@ -164,6 +172,8 @@ class LowerBoundReport:
 
 
 def _ceil_decimal(expr: sympy.Expr) -> str:
+    import sympy
+
     # display only; the satisfied flag never reads this
     value = sympy.N(expr, DISPLAY_DIGITS + 8)
     ctx = Context(prec=DISPLAY_DIGITS, rounding=ROUND_CEILING)
@@ -171,7 +181,15 @@ def _ceil_decimal(expr: sympy.Expr) -> str:
 
 
 def _exact_ge(left: sympy.Expr, right: sympy.Expr) -> bool:
-    verdict = sympy.simplify(left - right).is_nonnegative
+    import sympy
+
+    difference = left - right
+    # sympy settles the sign numerically with tracked accuracy; simplify
+    # only what that cannot settle, because it may expand logarithms into
+    # powers of millions of digits
+    verdict = difference.is_nonnegative
+    if verdict is None:
+        verdict = sympy.simplify(difference).is_nonnegative
     if verdict is None:
         raise ValueError(f"cannot decide {left} >= {right} exactly")
     return bool(verdict)
@@ -184,31 +202,47 @@ def lower_bound_report(y, variant: str) -> LowerBoundReport:
     (upper bound 300 j0 log 8 <= Y) against exp(Y/900)/2; the entropy
     variant counts rotation orbits of the 2^(2j0) words with 2 j0
     syllables (upper bound 300 pi j0 log 8 <= Y) against
-    exp(Y/(900 pi))/2.  Rejects Y with an index below 2.
+    exp(Y/(900 pi))/2.  Rejects Y with an index below 2 or above
+    :data:`MAX_REPORT_INDEX`.
     """
+    import sympy
+
     y_text = y if isinstance(y, str) else str(y)
     expr = y_expression(y)
     log8 = sympy.log(8)
     if variant == LAMBDA_VARIANT:
-        index = int(sympy.floor(expr / (300 * log8)))
-        family_size = 2 ** index
-        orbit_count = None
-        achieved = sympy.Integer(family_size)
-        floor_expr = sympy.exp(expr / 900) / 2
-        weight_ok = _exact_ge(expr, 300 * index * log8)
+        unit = 300 * log8
     elif variant == ENTROPY_VARIANT:
-        index = int(sympy.floor(expr / (300 * sympy.pi * log8)))
-        family_size = 2 ** (2 * index)
-        orbit_count = class_count(index) if index >= 1 else 0
-        achieved = sympy.Integer(orbit_count)
-        floor_expr = sympy.exp(expr / (900 * sympy.pi)) / 2
-        weight_ok = _exact_ge(expr, 300 * sympy.pi * index * log8)
+        unit = 300 * sympy.pi * log8
     else:
         raise ValueError(f"unknown report variant {variant!r}")
+    # 15-digit estimates spare certifying the floor of a ratio far out of
+    # range, which can take gigabytes
+    ratio = expr / unit
+    far = estimate_exceeds(ratio, MAX_REPORT_INDEX + 1) or estimate_exceeds(
+        -ratio, MAX_REPORT_INDEX + 1
+    )
+    index = None if far else int(sympy.floor(ratio))
+    if far or index > MAX_REPORT_INDEX:
+        raise ValueError(
+            f"Y = {y_text} is out of range for the {variant} report: "
+            f"its index must lie in 2..{MAX_REPORT_INDEX}"
+        )
     if index < 2:
         raise ValueError(
             f"budget too small for the {variant} report: index {index} < 2"
         )
+    weight_ok = _exact_ge(expr, index * unit)
+    if variant == LAMBDA_VARIANT:
+        family_size = 2 ** index
+        orbit_count = None
+        achieved = sympy.Integer(family_size)
+        floor_expr = sympy.exp(expr / 900) / 2
+    else:
+        family_size = 2 ** (2 * index)
+        orbit_count = class_count(index)
+        achieved = sympy.Integer(orbit_count)
+        floor_expr = sympy.exp(expr / (900 * sympy.pi)) / 2
     satisfied = weight_ok and _exact_ge(achieved, floor_expr)
     return LowerBoundReport(
         variant=variant,

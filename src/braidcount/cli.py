@@ -174,7 +174,7 @@ def _resolve_x(args) -> int:
         y = counting.parse_y_expression(args.Y)
         # a 15-digit estimate rejects a far too large Y before the floor of
         # e^Y is certified; the exact X is checked against MAX_X below
-        if y.evalf(15) > math.log(MAX_X) + 1:
+        if counting.estimate_exceeds(y, math.log(MAX_X) + 1):
             raise InputError(f"--Y {args.Y!r} gives X above the ceiling {MAX_X}")
         x = counting.threshold_from_y(y)
     else:

@@ -33,12 +33,14 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
-from math import factorial, isfinite, isqrt
+from math import factorial, isfinite, isqrt, log
 from operator import add, mul, neg, pos, sub, truediv
-
-import sympy
+from typing import TYPE_CHECKING
 
 from .invariants import endpoint_fraction, interval_precision
+
+if TYPE_CHECKING:  # sympy costs about 0.3 s to import; only Y needs it
+    import sympy
 
 FIRST = 0
 SECOND = 1
@@ -356,15 +358,21 @@ def bound_words(x: int) -> WordBoundChain:
 
 # --- thresholds from exponential form ---------------------------------------
 
-_Y_FUNCTIONS = {"log": sympy.log, "exp": sympy.exp, "sqrt": sympy.sqrt}
-_Y_CONSTANTS = {"pi": sympy.pi, "E": sympy.E}
+# sympy names a Y may use, looked up only when sympy is loaded
+_Y_FUNCTIONS = frozenset({"log", "exp", "sqrt"})
+_Y_CONSTANTS = frozenset({"pi", "E"})
 _Y_UNARY = {ast.USub: neg, ast.UAdd: pos}
 # sympy expands exact powers such as 10**k, (2*pi)**k or sqrt(10)**k at once;
 # 10^4 bits, about 3000 digits, is far beyond any usable threshold
 _MAX_POWER_BITS = 10**4
+#: Largest ``Y`` that :func:`threshold_from_y` takes: ``e^Y`` then has at
+#: most ``_MAX_POWER_BITS`` bits (about 3000 digits).
+MAX_THRESHOLD_Y = _MAX_POWER_BITS * log(2)
 
 
 def _power(base: sympy.Expr, exponent: sympy.Expr) -> sympy.Expr:
+    import sympy
+
     if exponent.is_Rational:
         # about the bits of the exact value: |exponent| log2 of each rational
         bits = sum(max(abs(r.p), r.q).bit_length() - 1 for r in base.atoms(sympy.Rational))
@@ -377,25 +385,32 @@ _Y_BINARY = {ast.Add: add, ast.Sub: sub, ast.Mult: mul, ast.Div: truediv, ast.Po
 
 
 def _y_node(node: ast.AST, text: str) -> sympy.Expr:
+    import sympy
+
     if isinstance(node, ast.Constant) and type(node.value) is int:
         return sympy.Integer(node.value)
     if isinstance(node, ast.Constant) and type(node.value) is float:
         # the literal's own digits set the Float's precision
         return sympy.Float(ast.get_source_segment(text, node).replace("_", ""))
     if isinstance(node, ast.Name) and node.id in _Y_CONSTANTS:
-        return _Y_CONSTANTS[node.id]
+        return getattr(sympy, node.id)
     if isinstance(node, ast.UnaryOp) and type(node.op) in _Y_UNARY:
         return _Y_UNARY[type(node.op)](_y_node(node.operand, text))
     if isinstance(node, ast.BinOp) and type(node.op) in _Y_BINARY:
         return _Y_BINARY[type(node.op)](_y_node(node.left, text), _y_node(node.right, text))
     if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and not node.keywords:
         if node.func.id in _Y_FUNCTIONS and len(node.args) == 1:
-            return _Y_FUNCTIONS[node.func.id](_y_node(node.args[0], text))
+            return getattr(sympy, node.func.id)(_y_node(node.args[0], text))
     raise ValueError(f"unsupported syntax {ast.get_source_segment(text, node)!r}")
 
 
 def _require_real(expr: sympy.Expr, y) -> sympy.Expr:
-    if expr.is_real is not True:
+    try:
+        real = expr.is_real
+    # sympy's assumptions may evaluate a huge Y numerically
+    except OverflowError:
+        raise ValueError(f"Y = {y} is out of range: beyond the range of mpmath") from None
+    if real is not True:
         raise ValueError(f"Y = {y} is not a real number")
     return expr
 
@@ -418,6 +433,8 @@ def parse_y_expression(text: str) -> sympy.Expr:
 
 def y_expression(y) -> sympy.Expr:
     """``Y`` (a string, float, int, Fraction or sympy number) as a real sympy number."""
+    import sympy
+
     if isinstance(y, str):
         return parse_y_expression(y)
     if isinstance(y, float):  # through its shortest decimal spelling
@@ -431,13 +448,35 @@ def y_expression(y) -> sympy.Expr:
     return _require_real(expr, y)
 
 
+def estimate_exceeds(expr: sympy.Expr, limit: float) -> bool:
+    """Whether the 15-digit value of a real ``expr`` exceeds ``limit``.
+
+    A value beyond the range of mpmath counts as exceeding.
+    """
+    try:
+        return bool(expr.evalf(15) > limit)
+    except OverflowError:
+        return True
+
+
 def threshold_from_y(y) -> int:
     """The exact integer floor of e^y, for any y that :func:`y_expression` takes.
 
     The floor is certified by symbolic evaluation, which refines its
-    working precision until the integer part is unambiguous.
+    working precision until the integer part is unambiguous.  A ``y``
+    whose 15-digit value exceeds :data:`MAX_THRESHOLD_Y` (about 6931.5)
+    or lies beyond the range of mpmath, and a negative ``y``, raise
+    ValueError before ``e^y`` is evaluated.
     """
+    import sympy
+
     expr = y_expression(y)
+    # before the sign test, which may evaluate a huge Y and overflow mpmath
+    if estimate_exceeds(expr, MAX_THRESHOLD_Y):
+        raise ValueError(
+            f"Y = {y} is out of range: e^Y must stay within {_MAX_POWER_BITS} bits "
+            f"(Y at most {MAX_THRESHOLD_Y:.1f})"
+        )
     if expr.is_negative:
         raise ValueError("exponent must be nonnegative")
     return int(sympy.floor(sympy.exp(expr)))

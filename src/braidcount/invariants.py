@@ -34,8 +34,6 @@ from decimal import Context, Decimal, ROUND_CEILING, ROUND_FLOOR
 from fractions import Fraction
 from functools import total_ordering
 
-import mpmath
-
 from .braid import BraidWord, CosetElement, NormalForm, normal_form, pure_projection
 from .words import FreeWord, is_cyclically_syllable_reduced, syllable_decompose
 
@@ -57,6 +55,8 @@ def working_precision() -> int:
 @contextmanager
 def interval_precision():
     """``mpmath.iv`` at :func:`working_precision` bits, restored on exit."""
+    import mpmath  # loaded on first use: the bound columns alone need it
+
     old, mpmath.iv.prec = mpmath.iv.prec, working_precision()
     try:
         yield mpmath.iv

@@ -1,5 +1,6 @@
 """Sign families, rotation orbits, lower-bound reports, conjugation search."""
 
+import time
 from math import gcd
 
 import pytest
@@ -11,6 +12,7 @@ from braidcount.classes import (
     ENTROPY_VARIANT,
     ENUMERATION_LIMIT,
     LAMBDA_VARIANT,
+    MAX_REPORT_INDEX,
     FamilyWord,
     class_count,
     class_count_by_enumeration,
@@ -146,6 +148,40 @@ class TestReports:
     def test_non_real_y_rejected(self, y):
         with pytest.raises(ValueError, match="not a real number"):
             lower_bound_report(y, LAMBDA_VARIANT)
+
+    @pytest.mark.parametrize("variant, unit", [
+        (LAMBDA_VARIANT, "300*log(8)"),
+        (ENTROPY_VARIANT, "300*pi*log(8)"),
+    ])
+    def test_index_ceiling(self, variant, unit):
+        rep = lower_bound_report(f"{MAX_REPORT_INDEX}*{unit}", variant)
+        assert rep.index == MAX_REPORT_INDEX
+        assert rep.satisfied
+        # printable: Python refuses to convert an int of more than 4300 digits
+        assert len(str(rep.family_size)) < 4300
+        with pytest.raises(ValueError, match="index must lie in"):
+            lower_bound_report(f"{MAX_REPORT_INDEX + 1}*{unit}", variant)
+
+    @pytest.mark.parametrize("y", [
+        "10**3000",
+        "-10**1000",
+        "exp(exp(exp(exp(10))))",
+        "-exp(exp(exp(exp(10))))",
+    ])
+    def test_far_out_of_range_y_refused_quickly(self, y):
+        # unchecked, flooring -10**1000 / (300 log 8) ran out of memory
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="out of range"):
+            lower_bound_report(y, LAMBDA_VARIANT)
+        assert time.perf_counter() - start < 1.0
+
+    def test_weight_check_avoids_expanding_logs(self):
+        # simplify would rewrite Y - 300*index*log(8) as one log of a power
+        # of 10^6 digits, so the numeric sign test has to settle it first
+        start = time.perf_counter()
+        rep = lower_bound_report("10**6*log(9) - 10**6*log(8)", LAMBDA_VARIANT)
+        assert rep.index == 188 and rep.satisfied
+        assert time.perf_counter() - start < 5.0
 
     def test_json_keys(self):
         rep = lower_bound_report("600*log(8)", LAMBDA_VARIANT)

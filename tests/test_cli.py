@@ -9,6 +9,7 @@ import pytest
 from sympy.core.evalf import PrecisionExhausted
 
 from braidcount import braid, counting
+from braidcount.classes import MAX_REPORT_INDEX
 from braidcount.cli import MAX_X, main
 
 
@@ -209,6 +210,28 @@ class TestReport:
     def test_too_small_exits_2(self, capsys):
         code, _ = run(capsys, "report", "lambda", "--Y", "1")
         assert code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["report", "lambda", "--Y", "10**7"],
+        ["report", "lambda", "--Y", "10**9"],
+        ["report", "entropy", "--Y", "10**9"],
+        ["report", "lambda", "--Y", "10**3000"],
+        ["report", "entropy", "--Y", f"{MAX_REPORT_INDEX + 1}*300*pi*log(8)"],
+    ])
+    def test_y_above_index_ceiling_exits_2_at_once(self, capsys, argv):
+        start = time.perf_counter()
+        assert main(argv) == 2
+        assert time.perf_counter() - start < 1.0
+        captured = capsys.readouterr()
+        assert "index must lie in" in captured.err and captured.out == ""
+
+    @pytest.mark.parametrize("y, index", [
+        (f"{MAX_REPORT_INDEX}*300*log(8)", MAX_REPORT_INDEX),
+        ("10**6", 1602),
+    ])
+    def test_large_y_within_ceiling_succeeds(self, capsys, y, index):
+        rows = run_json(capsys, "report", "lambda", "--Y", y)
+        assert rows[0]["index"] == index and rows[0]["satisfied"]
 
     @pytest.mark.parametrize("argv", [
         ["report", "lambda", "--Y", "1/0"],

@@ -1,5 +1,6 @@
 """Exact counting functions, analytic bounds, and threshold certification."""
 
+import math
 import random
 import time
 from fractions import Fraction
@@ -306,6 +307,26 @@ class TestThresholds:
         with pytest.raises(ValueError):
             parse_y_expression(text)
         assert time.perf_counter() - start < 1.0
+
+    @pytest.mark.parametrize("y", [
+        "10**1000",
+        "10**4",
+        "3340*log(8)",
+        "exp(exp(exp(exp(10))))",
+        "-exp(exp(exp(exp(10))))",
+        10**4,
+    ])
+    def test_rejects_huge_y_quickly(self, y):
+        # e^Y above 10^4 bits; unchecked, mpmath overflows on 10**1000 and
+        # 10**4 hits the 4300-digit limit of int-to-str conversion
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="out of range"):
+            threshold_from_y(y)
+        assert time.perf_counter() - start < 1.0
+
+    def test_accepts_y_below_the_bit_limit(self):
+        assert counting.MAX_THRESHOLD_Y > 3300 * math.log(8)
+        assert threshold_from_y("3300*log(8)") == 8**3300
 
     @pytest.mark.parametrize("y", ["log(-1)", "1/0", "sqrt(-2)", sympy.log(-1), float("nan")])
     def test_rejects_non_real(self, y):
