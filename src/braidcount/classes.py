@@ -14,8 +14,9 @@ enumeration at small sizes.
 The lower-bound reports instantiate the family at the largest index
 whose upper weight fits under a budget ``Y`` and compare the resulting
 word or class count against the matching exponential floor; every
-comparison is decided exactly, by sympy's sign evaluation with tracked
-accuracy, and by symbolic simplification where that cannot settle it.
+comparison is decided exactly by :mod:`braidcount.exactlog`: the sign of
+an interval enclosure at doubling precision, and an exact form where the
+two sides are equal.
 
 ``search_forbidden_conjugations`` is the falsification half: it
 exhaustively conjugates family words by braids of the shape
@@ -28,10 +29,9 @@ evidence, not proof.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from decimal import Context, Decimal, ROUND_CEILING
 from itertools import product
 from math import gcd
-from typing import TYPE_CHECKING, Iterator
+from typing import Iterator
 
 from .braid import (
     BraidWord,
@@ -44,19 +44,15 @@ from .braid import (
     swap_generators,
     unembed,
 )
-from .counting import estimate_exceeds, y_expression
 from .invariants import DISPLAY_DIGITS
 from .words import FreeWord
-
-if TYPE_CHECKING:  # sympy costs about 0.3 s to import; only the reports need it
-    import sympy
 
 ENUMERATION_LIMIT = 10  # 2^(2j) direct orbit walk stays desk-scale up to here
 #: Largest family index a lower-bound report takes (``Y`` up to about
 #: 4.4e6 for lambda and 1.4e7 for entropy).  The entropy family size
 #: ``4^index`` then has at most 4215 digits, within Python's 4300-digit
 #: limit for printing an int, and a report at the ceiling takes about
-#: 0.06 s once sympy is imported, on a 2-core x86 host.
+#: 0.02 s on a 2-core x86 host.
 MAX_REPORT_INDEX = 7000
 
 
@@ -171,30 +167,6 @@ class LowerBoundReport:
         }
 
 
-def _ceil_decimal(expr: sympy.Expr) -> str:
-    import sympy
-
-    # display only; the satisfied flag never reads this
-    value = sympy.N(expr, DISPLAY_DIGITS + 8)
-    ctx = Context(prec=DISPLAY_DIGITS, rounding=ROUND_CEILING)
-    return str(ctx.plus(Decimal(str(value))))
-
-
-def _exact_ge(left: sympy.Expr, right: sympy.Expr) -> bool:
-    import sympy
-
-    difference = left - right
-    # sympy settles the sign numerically with tracked accuracy; simplify
-    # only what that cannot settle, because it may expand logarithms into
-    # powers of millions of digits
-    verdict = difference.is_nonnegative
-    if verdict is None:
-        verdict = sympy.simplify(difference).is_nonnegative
-    if verdict is None:
-        raise ValueError(f"cannot decide {left} >= {right} exactly")
-    return bool(verdict)
-
-
 def lower_bound_report(y, variant: str) -> LowerBoundReport:
     """Instantiate the largest family fitting under Y and compare to its floor.
 
@@ -205,24 +177,22 @@ def lower_bound_report(y, variant: str) -> LowerBoundReport:
     exp(Y/(900 pi))/2.  Rejects Y with an index below 2 or above
     :data:`MAX_REPORT_INDEX`.
     """
-    import sympy
+    from . import exactlog  # loaded on first use: only the reports need it
 
     y_text = y if isinstance(y, str) else str(y)
-    expr = y_expression(y)
-    log8 = sympy.log(8)
+    expr = exactlog.from_value(y)
     if variant == LAMBDA_VARIANT:
-        unit = 300 * log8
+        scale = exactlog.number(900)
     elif variant == ENTROPY_VARIANT:
-        unit = 300 * sympy.pi * log8
+        scale = 900 * exactlog.constant("pi")
     else:
         raise ValueError(f"unknown report variant {variant!r}")
-    # 15-digit estimates spare certifying the floor of a ratio far out of
-    # range, which can take gigabytes
+    unit = scale / 3 * exactlog.call("log", 8)  # 300 log 8, or 300 pi log 8
+    exactlog.estimate(expr)  # a Y that is not real is refused by name
+    # an estimate spares certifying the floor of a ratio far out of range
     ratio = expr / unit
-    far = estimate_exceeds(ratio, MAX_REPORT_INDEX + 1) or estimate_exceeds(
-        -ratio, MAX_REPORT_INDEX + 1
-    )
-    index = None if far else int(sympy.floor(ratio))
+    far = abs(exactlog.estimate(ratio)) > MAX_REPORT_INDEX + 1
+    index = None if far else exactlog.floor(ratio)
     if far or index > MAX_REPORT_INDEX:
         raise ValueError(
             f"Y = {y_text} is out of range for the {variant} report: "
@@ -232,25 +202,25 @@ def lower_bound_report(y, variant: str) -> LowerBoundReport:
         raise ValueError(
             f"budget too small for the {variant} report: index {index} < 2"
         )
-    weight_ok = _exact_ge(expr, index * unit)
+    weight_ok = exactlog.sign(expr - index * unit) >= 0
     if variant == LAMBDA_VARIANT:
         family_size = 2 ** index
         orbit_count = None
-        achieved = sympy.Integer(family_size)
-        floor_expr = sympy.exp(expr / 900) / 2
+        achieved = family_size
     else:
         family_size = 2 ** (2 * index)
         orbit_count = class_count(index)
-        achieved = sympy.Integer(orbit_count)
-        floor_expr = sympy.exp(expr / (900 * sympy.pi)) / 2
-    satisfied = weight_ok and _exact_ge(achieved, floor_expr)
+        achieved = orbit_count
+    floor_expr = exactlog.call("exp", expr / scale) / 2
+    satisfied = weight_ok and exactlog.sign(achieved - floor_expr) >= 0
     return LowerBoundReport(
         variant=variant,
         y_text=y_text,
         index=index,
         family_size=family_size,
         class_count=orbit_count,
-        paper_bound=_ceil_decimal(floor_expr),
+        # display only; the satisfied flag never reads this
+        paper_bound=exactlog.ceil_decimal(floor_expr, DISPLAY_DIGITS),
         satisfied=satisfied,
     )
 

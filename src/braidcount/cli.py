@@ -163,6 +163,13 @@ def cmd_bounds(args) -> list[dict]:
 #: about 25 s and 80 MB on a 2-core x86 host; past ``10**10`` the cost
 #: grows about linearly in ``X``, so ``10**12`` would take minutes.
 MAX_X = 10**11
+#: Largest threshold ``count tuples --j`` accepts when a tuple of length
+#: ``j`` fits (``3^j <= X``).  On a 2-core x86 host ``count_tuples_j``
+#: takes 3.8-8.4 s for each ``j`` from 3 to 9 at ``X = 10**9``, and
+#: 22, 41, 52 and 52 s for ``j`` = 3 to 6 at ``X = 10**10``: at the edge
+#: of a one-minute budget before the bound is computed, and past it on a
+#: loaded host.
+MAX_TUPLES_J_X = 10**9
 
 
 def _resolve_x(args) -> int:
@@ -171,10 +178,12 @@ def _resolve_x(args) -> int:
             raise InputError("--X must be nonnegative")
         x = args.X
     elif args.Y is not None:
-        y = counting.parse_y_expression(args.Y)
-        # a 15-digit estimate rejects a far too large Y before the floor of
-        # e^Y is certified; the exact X is checked against MAX_X below
-        if counting.estimate_exceeds(y, math.log(MAX_X) + 1):
+        from . import exactlog  # loaded on first use: only a Y needs it
+
+        y = exactlog.parse(args.Y)
+        # an estimate rejects a far too large Y before the floor of e^Y is
+        # certified; the exact X is checked against MAX_X below
+        if exactlog.estimate(y) > math.log(MAX_X) + 1:
             raise InputError(f"--Y {args.Y!r} gives X above the ceiling {MAX_X}")
         x = counting.threshold_from_y(y)
     else:
@@ -199,6 +208,8 @@ def cmd_count(args) -> list[dict]:
         if args.j is not None:
             if args.j < 1:
                 raise InputError("--j must be positive")
+            if x > MAX_TUPLES_J_X and counting.max_tuple_length(x) >= args.j:
+                raise InputError(f"X = {x} is above the ceiling {MAX_TUPLES_J_X} for --j")
             exact = counting.count_tuples_j(args.j, x)
             try:
                 bound = counting.bound_tuples_j(args.j, x)
@@ -334,8 +345,9 @@ def main(argv=None) -> int:
             "report": cmd_report,
         }[args.command]
         rows = handler(args)
-    # InputError, a library function rejecting a value, or sympy giving up
-    # on an exact evaluation (PrecisionExhausted is an ArithmeticError)
+    # InputError, a library function rejecting a value (exactlog raises
+    # ValueError where it cannot certify), or an ArithmeticError from a
+    # numeric library
     except (ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

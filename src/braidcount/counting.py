@@ -27,20 +27,21 @@ so a reported violation of ``exact <= bound`` is always genuine.
 
 from __future__ import annotations
 
-import ast
 from array import array
 from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
-from math import factorial, isfinite, isqrt, log
+from math import factorial, isqrt, log
 from operator import add, mul, neg, pos, sub, truediv
 from typing import TYPE_CHECKING
 
 from .invariants import endpoint_fraction, interval_precision
 
-if TYPE_CHECKING:  # sympy costs about 0.3 s to import; only Y needs it
+if TYPE_CHECKING:  # sympy costs about 0.3 s to import; only its adapters use it
     import sympy
+
+    from .exactlog import Node
 
 FIRST = 0
 SECOND = 1
@@ -291,6 +292,11 @@ def count_words_bounded(x: int, max_degree: int) -> int:
     """As count_words with the extra constraint sum(d_k) <= max_degree."""
     if max_degree < 0:
         raise ValueError("degree budget must be nonnegative")
+    if max_degree >= x // 3:
+        # the budget cannot bind: sum(d_k) <= prod(3 d_k) / 3 <= x / 3, by
+        # induction on the syllables, as d + s <= 3 d s for d, s >= 1 where
+        # s is prod(3 d_k) / 3 over the syllables after the first
+        return count_words(x)
     total = 0
     top = min(x // 3, max_degree)
     for d in range(1, top + 1):
@@ -358,16 +364,12 @@ def bound_words(x: int) -> WordBoundChain:
 
 # --- thresholds from exponential form ---------------------------------------
 
-# sympy names a Y may use, looked up only when sympy is loaded
-_Y_FUNCTIONS = frozenset({"log", "exp", "sqrt"})
-_Y_CONSTANTS = frozenset({"pi", "E"})
-_Y_UNARY = {ast.USub: neg, ast.UAdd: pos}
-# sympy expands exact powers such as 10**k, (2*pi)**k or sqrt(10)**k at once;
-# 10^4 bits, about 3000 digits, is far beyond any usable threshold
-_MAX_POWER_BITS = 10**4
+#: A power with rational exponent in ``Y`` whose exact value would exceed
+#: this many bits (about 3000 digits) is refused when parsed.
+MAX_POWER_BITS = 10**4
 #: Largest ``Y`` that :func:`threshold_from_y` takes: ``e^Y`` then has at
-#: most ``_MAX_POWER_BITS`` bits (about 3000 digits).
-MAX_THRESHOLD_Y = _MAX_POWER_BITS * log(2)
+#: most ``MAX_POWER_BITS`` bits.
+MAX_THRESHOLD_Y = MAX_POWER_BITS * log(2)
 
 
 def _power(base: sympy.Expr, exponent: sympy.Expr) -> sympy.Expr:
@@ -376,107 +378,72 @@ def _power(base: sympy.Expr, exponent: sympy.Expr) -> sympy.Expr:
     if exponent.is_Rational:
         # about the bits of the exact value: |exponent| log2 of each rational
         bits = sum(max(abs(r.p), r.q).bit_length() - 1 for r in base.atoms(sympy.Rational))
-        if abs(exponent) * bits > _MAX_POWER_BITS:
-            raise ValueError(f"power above {_MAX_POWER_BITS} bits")
+        if abs(exponent) * bits > MAX_POWER_BITS:
+            raise ValueError(f"power above {MAX_POWER_BITS} bits")
     return base**exponent
 
 
-_Y_BINARY = {ast.Add: add, ast.Sub: sub, ast.Mult: mul, ast.Div: truediv, ast.Pow: _power}
+_SYMPY_BINARY = {"add": add, "sub": sub, "mul": mul, "div": truediv, "pow": _power}
 
 
-def _y_node(node: ast.AST, text: str) -> sympy.Expr:
+def _to_sympy(node: Node) -> sympy.Expr:
     import sympy
 
-    if isinstance(node, ast.Constant) and type(node.value) is int:
-        return sympy.Integer(node.value)
-    if isinstance(node, ast.Constant) and type(node.value) is float:
-        # the literal's own digits set the Float's precision
-        return sympy.Float(ast.get_source_segment(text, node).replace("_", ""))
-    if isinstance(node, ast.Name) and node.id in _Y_CONSTANTS:
-        return getattr(sympy, node.id)
-    if isinstance(node, ast.UnaryOp) and type(node.op) in _Y_UNARY:
-        return _Y_UNARY[type(node.op)](_y_node(node.operand, text))
-    if isinstance(node, ast.BinOp) and type(node.op) in _Y_BINARY:
-        return _Y_BINARY[type(node.op)](_y_node(node.left, text), _y_node(node.right, text))
-    if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and not node.keywords:
-        if node.func.id in _Y_FUNCTIONS and len(node.args) == 1:
-            return getattr(sympy, node.func.id)(_y_node(node.args[0], text))
-    raise ValueError(f"unsupported syntax {ast.get_source_segment(text, node)!r}")
-
-
-def _require_real(expr: sympy.Expr, y) -> sympy.Expr:
-    try:
-        real = expr.is_real
-    # sympy's assumptions may evaluate a huge Y numerically
-    except OverflowError:
-        raise ValueError(f"Y = {y} is out of range: beyond the range of mpmath") from None
-    if real is not True:
-        raise ValueError(f"Y = {y} is not a real number")
-    return expr
+    op, args = node.op, node.args
+    if op == "num":
+        if node.text is not None:  # the literal's own digits set the precision
+            return sympy.Float(node.text)
+        return sympy.Rational(args[0].numerator, args[0].denominator)
+    if op in ("pi", "E"):
+        return getattr(sympy, op)
+    if op in ("neg", "pos"):
+        return (neg if op == "neg" else pos)(_to_sympy(args[0]))
+    if op in _SYMPY_BINARY:
+        return _SYMPY_BINARY[op](_to_sympy(args[0]), _to_sympy(args[1]))
+    return getattr(sympy, op)(_to_sympy(args[0]))
 
 
 def parse_y_expression(text: str) -> sympy.Expr:
-    """Parse a real closed form like ``600*pi*log(8)`` or ``2``.
+    """Parse a real closed form like ``600*pi*log(8)`` or ``2`` into sympy.
 
     Only numbers, ``+ - * / **``, unary minus, parentheses, ``log``,
     ``exp``, ``sqrt``, ``pi`` and ``E`` are evaluated.  A power above
-    about 3000 digits and a value that is not real raise ValueError.
+    about 3000 digits and a value that is not real raise ValueError.  The
+    library itself certifies ``Y`` with :mod:`braidcount.exactlog`; this
+    adapter is for callers that want the sympy expression.
     """
-    source = text.strip()
-    try:
-        expr = _y_node(ast.parse(source, mode="eval").body, source)
-    # CPython's parser reports nesting that is too deep as MemoryError
-    except (SyntaxError, ValueError, MemoryError, RecursionError) as exc:
-        raise ValueError(f"cannot parse expression {text!r}: {exc}") from None
-    return _require_real(expr, text)
+    return y_expression(text)
 
 
 def y_expression(y) -> sympy.Expr:
     """``Y`` (a string, float, int, Fraction or sympy number) as a real sympy number."""
-    import sympy
+    from . import exactlog  # loaded on first use, like sympy and mpmath
 
-    if isinstance(y, str):
-        return parse_y_expression(y)
-    if isinstance(y, float):  # through its shortest decimal spelling
-        expr = sympy.Rational(str(y)) if isfinite(y) else sympy.nan
-    elif isinstance(y, Fraction):
-        expr = sympy.Rational(y.numerator, y.denominator)
-    elif isinstance(y, sympy.Expr):
-        expr = y
-    else:
-        expr = sympy.Integer(y)
-    return _require_real(expr, y)
-
-
-def estimate_exceeds(expr: sympy.Expr, limit: float) -> bool:
-    """Whether the 15-digit value of a real ``expr`` exceeds ``limit``.
-
-    A value beyond the range of mpmath counts as exceeding.
-    """
+    node = exactlog.from_value(y)
+    exactlog.estimate(node)  # raises ValueError unless the value is real
     try:
-        return bool(expr.evalf(15) > limit)
-    except OverflowError:
-        return True
+        return _to_sympy(node)
+    except RecursionError:
+        raise ValueError(f"cannot parse expression {y!r}: too deeply nested") from None
 
 
 def threshold_from_y(y) -> int:
     """The exact integer floor of e^y, for any y that :func:`y_expression` takes.
 
-    The floor is certified by symbolic evaluation, which refines its
-    working precision until the integer part is unambiguous.  A ``y``
-    whose 15-digit value exceeds :data:`MAX_THRESHOLD_Y` (about 6931.5)
-    or lies beyond the range of mpmath, and a negative ``y``, raise
-    ValueError before ``e^y`` is evaluated.
+    The floor is certified by :mod:`braidcount.exactlog`: interval
+    enclosures at doubling precision, and an exact form where ``e^y`` is
+    an integer.  A ``y`` whose value exceeds :data:`MAX_THRESHOLD_Y`
+    (about 6931.5) or lies beyond what an enclosure represents, and a
+    negative ``y``, raise ValueError before ``e^y`` is evaluated.
     """
-    import sympy
+    from . import exactlog
 
-    expr = y_expression(y)
-    # before the sign test, which may evaluate a huge Y and overflow mpmath
-    if estimate_exceeds(expr, MAX_THRESHOLD_Y):
+    node = exactlog.from_value(y)
+    if exactlog.estimate(node) > MAX_THRESHOLD_Y:
         raise ValueError(
-            f"Y = {y} is out of range: e^Y must stay within {_MAX_POWER_BITS} bits "
+            f"Y = {y} is out of range: e^Y must stay within {MAX_POWER_BITS} bits "
             f"(Y at most {MAX_THRESHOLD_Y:.1f})"
         )
-    if expr.is_negative:
+    if exactlog.sign(node) < 0:
         raise ValueError("exponent must be nonnegative")
-    return int(sympy.floor(sympy.exp(expr)))
+    return exactlog.floor_exp(node)

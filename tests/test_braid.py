@@ -1,6 +1,7 @@
 """Braid words modulo the center: coset algebra, normal form, projection."""
 
 import random
+import time
 from itertools import product
 
 import pytest
@@ -117,6 +118,23 @@ class TestParsing:
         for text in ("s3", "d", "s1^", "q2"):
             with pytest.raises(BraidSyntaxError):
                 parse_braid(text)
+
+    def test_letter_ceiling(self, monkeypatch):
+        # exponents count before they expand: |e| per s token, 3|e| per D
+        monkeypatch.setattr(braid, "MAX_BRAID_LETTERS", 10)
+        assert len(parse_braid("s1^4 D^2")) == 10
+        assert len(parse_braid("S2^-10")) == 10
+        for text in ("s1^5 D^2", "D^-4", "s2^11", "s1^10 s2"):
+            with pytest.raises(BraidSyntaxError, match="more than 10 letters"):
+                parse_braid(text)
+
+    def test_huge_exponent_refused_before_expanding(self):
+        start = time.perf_counter()
+        with pytest.raises(BraidSyntaxError):
+            parse_braid("s1^1000000000000")
+        with pytest.raises(BraidSyntaxError):
+            parse_braid("D^400000")
+        assert time.perf_counter() - start < 1.0
 
     def test_delta_expands_to_three_letters(self):
         assert len(half_twist_word(1)) == 3

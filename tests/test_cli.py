@@ -10,7 +10,7 @@ from sympy.core.evalf import PrecisionExhausted
 
 from braidcount import braid, counting
 from braidcount.classes import MAX_REPORT_INDEX
-from braidcount.cli import MAX_X, main
+from braidcount.cli import MAX_TUPLES_J_X, MAX_X, main
 
 
 def run(capsys, *argv):
@@ -46,6 +46,12 @@ class TestNormalize:
     def test_bad_input_exits_2(self, capsys):
         code, _ = run(capsys, "normalize", "s9")
         assert code == 2
+
+    def test_huge_exponent_exits_2_at_once(self, capsys):
+        start = time.perf_counter()
+        code, out = run(capsys, "normalize", "s1^1000000000000")
+        assert time.perf_counter() - start < 1.0
+        assert code == 2 and out == ""
 
 
 class TestSyllables:
@@ -164,6 +170,24 @@ class TestCount:
         assert captured.err.startswith("error: ") and "ceiling" in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize("argv", [
+        ["count", "tuples", "--j", "3", "--X", str(10**10)],
+        ["count", "tuples", "--j", "9", "--X", str(MAX_TUPLES_J_X + 1)],
+        ["count", "tuples", "--j", "3", "--Y", "log(10**10)"],
+    ])
+    def test_tuples_j_above_its_ceiling_exits_2_at_once(self, capsys, argv):
+        start = time.perf_counter()
+        assert main(argv) == 2
+        assert time.perf_counter() - start < 1.0
+        captured = capsys.readouterr()
+        assert "ceiling" in captured.err and captured.out == ""
+
+    def test_tuples_j_ceiling_spares_empty_counts(self, capsys):
+        # 3^19 > 10^9, so no tuple of length 19 fits and the count is instant
+        x = 3**19 - 1
+        rows = run_json(capsys, "count", "tuples", "--j", "19", "--X", str(x))
+        assert rows[0]["exact"] == "0" and x > MAX_TUPLES_J_X
+
     def test_x_at_ceiling_is_accepted(self, capsys):
         # no tuple of length 40 fits under 3^40 > MAX_X, so this is instant
         rows = run_json(capsys, "count", "tuples", "--X", str(MAX_X), "--j", "40")
@@ -206,6 +230,14 @@ class TestReport:
         rows = run_json(capsys, "report", "entropy", "--Y", "600*pi*log(8)")
         assert rows[0]["family_size"] == 16
         assert rows[0]["class_count"] == 6
+
+    def test_huge_log_coefficients_settle_quickly(self, capsys):
+        # sympy's exp expanded this into a power of millions of digits
+        start = time.perf_counter()
+        y = "9*10**6*log(9)-9*10**6*log(8)+8000000"
+        rows = run_json(capsys, "report", "entropy", "--Y", y)
+        assert time.perf_counter() - start < 1.0
+        assert rows[0]["index"] == 4622 and rows[0]["satisfied"]
 
     def test_too_small_exits_2(self, capsys):
         code, _ = run(capsys, "report", "lambda", "--Y", "1")

@@ -1,6 +1,8 @@
 """Exact counting functions, analytic bounds, and threshold certification."""
 
+import ast
 import math
+import operator
 import random
 import time
 from fractions import Fraction
@@ -10,7 +12,7 @@ import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
-from braidcount import counting
+from braidcount import counting, exactlog
 from braidcount.counting import (
     FIRST,
     SECOND,
@@ -145,6 +147,26 @@ class TestWordCounts:
             prev = n
         assert prev == count_words(27)
 
+    def test_bounded_slack_budget_is_unbounded_count(self):
+        # from L = X // 3 on the budget cannot bind; one below it excludes
+        # the single syllable of degree X // 3
+        for x in (0, 2, 3, 8, 9, 26, 27, 100, 3**7, 12345):
+            third = x // 3
+            for limit in (third - 1, third, third + 1):
+                if limit < 0:
+                    continue
+                recursion = _bounded_by_recursion(x, limit)
+                assert count_words_bounded(x, limit) == recursion
+                if limit >= third:
+                    assert recursion == count_words(x)
+                elif x >= 3:
+                    assert recursion < count_words(x)
+
+    def test_bounded_slack_budget_is_fast(self):
+        start = time.perf_counter()
+        assert count_words_bounded(10**6, 333333) == count_words(10**6)
+        assert time.perf_counter() - start < 1.0
+
     def test_bounded_rejects_negative(self):
         with pytest.raises(ValueError):
             count_words_bounded(9, -1)
@@ -255,6 +277,25 @@ class TestSieveEngine:
         assert [(count_tuples(x), count_words(x)) for x in xs] == expected
 
 
+def _bounded_by_recursion(x, limit):
+    """count_words_bounded's own recursion, without the slack-budget shortcut."""
+    total = 0
+    for d in range(1, min(x // 3, limit) + 1):
+        q = (x // 3) // d
+        total += 4 * counting._word_suffixes_bounded(q, SECOND, limit - d)
+        if d >= 2:
+            total += 4 * counting._word_suffixes_bounded(q, FIRST, limit - d)
+    return total
+
+
+def _assert_floor_of_exp(x, text):
+    # independent check: X <= e^Y < X + 1, by mpmath at ample precision
+    names = {"log": mpmath.log, "exp": mpmath.exp, "pi": mpmath.pi, "__builtins__": {}}
+    with mpmath.workdps(x.bit_length() // 3 + 60):
+        value = mpmath.exp(eval(text, names))
+        assert x <= value < x + 1
+
+
 class TestThresholds:
     def test_spot_values(self):
         assert threshold_from_y("log(3)") == 3
@@ -333,6 +374,72 @@ class TestThresholds:
         with pytest.raises(ValueError, match="not a real number"):
             threshold_from_y(y)
 
+    @pytest.mark.parametrize("y", [
+        "243",
+        "244",
+        "1000",
+        "6931",
+        "600*pi*log(8)",
+        "10**6*log(9)-10**6*log(8)-117760",
+    ])
+    def test_large_and_cancelling_y_certified_quickly(self, y):
+        # sympy raised PrecisionExhausted on the first five and stalled on
+        # the last; intervals at doubling precision settle all of them
+        start = time.perf_counter()
+        x = threshold_from_y(y)
+        assert time.perf_counter() - start < 1.0
+        _assert_floor_of_exp(x, y)
+
+    @pytest.mark.parametrize("y, x", [
+        ("log(27)", 27),
+        ("3*log(3)", 27),
+        ("log(3) + 2*log(3)", 27),
+        ("log(9)*3/2", 27),
+        ("log(1193)", 1193),
+        ("3*log(25)", 25**3),
+        ("8*log(4)", 4**8),
+        ("log(6) + log(10) - log(4)", 15),
+        ("2*log(sqrt(12)) - log(3)", 4),
+        ("log(8)/log(2)*log(5)", 125),
+        ("log(2)*(pi + 1) - pi*log(2)", 2),
+        ("sqrt(E) - exp(1/2)", 1),
+        ("exp(log(5*log(38)))", 38**5),
+        ("0.5*log(16)", 4),
+    ])
+    def test_integer_thresholds_settled_exactly(self, y, x):
+        # e^Y is an integer here, which no enclosure can separate
+        assert threshold_from_y(y) == x
+
+    def test_certificate_never_guesses(self, monkeypatch):
+        # e^Y is 4, but exact forms keep a power of a sum unexpanded, so no
+        # form settles the tie and no precision separates it: refused
+        monkeypatch.setattr(exactlog, "MAX_PRECISION", 256)
+        with pytest.raises(ValueError, match="cannot certify"):
+            threshold_from_y("log((1 + pi)**2 - pi**2 - 2*pi + 3)")
+
+    def test_differential_fuzz_against_sympy(self):
+        # seeded random grammar expressions; wherever sympy gives a floor of
+        # e^Y whose every subexpression it evaluates to a finite real, the
+        # certified floor equals it, and otherwise it is an answer or a
+        # ValueError.  sympy reads each float literal as its decimal rational.
+        rng = random.Random(20260418)
+        agreed = 0
+        certifying = 0.0  # sympy's floors take most of the test's time
+        for _ in range(80):
+            text = _random_y(rng, 3)
+            expected = _sympy_floor_of_exp(text)
+            start = time.perf_counter()
+            try:
+                got = threshold_from_y(text)
+            except ValueError:
+                got = None
+            certifying += time.perf_counter() - start
+            if expected is not None:
+                assert got == expected, text
+                agreed += 1
+        assert agreed >= 40
+        assert certifying < 0.5
+
     @given(st.fractions(min_value=0, max_value=30))
     def test_floor_certificate(self, y):
         # independent numeric check: X <= e^y < X + 1
@@ -340,3 +447,69 @@ class TestThresholds:
         with mpmath.workprec(200):
             val = mpmath.exp(mpmath.mpf(y.numerator) / y.denominator)
             assert x <= val < x + 1
+
+
+# --- differential fuzz helpers ------------------------------------------------
+
+
+def _random_leaf(rng):
+    r = rng.random()
+    if r < 0.25:
+        return str(rng.randint(0, 9))
+    if r < 0.35:
+        return rng.choice(["pi", "E"])
+    if r < 0.45:
+        return f"{rng.randint(1, 9)}/{rng.randint(1, 9)}"
+    if r < 0.5:
+        return rng.choice(["0.5", "1.25", "2.0"])
+    return f"log({rng.randint(1, 40)})"
+
+
+def _random_y(rng, depth):
+    if depth == 0 or rng.random() < 0.25:
+        return _random_leaf(rng)
+    a = _random_y(rng, depth - 1)
+    r = rng.random()
+    if r < 0.65:
+        op = "+" if r < 0.2 else "-" if r < 0.4 else "*" if r < 0.55 else "/"
+        return f"({a}){op}({_random_y(rng, depth - 1)})"
+    if r < 0.88:
+        return f"{'log' if r < 0.75 else 'exp' if r < 0.8 else 'sqrt'}({a})"
+    return f"({a})**({rng.choice(['2', '3', '-1', '1/2', '2/3', '-2'])})"
+
+
+_SYMPY_OPS = {
+    ast.Add: operator.add,
+    ast.Sub: operator.sub,
+    ast.Mult: operator.mul,
+    ast.Div: operator.truediv,
+    ast.Pow: operator.pow,
+}
+
+
+def _sympy_value(node, text):
+    if isinstance(node, ast.Constant):
+        value = sympy.Rational(ast.get_source_segment(text, node))
+    elif isinstance(node, ast.Name):
+        value = getattr(sympy, node.id)
+    elif isinstance(node, ast.UnaryOp):
+        value = -_sympy_value(node.operand, text)
+    elif isinstance(node, ast.BinOp):
+        left, right = _sympy_value(node.left, text), _sympy_value(node.right, text)
+        value = _SYMPY_OPS[type(node.op)](left, right)
+    else:
+        value = getattr(sympy, node.func.id)(_sympy_value(node.args[0], text))
+    if not (value.is_real and value.is_finite):
+        raise ArithmeticError("undefined over the reals")
+    return value
+
+
+def _sympy_floor_of_exp(text):
+    """sympy's floor of e^Y, or None where it has no finite real answer."""
+    try:
+        y = _sympy_value(ast.parse(text, mode="eval").body, text)
+        if not y.is_nonnegative or y > 60:
+            return None
+        return int(sympy.floor(sympy.exp(y)))
+    except (ArithmeticError, TypeError, ValueError):
+        return None

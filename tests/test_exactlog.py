@@ -1,0 +1,119 @@
+"""Certified signs, floors and decimals of Y expressions, without sympy."""
+
+import time
+from fractions import Fraction
+
+import pytest
+import sympy
+
+from braidcount import exactlog
+from braidcount.exactlog import ceil_decimal, estimate, floor, floor_exp, parse, sign
+
+
+class TestExactForms:
+    def test_perfect_root(self):
+        for n, root in [
+            (2, 2), (4, 2), (8, 2), (36, 6), (3**1000, 3), (10**100, 10),
+            (2**9 * 3**9, 6), (65537**2, 65537), ((2**31 - 1) ** 31, 2**31 - 1),
+            (2**61 - 1, 2**61 - 1), (7**3000 * 11 + 1, 7**3000 * 11 + 1),
+        ]:
+            assert exactlog._perfect_root(n) == root
+
+    def test_coprime_base_factors_every_input(self):
+        # coprime, not prime: 143 = 11 * 13 shares no factor with the rest
+        numbers = [12, 18, 8, 10**6, 2**10 * 7, 49, 1001]
+        base = exactlog._coprime_base(numbers)
+        assert base == [2, 3, 5, 7, 143]
+        base = exactlog._coprime_base([6, 10**100 + 267])
+        assert base == [6, 10**100 + 267]
+
+    @pytest.mark.parametrize("left, right", [
+        ("log(8)", "3*log(2)"),
+        ("log(12) - log(3)", "2*log(2)"),
+        ("600*pi*log(8)/(900*pi)", "2*log(2)"),
+        ("sqrt(E)", "exp(1/2)"),
+        ("sqrt(12)", "2*sqrt(3)"),
+        ("8**(1/3)", "2"),
+        ("exp(2*log(3))", "9"),
+        ("log(sqrt(8))", "3*log(2)/2"),
+        ("8**(log(3)/log(2))", "27"),
+        ("(pi*log(4))**2", "4*pi**2*log(2)**2"),
+        ("1/(log(6) - log(3))", "1/log(2)"),
+        ("sqrt(((log(34) + log(6))**3)**(2/3))", "log(204)"),
+    ])
+    def test_equal_values_have_equal_forms(self, left, right):
+        assert sign(parse(f"({left}) - ({right})")) == 0
+
+    def test_float_literal_is_its_decimal_rational(self):
+        # sympy's 53-bit Float put 2.5*4 just below 10
+        assert floor_exp(parse("log(2.5*4)")) == 10
+        assert floor(parse("0.1*30")) == 3
+        assert exactlog.from_value(0.1).args[0] == Fraction(1, 10)
+
+
+class TestCertificates:
+    def test_sign(self):
+        assert sign(parse("pi - 22/7")) == -1
+        assert sign(parse("E - 2")) == 1
+        assert sign(parse("log(1)")) == 0
+
+    def test_floor_of_exact_integer(self):
+        assert floor(parse("600*log(8)/(300*log(8))")) == 2
+        assert floor(parse("-600*log(8)/(300*log(8))")) == -2
+        assert floor(parse("(600*log(8) - 1/10**40)/(300*log(8))")) == 1
+
+    def test_floor_exp_near_an_integer(self):
+        # e^Y is 27 minus about 27/10^30; the exact form alone cannot say
+        assert floor_exp(parse("log(27) - 1/10**30")) == 26
+        assert floor_exp(parse("log(27) + 1/10**30")) == 27
+
+    def test_ceil_decimal_shows_every_digit(self):
+        assert ceil_decimal(parse("exp(600*log(8)/900)/2"), 12) == "2.00000000000"
+        assert ceil_decimal(parse("pi"), 12) == "3.14159265359"
+        assert ceil_decimal(parse("-pi"), 12) == "-3.14159265358"
+        assert ceil_decimal(parse("10**13"), 12) == "1.00000000000E+13"
+
+    @pytest.mark.parametrize("text", [
+        "log(-1)", "1/0", "sqrt(-2)", "log(0)", "0**-1", "(-8)**(1/3)",
+        "(-2)**pi", "log(log(1))", "1/(sqrt(E) - exp(1/2))",
+    ])
+    def test_not_real(self, text):
+        with pytest.raises(ValueError, match="not a real number"):
+            sign(parse(text))
+
+    def test_real_powers_of_negative_numbers(self):
+        assert floor(parse("(-2)**3")) == -8
+        assert floor(parse("(-2)**(log(4)/log(2))")) == 4
+
+    def test_beyond_range_estimates_inf(self):
+        assert estimate(parse("exp(exp(exp(exp(10))))")) == float("inf")
+        assert estimate(parse("-exp(exp(exp(exp(10))))")) == float("inf")
+        assert estimate(parse("exp(-10**7)")) == 0.0
+        assert sign(parse("exp(-10**7)")) == 1
+
+    def test_unsettled_tie_is_refused_quickly(self):
+        # (1 + pi)^2 stays one opaque atom, so log(4) in disguise never settles
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="cannot certify"):
+            floor_exp(parse("log((1 + pi)**2 - pi**2 - 2*pi + 3)"))
+        assert time.perf_counter() - start < 2.0
+
+
+class TestValues:
+    def test_sympy_objects_go_through_the_grammar(self):
+        assert floor_exp(exactlog.from_value(sympy.log(27))) == 27
+        assert floor_exp(exactlog.from_value(3 * sympy.log(3))) == 27
+        with pytest.raises(ValueError, match="not a real number"):
+            exactlog.from_value(sympy.log(-1))
+        with pytest.raises(ValueError, match="cannot parse"):
+            exactlog.from_value(sympy.Symbol("x"))
+
+    def test_non_finite_float(self):
+        for y in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="not a real number"):
+                exactlog.from_value(y)
+
+    @pytest.mark.parametrize("text", ["1e-5000", "2**(1/2)**(10**6)", "10**10**10"])
+    def test_refused_when_parsed(self, text):
+        with pytest.raises(ValueError):
+            parse(text)
