@@ -164,12 +164,16 @@ def cmd_bounds(args) -> list[dict]:
 #: grows about linearly in ``X``, so ``10**12`` would take minutes.
 MAX_X = 10**11
 #: Largest threshold ``count tuples --j`` accepts when a tuple of length
-#: ``j`` fits (``3^j <= X``).  On a 2-core x86 host ``count_tuples_j``
-#: takes 3.8-8.4 s for each ``j`` from 3 to 9 at ``X = 10**9``, and
-#: 22, 41, 52 and 52 s for ``j`` = 3 to 6 at ``X = 10**10``: at the edge
-#: of a one-minute budget before the bound is computed, and past it on a
-#: loaded host.
-MAX_TUPLES_J_X = 10**9
+#: ``j`` fits (``3^j <= X``).  ``count_tuples_j`` sums one series per
+#: length up to ``j``: on a 2-core x86 host it takes 3.9 s for ``j = 3``,
+#: 6.8 s for ``j = 6`` and 18 s for ``j = 20``, the longest that fits, at
+#: ``X = 10**10``; ``j = 12`` at ``10**11`` took 96 s.
+MAX_TUPLES_J_X = 10**10
+#: Largest threshold ``count words --max-len L`` accepts when the budget
+#: binds (``L < X // 3``).  Its memoised recursion takes 6.9-7.5 s and up
+#: to 171 MB at ``X = 10**6`` (``L`` from ``10**5`` to 333332) on the same
+#: host, and 20 s at ``X = 10**7`` with ``L = 1000``.
+MAX_BOUNDED_WORDS_X = 10**6
 
 
 def _resolve_x(args) -> int:
@@ -222,14 +226,19 @@ def cmd_count(args) -> list[dict]:
     if args.kind == "words":
         x = _resolve_x(args)
         if args.max_len is not None:
+            if x > MAX_BOUNDED_WORDS_X and args.max_len < x // 3:
+                raise InputError(
+                    f"X = {x} is above the ceiling {MAX_BOUNDED_WORDS_X} "
+                    f"for --max-len below X // 3"
+                )
             exact = counting.count_words_bounded(x, args.max_len)
         else:
             exact = counting.count_words(x, workers=args.workers)
         chain = counting.bound_words(x)
         satisfied = exact <= chain.cube_half and exact <= chain.chain_value
         return [_count_row("words", None, x, exact, chain.cube_half, satisfied)]
-    if args.pairs is None or args.pairs < 1:
-        raise InputError("count classes requires --pairs >= 1")
+    if args.pairs is None or not 1 <= args.pairs <= classes.MAX_REPORT_INDEX:
+        raise InputError(f"count classes requires --pairs from 1 to {classes.MAX_REPORT_INDEX}")
     j = args.pairs
     exact = classes.class_count(j)
     bound = Fraction(4**j, 2 * j)

@@ -12,23 +12,23 @@ integral makes every counter exact:
 * ``count_words_bounded(X, L)``: the same with total degree at most
   ``L``, the shape the brute-force oracle can cross-check.
 
-``count_tuples`` and ``count_words`` are summatory functions of Dirichlet
-series over the products ``3d``.  Each call sieves their coefficients up
-to ``N``, about ``X^(2/3) / 2`` and at most ``2*10^6``, takes prefix sums,
-and recurses only on the quotients ``X // k`` above ``N``, summing each
-by the hyperbola split.  That costs about ``X^(2/3)`` steps until ``N``
-reaches its cap near ``X = 10^10``, and grows about linearly beyond.
-``count_tuples_j`` recurses over runs of ``d`` sharing the quotient
-``X // (3d)`` (``_quotient_groups``), memoized on ``(j, X)``.  The
-analytic companions (``bound_tuples_j``, ``bound_tuples_total``,
-``bound_words``) are evaluated with interval arithmetic and rounded up,
-so a reported violation of ``exact <= bound`` is always genuine.
+``count_tuples``, ``count_words`` and ``count_tuples_j`` are summatory
+functions of Dirichlet series over the products ``3d``; ``count_tuples_j``
+is the difference of two, the tuples of length at most ``j`` and at most
+``j - 1``.  Each call sieves their coefficients up to ``N``, about
+``X^(2/3) / 2`` and at most ``2*10^6``, takes prefix sums, and recurses
+only on the quotients ``X // k`` above ``N``, summing each by the
+hyperbola split.  That costs about ``X^(2/3)`` steps per series until
+``N`` reaches its cap near ``X = 10^10``, and grows about linearly
+beyond.  Nothing is kept between calls.  The analytic companions
+(``bound_tuples_j``, ``bound_tuples_total``, ``bound_words``) are
+evaluated with interval arithmetic and rounded up, so a reported
+violation of ``exact <= bound`` is always genuine.
 """
 
 from __future__ import annotations
 
 from array import array
-from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
@@ -46,9 +46,6 @@ if TYPE_CHECKING:  # sympy costs about 0.3 s to import; only its adapters use it
 FIRST = 0
 SECOND = 1
 
-_TUPLE_MEMO: dict[tuple[int, int], int] = {}
-_WORD_BOUNDED_MEMO: dict[tuple[int, int, int], int] = {}
-
 
 class BoundNotApplicable(ValueError):
     """The analytic tuple bound assumes X >= 3^j; outside that the count is 0."""
@@ -64,43 +61,9 @@ def max_tuple_length(x: int) -> int:
     return j
 
 
-def _quotient_groups(m: int) -> Iterator[tuple[int, int, int]]:
-    """Maximal runs of ``d`` in ``1..m`` sharing ``q = m // d``, as ``(d, size, q)``."""
-    d = 1
-    while d <= m:
-        q = m // d
-        d_last = m // q
-        yield d, d_last - d + 1, q
-        d = d_last + 1
-
-
-def _count_tuples_j(j: int, x: int) -> int:
-    if x < 3 ** j:
-        return 0
-    if j == 1:
-        return x // 3
-    key = (j, x)
-    cached = _TUPLE_MEMO.get(key)
-    if cached is not None:
-        return cached
-    # a length-j tuple is a first degree d and a length-(j-1) tuple under x // 3d
-    total = 0
-    for _, size, q in _quotient_groups(x // 3):
-        total += size * _count_tuples_j(j - 1, q)
-    _TUPLE_MEMO[key] = total
-    return total
-
-
-def count_tuples_j(j: int, x: int) -> int:
-    """Exact number of ordered tuples (d_1..d_j), d_k >= 1, with prod(3 d_k) <= x."""
-    if j < 1:
-        raise ValueError("tuple length must be at least 1")
-    return _count_tuples_j(j, x)
-
-
 # --- sieve plus recursion ---------------------------------------------------
 #
-# The unbounded counters are summatory functions F(x) = sum_{n <= x} f(n) of
+# The sieved counters are summatory functions F(x) = sum_{n <= x} f(n) of
 # Dirichlet series supported on n = 1 and on multiples of 3 (each syllable
 # contributes a factor 3d), with f(1) = 1.  A push sieve gives f(3i) for every
 # 3i <= N, about x^(2/3) / 2, and prefix sums replace the coefficients, so
@@ -200,6 +163,41 @@ def count_tuples(x: int) -> int:
     return _summatory(x, _tuple_sieve, _tuple_step)[0] - 1
 
 
+def _tuple_length_sieve(length: int, m: int) -> list[array]:
+    """Prefix sums over ``i <= m`` of the tuples of length at most ``k`` with
+    ``prod(3 d_k) = 3i``, one table for each ``k`` in ``0..length``."""
+    # a tuple of length k >= 2 and product 3i is one of length k - 1 and
+    # product 3j followed by the degree i / 3j; k - 1 factors 3d multiply
+    # to 3^(k-1) times an integer, so only multiples j of 3^(k-2) occur
+    exact = array("q", [1]) * (m + 1)  # length 1: the single degree i
+    exact[0] = 0
+    tables = [array("q", [0]) * (m + 1), _prefix_sums(exact)]
+    for k in range(2, length + 1):
+        shorter, exact = exact, array("q", [0]) * (m + 1)
+        unit = 3 ** (k - 2)
+        for j in range(unit, m // 3 + 1, unit):
+            step = 3 * j
+            exact[step::step] = array("q", map(shorter[j].__add__, exact[step::step]))
+        tables.append(array("q", map(add, tables[-1], accumulate(exact))))
+    return tables
+
+
+def _tuple_length_step(sums: list[int], at_y: list[int]) -> list[int]:
+    # a tuple of length at most k is empty, or a first degree d followed by
+    # a tuple of length at most k - 1 under x // 3d
+    return [1] + [1 + s for s in sums[:-1]]
+
+
+def count_tuples_j(j: int, x: int) -> int:
+    """Exact number of ordered tuples (d_1..d_j), d_k >= 1, with prod(3 d_k) <= x."""
+    if j < 1:
+        raise ValueError("tuple length must be at least 1")
+    if x < 3**j:
+        return 0
+    at_most = _summatory(x, lambda m: _tuple_length_sieve(j, m), _tuple_length_step)
+    return at_most[j] - at_most[j - 1]
+
+
 # --- word counting ----------------------------------------------------------
 #
 # A reduced word is a chain of syllables.  Given the degree sequence, the
@@ -268,9 +266,9 @@ def count_words(x: int, workers: int = 1) -> int:
     return 2 * (_summatory(x, _word_sieve, _word_step)[FIRST] - 1)
 
 
-def _word_suffixes_bounded(x: int, prev_kind: int, degree_left: int) -> int:
+def _word_suffixes_bounded(x: int, prev_kind: int, degree_left: int, memo: dict) -> int:
     key = (x, prev_kind, degree_left)
-    cached = _WORD_BOUNDED_MEMO.get(key)
+    cached = memo.get(key)
     if cached is not None:
         return cached
     total = 1
@@ -278,13 +276,13 @@ def _word_suffixes_bounded(x: int, prev_kind: int, degree_left: int) -> int:
     for d in range(1, top + 1):
         q = (x // 3) // d
         total += _transition(prev_kind, SECOND) * _word_suffixes_bounded(
-            q, SECOND, degree_left - d
+            q, SECOND, degree_left - d, memo
         )
         if d >= 2:
             total += _transition(prev_kind, FIRST) * _word_suffixes_bounded(
-                q, FIRST, degree_left - d
+                q, FIRST, degree_left - d, memo
             )
-    _WORD_BOUNDED_MEMO[key] = total
+    memo[key] = total
     return total
 
 
@@ -299,11 +297,12 @@ def count_words_bounded(x: int, max_degree: int) -> int:
         return count_words(x)
     total = 0
     top = min(x // 3, max_degree)
+    memo: dict[tuple[int, int, int], int] = {}  # one call's suffix counts
     for d in range(1, top + 1):
         q = (x // 3) // d
-        total += 4 * _word_suffixes_bounded(q, SECOND, max_degree - d)
+        total += 4 * _word_suffixes_bounded(q, SECOND, max_degree - d, memo)
         if d >= 2:
-            total += 4 * _word_suffixes_bounded(q, FIRST, max_degree - d)
+            total += 4 * _word_suffixes_bounded(q, FIRST, max_degree - d, memo)
     return total
 
 

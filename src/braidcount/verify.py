@@ -156,6 +156,9 @@ def braid_suite(max_len: int = 6) -> list[CheckResult]:
 
 
 def counting_suite(max_x: int = 600, max_len: int = 8) -> list[CheckResult]:
+    # every threshold up to max_x is counted one by one: about 7 s at 10^4
+    if not 0 <= max_x <= 10**4:
+        raise ValueError("counting suite threshold must be from 0 to 10^4")
     rows: list[CheckResult] = []
 
     ok = all(counting.count_tuples_j(1, x) == x // 3 for x in range(1, 5001))
@@ -220,6 +223,9 @@ def counting_suite(max_x: int = 600, max_len: int = 8) -> list[CheckResult]:
 
 
 def classes_suite(pairs: int = 3, conj_len: int = 3) -> list[CheckResult]:
+    # about 20 s at 5 pairs on a 2-core host, and steeply more beyond
+    if pairs > 5:
+        raise ValueError("classes suite pairs must be at most 5")
     rows: list[CheckResult] = []
 
     ok = True

@@ -10,7 +10,7 @@ from sympy.core.evalf import PrecisionExhausted
 
 from braidcount import braid, counting
 from braidcount.classes import MAX_REPORT_INDEX
-from braidcount.cli import MAX_TUPLES_J_X, MAX_X, main
+from braidcount.cli import MAX_BOUNDED_WORDS_X, MAX_TUPLES_J_X, MAX_X, main
 
 
 def run(capsys, *argv):
@@ -143,6 +143,14 @@ class TestCount:
         assert rows[0]["bound"] == "4"
         assert rows[0]["satisfied"] is True
 
+    @pytest.mark.parametrize("pairs", [0, MAX_REPORT_INDEX + 1, 10**7])
+    def test_classes_outside_pairs_range_exits_2_at_once(self, capsys, pairs):
+        start = time.perf_counter()
+        assert main(["count", "classes", "--pairs", str(pairs)]) == 2
+        assert time.perf_counter() - start < 1.0
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and captured.out == ""
+
     def test_missing_threshold_exits_2(self, capsys):
         code, _ = run(capsys, "count", "tuples")
         assert code == 2
@@ -171,9 +179,9 @@ class TestCount:
         assert captured.out == ""
 
     @pytest.mark.parametrize("argv", [
-        ["count", "tuples", "--j", "3", "--X", str(10**10)],
+        ["count", "tuples", "--j", "3", "--X", str(10**10 + 1)],
         ["count", "tuples", "--j", "9", "--X", str(MAX_TUPLES_J_X + 1)],
-        ["count", "tuples", "--j", "3", "--Y", "log(10**10)"],
+        ["count", "tuples", "--j", "3", "--Y", "log(10**10 + 1)"],
     ])
     def test_tuples_j_above_its_ceiling_exits_2_at_once(self, capsys, argv):
         start = time.perf_counter()
@@ -183,10 +191,24 @@ class TestCount:
         assert "ceiling" in captured.err and captured.out == ""
 
     def test_tuples_j_ceiling_spares_empty_counts(self, capsys):
-        # 3^19 > 10^9, so no tuple of length 19 fits and the count is instant
-        x = 3**19 - 1
-        rows = run_json(capsys, "count", "tuples", "--j", "19", "--X", str(x))
+        # 3^21 > 10^10, so no tuple of length 21 fits and the count is instant
+        x = 3**21 - 1
+        rows = run_json(capsys, "count", "tuples", "--j", "21", "--X", str(x))
         assert rows[0]["exact"] == "0" and x > MAX_TUPLES_J_X
+
+    def test_bounded_words_above_its_ceiling_exits_2_at_once(self, capsys):
+        start = time.perf_counter()
+        assert main(["count", "words", "--X", "3000000", "--max-len", "999999"]) == 2
+        assert time.perf_counter() - start < 1.0
+        captured = capsys.readouterr()
+        assert "ceiling" in captured.err and captured.out == ""
+
+    def test_bounded_words_ceiling_spares_slack_budgets(self, capsys):
+        # no word has a total degree above X // 3, so this is count_words
+        x = 10**7
+        assert x > MAX_BOUNDED_WORDS_X
+        rows = run_json(capsys, "count", "words", "--X", str(x), "--max-len", str(x))
+        assert rows[0]["exact"] == str(counting.count_words(x))
 
     def test_x_at_ceiling_is_accepted(self, capsys):
         # no tuple of length 40 fits under 3^40 > MAX_X, so this is instant
@@ -317,6 +339,8 @@ class TestVerify:
             ("--suite", "counting", "--max-x", "-5"),
             ("--max-len", "-1"),
             ("--suite", "braid", "--max-len", "11"),
+            ("--suite", "counting", "--max-x", "10001"),
+            ("--suite", "classes", "--pairs", "6"),
         ],
     )
     def test_bad_limit_exits_2(self, capsys, argv):

@@ -207,8 +207,9 @@ class TestWordBounds:
         assert n <= chain.cube_half
 
 
-# The memoized quotient-group recursions that count_tuples and count_words
-# used before the sieve-plus-recursion engine, kept as references.
+# The memoized quotient-group recursions that count_tuples, count_words and
+# count_tuples_j used before the sieve-plus-recursion engine, kept as
+# references.
 
 
 def _reference_groups(m):
@@ -229,6 +230,20 @@ def _reference_tuples(x, memo):
             for _, size, q in _reference_groups(x // 3)
         )
     return memo[x]
+
+
+def _reference_tuples_j(j, x, memo):
+    if x < 3**j:
+        return 0
+    if j == 1:
+        return x // 3
+    if (j, x) not in memo:
+        # a first degree d and a tuple of length j - 1 under x // 3d
+        memo[j, x] = sum(
+            size * _reference_tuples_j(j - 1, q, memo)
+            for _, size, q in _reference_groups(x // 3)
+        )
+    return memo[j, x]
 
 
 def _reference_suffixes(x, prev_kind, memo):
@@ -260,31 +275,47 @@ class TestSieveEngine:
             assert count_tuples(x) == _reference_tuples(x, tuple_memo), x
             assert count_words(x) == _reference_words(x, word_memo), x
 
+    def test_tuples_j_matches_replaced_kernel(self):
+        grid = list(range(3000))
+        grid += [3**k - e for k in range(1, 16) for e in (0, 1)]
+        grid.append(10**6 + 7)
+        memo = {}
+        for x in grid:
+            for j in range(1, max_tuple_length(x) + 2):
+                assert count_tuples_j(j, x) == _reference_tuples_j(j, x, memo), (j, x)
+
     def test_pinned_large_values(self):
         # values of the replaced kernels
         assert count_words(10**8) == 3631813354452
         assert count_tuples(10**8) == 3649790245
         assert count_words(10**9) == 146067466598256
         assert count_tuples(10**9) == 70392958006
+        assert count_tuples_j(3, 10**9) == 6114626109
 
     @pytest.mark.parametrize("cap", [2, 3, 40, 700])
     def test_sieve_cap_does_not_change_counts(self, monkeypatch, cap):
         # large thresholds meet the cap; small caps push the same regime
         # (many quotients above the sieve) down to thresholds cheap to check
         xs = (10**5, 3**10 - 1, 123457)
-        expected = [(count_tuples(x), count_words(x)) for x in xs]
+
+        def counts(x):
+            by_length = [count_tuples_j(j, x) for j in range(1, max_tuple_length(x) + 1)]
+            return count_tuples(x), count_words(x), by_length
+
+        expected = [counts(x) for x in xs]
         monkeypatch.setattr(counting, "_SIEVE_CAP", cap)
-        assert [(count_tuples(x), count_words(x)) for x in xs] == expected
+        assert [counts(x) for x in xs] == expected
 
 
 def _bounded_by_recursion(x, limit):
     """count_words_bounded's own recursion, without the slack-budget shortcut."""
     total = 0
+    memo = {}
     for d in range(1, min(x // 3, limit) + 1):
         q = (x // 3) // d
-        total += 4 * counting._word_suffixes_bounded(q, SECOND, limit - d)
+        total += 4 * counting._word_suffixes_bounded(q, SECOND, limit - d, memo)
         if d >= 2:
-            total += 4 * counting._word_suffixes_bounded(q, FIRST, limit - d)
+            total += 4 * counting._word_suffixes_bounded(q, FIRST, limit - d, memo)
     return total
 
 
