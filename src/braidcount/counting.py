@@ -33,15 +33,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 from math import factorial, isqrt, log
-from operator import add, mul, neg, pos, sub, truediv
-from typing import TYPE_CHECKING
+from operator import add, mul, sub
 
 from .invariants import endpoint_fraction, interval_precision
-
-if TYPE_CHECKING:  # sympy costs about 0.3 s to import; only its adapters use it
-    import sympy
-
-    from .exactlog import Node
 
 FIRST = 0
 SECOND = 1
@@ -371,63 +365,8 @@ MAX_POWER_BITS = 10**4
 MAX_THRESHOLD_Y = MAX_POWER_BITS * log(2)
 
 
-def _power(base: sympy.Expr, exponent: sympy.Expr) -> sympy.Expr:
-    import sympy
-
-    if exponent.is_Rational:
-        # about the bits of the exact value: |exponent| log2 of each rational
-        bits = sum(max(abs(r.p), r.q).bit_length() - 1 for r in base.atoms(sympy.Rational))
-        if abs(exponent) * bits > MAX_POWER_BITS:
-            raise ValueError(f"power above {MAX_POWER_BITS} bits")
-    return base**exponent
-
-
-_SYMPY_BINARY = {"add": add, "sub": sub, "mul": mul, "div": truediv, "pow": _power}
-
-
-def _to_sympy(node: Node) -> sympy.Expr:
-    import sympy
-
-    op, args = node.op, node.args
-    if op == "num":
-        if node.text is not None:  # the literal's own digits set the precision
-            return sympy.Float(node.text)
-        return sympy.Rational(args[0].numerator, args[0].denominator)
-    if op in ("pi", "E"):
-        return getattr(sympy, op)
-    if op in ("neg", "pos"):
-        return (neg if op == "neg" else pos)(_to_sympy(args[0]))
-    if op in _SYMPY_BINARY:
-        return _SYMPY_BINARY[op](_to_sympy(args[0]), _to_sympy(args[1]))
-    return getattr(sympy, op)(_to_sympy(args[0]))
-
-
-def parse_y_expression(text: str) -> sympy.Expr:
-    """Parse a real closed form like ``600*pi*log(8)`` or ``2`` into sympy.
-
-    Only numbers, ``+ - * / **``, unary minus, parentheses, ``log``,
-    ``exp``, ``sqrt``, ``pi`` and ``E`` are evaluated.  A power above
-    about 3000 digits and a value that is not real raise ValueError.  The
-    library itself certifies ``Y`` with :mod:`braidcount.exactlog`; this
-    adapter is for callers that want the sympy expression.
-    """
-    return y_expression(text)
-
-
-def y_expression(y) -> sympy.Expr:
-    """``Y`` (a string, float, int, Fraction or sympy number) as a real sympy number."""
-    from . import exactlog  # loaded on first use, like sympy and mpmath
-
-    node = exactlog.from_value(y)
-    exactlog.estimate(node)  # raises ValueError unless the value is real
-    try:
-        return _to_sympy(node)
-    except RecursionError:
-        raise ValueError(f"cannot parse expression {y!r}: too deeply nested") from None
-
-
 def threshold_from_y(y) -> int:
-    """The exact integer floor of e^y, for any y that :func:`y_expression` takes.
+    """The exact integer floor of e^y, for any y that :func:`exactlog.from_value` takes.
 
     The floor is certified by :mod:`braidcount.exactlog`: interval
     enclosures at doubling precision, and an exact form where ``e^y`` is

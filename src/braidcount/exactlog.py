@@ -29,14 +29,13 @@ from __future__ import annotations
 
 import ast
 import math
-from contextlib import contextmanager
 from decimal import ROUND_CEILING, Context, Decimal
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt
 
 from .counting import MAX_POWER_BITS  # also kept symbolic in exact forms
-from .invariants import endpoint_fraction
+from .invariants import endpoint_fraction, interval_precision
 
 #: Largest working precision, in bits, that a certificate may use.  It
 #: leaves room above the 10^4 bits of the largest threshold ``e^Y``.
@@ -519,18 +518,6 @@ def _exact(node: Node) -> dict:
 # --- enclosures ---------------------------------------------------------------
 
 
-@contextmanager
-def _working(prec: int):
-    import mpmath  # loaded on first use: parsing alone does not need it
-
-    iv = mpmath.iv
-    old, iv.prec = iv.prec, prec
-    try:
-        yield iv
-    finally:
-        iv.prec = old
-
-
 def _iv_exp(iv, x):
     from mpmath import mpf
 
@@ -627,7 +614,7 @@ def _certify(node: Node, decide, settle=None, start: int = 64):
     name = f"Y = {node.source}" if node.source is not None else "the expression"
     prec = max(start, 64)
     while prec <= MAX_PRECISION:
-        with _working(prec) as iv:
+        with interval_precision(prec) as iv:
             try:
                 x = _enclose(node, iv)
                 got = decide(x, iv)

@@ -53,11 +53,11 @@ def working_precision() -> int:
 
 
 @contextmanager
-def interval_precision():
-    """``mpmath.iv`` at :func:`working_precision` bits, restored on exit."""
-    import mpmath  # loaded on first use: the bound columns alone need it
+def interval_precision(bits: int | None = None):
+    """``mpmath.iv`` at ``bits`` (default :func:`working_precision`), restored on exit."""
+    import mpmath  # loaded on first use: bounds and certificates need it, parsing not
 
-    old, mpmath.iv.prec = mpmath.iv.prec, working_precision()
+    old, mpmath.iv.prec = mpmath.iv.prec, working_precision() if bits is None else bits
     try:
         yield mpmath.iv
     finally:

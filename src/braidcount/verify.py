@@ -32,6 +32,22 @@ class CheckResult:
         }
 
 
+#: The accepted range of each suite limit, so that no suite runs for minutes.
+#: On a 2-core host: ``max_x`` 10^4 takes about 7 s (every threshold is
+#: counted); ``max_len`` 10 about 3 s in the counting suite and 12 about
+#: 25 s (the word oracle; each braid letter costs 4x); ``pairs`` 5 about
+#: 20 s; ``conj_len`` 4 at 5 pairs about 64 s, and 6 at 2 pairs about 6 s.
+LIMITS = {"max_x": (0, 10**4), "max_len": (0, 10), "pairs": (1, 5), "conj_len": (0, 4)}
+
+
+def _check_limits(**limits: int) -> None:
+    """Raise ValueError for any suite limit outside its :data:`LIMITS` range."""
+    for name, value in limits.items():
+        low, high = LIMITS[name]
+        if not low <= value <= high:
+            raise ValueError(f"verify {name} must be from {low} to {high}")
+
+
 def _check(rows: list, suite: str, name: str, passed: bool, detail: str = "") -> None:
     rows.append(CheckResult(suite, name, bool(passed), "" if passed else detail))
 
@@ -100,9 +116,7 @@ def words_suite(samples: int = 300) -> list[CheckResult]:
 
 
 def braid_suite(max_len: int = 6) -> list[CheckResult]:
-    # all 4^n letter sequences are enumerated; each extra letter costs 4x
-    if not 0 <= max_len <= 10:
-        raise ValueError("braid suite word length must be from 0 to 10")
+    _check_limits(max_len=max_len)  # all 4^n letter sequences are enumerated
     rows: list[CheckResult] = []
     ev, pb = braid.evaluate, braid.parse_braid
 
@@ -156,9 +170,7 @@ def braid_suite(max_len: int = 6) -> list[CheckResult]:
 
 
 def counting_suite(max_x: int = 600, max_len: int = 8) -> list[CheckResult]:
-    # every threshold up to max_x is counted one by one: about 7 s at 10^4
-    if not 0 <= max_x <= 10**4:
-        raise ValueError("counting suite threshold must be from 0 to 10^4")
+    _check_limits(max_x=max_x, max_len=max_len)
     rows: list[CheckResult] = []
 
     ok = all(counting.count_tuples_j(1, x) == x // 3 for x in range(1, 5001))
@@ -223,9 +235,7 @@ def counting_suite(max_x: int = 600, max_len: int = 8) -> list[CheckResult]:
 
 
 def classes_suite(pairs: int = 3, conj_len: int = 3) -> list[CheckResult]:
-    # about 20 s at 5 pairs on a 2-core host, and steeply more beyond
-    if pairs > 5:
-        raise ValueError("classes suite pairs must be at most 5")
+    _check_limits(pairs=pairs, conj_len=conj_len)
     rows: list[CheckResult] = []
 
     ok = True
@@ -296,6 +306,7 @@ SUITES = {
 
 
 def run_suites(names: list[str], **limits) -> list[CheckResult]:
+    _check_limits(**limits)  # before any suite runs
     rows: list[CheckResult] = []
     for name in names:
         rows.extend(SUITES[name](limits))

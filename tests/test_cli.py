@@ -6,9 +6,8 @@ import json
 import time
 
 import pytest
-from sympy.core.evalf import PrecisionExhausted
 
-from braidcount import braid, counting
+from braidcount import braid, counting, verify
 from braidcount.classes import MAX_REPORT_INDEX
 from braidcount.cli import MAX_BOUNDED_WORDS_X, MAX_TUPLES_J_X, MAX_X, main
 
@@ -220,10 +219,10 @@ class TestCount:
         assert capsys.readouterr().err.startswith("error: ")
 
     def test_arithmetic_error_exits_2(self, capsys, monkeypatch):
-        # sympy raises PrecisionExhausted, an ArithmeticError, when it cannot
-        # certify a floor; the command reports it like any unusable input
+        # no library path raises ArithmeticError today, but a numeric library
+        # may; the command reports it like any unusable input
         def give_up(y):
-            raise PrecisionExhausted("cannot certify the floor")
+            raise ArithmeticError("cannot certify the floor")
 
         monkeypatch.setattr(counting, "threshold_from_y", give_up)
         assert main(["count", "tuples", "--Y", "log(27)"]) == 2
@@ -341,13 +340,35 @@ class TestVerify:
             ("--suite", "braid", "--max-len", "11"),
             ("--suite", "counting", "--max-x", "10001"),
             ("--suite", "classes", "--pairs", "6"),
+            ("--suite", "counting", "--max-len", "11"),
+            ("--suite", "classes", "--conj-len", "5"),
+            ("--suite", "classes", "--conj-len", "-1"),
+            ("--suite", "classes", "--pairs", "0"),
+            ("--conj-len", "5"),  # refused before the other suites run
         ],
     )
     def test_bad_limit_exits_2(self, capsys, argv):
+        start = time.perf_counter()
         assert main(["verify", *argv]) == 2
+        assert time.perf_counter() - start < 1.0
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ")
+
+    @pytest.mark.parametrize(
+        "suite, limits",
+        [
+            (verify.braid_suite, {"max_len": 11}),
+            (verify.counting_suite, {"max_len": 11}),
+            (verify.classes_suite, {"conj_len": 5}),
+            (verify.classes_suite, {"pairs": 0}),
+        ],
+    )
+    def test_suites_check_their_own_limits(self, suite, limits):
+        start = time.perf_counter()
+        with pytest.raises(ValueError):
+            suite(**limits)
+        assert time.perf_counter() - start < 1.0
 
     def test_max_len_reaches_braid_suite(self, capsys, monkeypatch):
         calls = []

@@ -40,6 +40,12 @@ class TestExactForms:
         ("(pi*log(4))**2", "4*pi**2*log(2)**2"),
         ("1/(log(6) - log(3))", "1/log(2)"),
         ("sqrt(((log(34) + log(6))**3)**(2/3))", "log(204)"),
+        ("-2**2 + 1/2", "-7/2"),
+        (" sqrt(E) - exp(1/2) ", "0"),
+        ("0.5", "1/2"),
+        ("2**-1", "1/2"),
+        ("(2*pi)**3", "8*pi**3"),
+        ("600*pi*log(8)", "1800*pi*log(2)"),
     ])
     def test_equal_values_have_equal_forms(self, left, right):
         assert sign(parse(f"({left}) - ({right})")) == 0
