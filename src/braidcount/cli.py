@@ -158,17 +158,13 @@ def cmd_bounds(args) -> list[dict]:
     return rows
 
 
-#: Largest threshold ``count`` accepts.  ``count words`` at ``X = 10**11``
-#: (its exact count plus the ``count_tuples`` of its bound chain) takes
-#: about 25 s and 80 MB on a 2-core x86 host; past ``10**10`` the cost
-#: grows about linearly in ``X``, so ``10**12`` would take minutes.
+#: Largest threshold ``count`` accepts.  At ``X = 10**11`` on a 2-core x86
+#: host, ``count words`` (its exact count plus the ``count_tuples`` of its
+#: bound chain) took 26 s and 45 MB, and ``count tuples --j 4``, the
+#: costliest length, 17 s and 32 MB, measured together; past ``10**10``
+#: the cost of ``count words`` grows about linearly in ``X``, so
+#: ``10**12`` would take minutes.
 MAX_X = 10**11
-#: Largest threshold ``count tuples --j`` accepts when a tuple of length
-#: ``j`` fits (``3^j <= X``).  ``count_tuples_j`` sums one series per
-#: length up to ``j``: on a 2-core x86 host it takes 3.9 s for ``j = 3``,
-#: 6.8 s for ``j = 6`` and 18 s for ``j = 20``, the longest that fits, at
-#: ``X = 10**10``; ``j = 12`` at ``10**11`` took 96 s.
-MAX_TUPLES_J_X = 10**10
 #: Largest threshold ``count words --max-len L`` accepts when the budget
 #: binds (``L < X // 3``).  Its memoised recursion takes 6.9-7.5 s and up
 #: to 171 MB at ``X = 10**6`` (``L`` from ``10**5`` to 333332) on the same
@@ -212,8 +208,6 @@ def cmd_count(args) -> list[dict]:
         if args.j is not None:
             if args.j < 1:
                 raise InputError("--j must be positive")
-            if x > MAX_TUPLES_J_X and counting.max_tuple_length(x) >= args.j:
-                raise InputError(f"X = {x} is above the ceiling {MAX_TUPLES_J_X} for --j")
             exact = counting.count_tuples_j(args.j, x)
             try:
                 bound = counting.bound_tuples_j(args.j, x)
@@ -313,8 +307,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("count", parents=[common],
                        help="exact counts with analytic bounds")
     p.add_argument("kind", choices=("tuples", "words", "classes"))
-    p.add_argument("--X", type=int)
-    p.add_argument("--Y")
+    threshold = p.add_mutually_exclusive_group()
+    threshold.add_argument("--X", type=int)
+    threshold.add_argument("--Y")
     p.add_argument("--j", type=int)
     p.add_argument("--pairs", type=int)
     p.add_argument("--max-len", type=int, dest="max_len")

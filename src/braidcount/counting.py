@@ -12,15 +12,17 @@ integral makes every counter exact:
 * ``count_words_bounded(X, L)``: the same with total degree at most
   ``L``, the shape the brute-force oracle can cross-check.
 
-``count_tuples``, ``count_words`` and ``count_tuples_j`` are summatory
-functions of Dirichlet series over the products ``3d``; ``count_tuples_j``
-is the difference of two, the tuples of length at most ``j`` and at most
-``j - 1``.  Each call sieves their coefficients up to ``N``, about
-``X^(2/3) / 2`` and at most ``2*10^6``, takes prefix sums, and recurses
-only on the quotients ``X // k`` above ``N``, summing each by the
-hyperbola split.  That costs about ``X^(2/3)`` steps per series until
+``count_tuples`` and ``count_words`` are summatory functions of Dirichlet
+series over the products ``3d``.  Each call sieves their coefficients up
+to ``N``, about ``X^(2/3) / 2`` and at most ``2*10^6``, takes prefix sums,
+and recurses only on the quotients ``X // k`` above ``N``, summing each by
+the hyperbola split.  That costs about ``X^(2/3)`` steps per series until
 ``N`` reaches its cap near ``X = 10^10``, and grows about linearly
-beyond.  Nothing is kept between calls.  The analytic companions
+beyond.  A tuple of length ``j`` passes exactly when ``prod d_k <= X //
+3^j``, so ``count_tuples_j(j, X)`` is the Piltz divisor function
+``D_j(X // 3^j)`` (Titchmarsh, *The Theory of the Riemann Zeta-Function*,
+ch. 12), a recursion on ``j`` over the quotients of ``X // 3^j``.
+Nothing is kept between calls.  The analytic companions
 (``bound_tuples_j``, ``bound_tuples_total``, ``bound_words``) are
 evaluated with interval arithmetic and rounded up, so a reported
 violation of ``exact <= bound`` is always genuine.
@@ -33,7 +35,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 from math import factorial, isqrt, log
-from operator import add, mul, sub
+from operator import mul, sub
 
 from .invariants import endpoint_fraction, interval_precision
 
@@ -157,39 +159,40 @@ def count_tuples(x: int) -> int:
     return _summatory(x, _tuple_sieve, _tuple_step)[0] - 1
 
 
-def _tuple_length_sieve(length: int, m: int) -> list[array]:
-    """Prefix sums over ``i <= m`` of the tuples of length at most ``k`` with
-    ``prod(3 d_k) = 3i``, one table for each ``k`` in ``0..length``."""
-    # a tuple of length k >= 2 and product 3i is one of length k - 1 and
-    # product 3j followed by the degree i / 3j; k - 1 factors 3d multiply
-    # to 3^(k-1) times an integer, so only multiples j of 3^(k-2) occur
-    exact = array("q", [1]) * (m + 1)  # length 1: the single degree i
-    exact[0] = 0
-    tables = [array("q", [0]) * (m + 1), _prefix_sums(exact)]
-    for k in range(2, length + 1):
-        shorter, exact = exact, array("q", [0]) * (m + 1)
-        unit = 3 ** (k - 2)
-        for j in range(unit, m // 3 + 1, unit):
-            step = 3 * j
-            exact[step::step] = array("q", map(shorter[j].__add__, exact[step::step]))
-        tables.append(array("q", map(add, tables[-1], accumulate(exact))))
-    return tables
+def _divisor_summatory(j: int, y: int) -> int:
+    """The Piltz function ``D_j(y)``: ordered ``j``-tuples of positive
+    integers with product at most ``y``."""
+    memo: list[dict[int, int]] = [{} for _ in range(j + 1)]  # D_k(v) at memo[k][v]
 
+    def piltz(k: int, v: int) -> int:
+        if k == 1 or v <= 1:
+            return v
+        got = memo[k].get(v)
+        if got is None:
+            root = isqrt(v)
+            if k == 2:
+                # Dirichlet's hyperbola method
+                got = 2 * sum(map(v.__floordiv__, range(1, root + 1))) - root * root
+            else:
+                # D_k(v) = sum of D_{k-1}(v // d) over d <= v: the d <= root
+                # one by one; each larger d has v // d = q <= top, taken by
+                # the d in (v // (q + 1), v // q], and v // (top + 1) = root
+                top = v // (root + 1)
+                got = sum(piltz(k - 1, v // d) for d in range(1, root + 1))
+                got += sum(piltz(k - 1, q) * (v // q - v // (q + 1)) for q in range(1, top + 1))
+            memo[k][v] = got
+        return got
 
-def _tuple_length_step(sums: list[int], at_y: list[int]) -> list[int]:
-    # a tuple of length at most k is empty, or a first degree d followed by
-    # a tuple of length at most k - 1 under x // 3d
-    return [1] + [1 + s for s in sums[:-1]]
+    return piltz(j, y)
 
 
 def count_tuples_j(j: int, x: int) -> int:
     """Exact number of ordered tuples (d_1..d_j), d_k >= 1, with prod(3 d_k) <= x."""
     if j < 1:
         raise ValueError("tuple length must be at least 1")
-    if x < 3**j:
+    if j > max_tuple_length(x):  # before 3^j, which a huge j makes costly
         return 0
-    at_most = _summatory(x, lambda m: _tuple_length_sieve(j, m), _tuple_length_step)
-    return at_most[j] - at_most[j - 1]
+    return _divisor_summatory(j, x // 3**j)
 
 
 # --- word counting ----------------------------------------------------------
@@ -315,7 +318,7 @@ def bound_tuples_j(j: int, x: int) -> Fraction:
     """
     if j < 1:
         raise ValueError("tuple length must be at least 1")
-    if x < 3 ** j:
+    if j > max_tuple_length(x):  # before 3^j, which a huge j makes costly
         raise BoundNotApplicable(f"bound needs x >= 3^{j}")
     scale = Fraction(2 ** (j - 1) * x, 3 ** j)
     with interval_precision() as iv:

@@ -9,7 +9,7 @@ import pytest
 
 from braidcount import braid, counting, verify
 from braidcount.classes import MAX_REPORT_INDEX
-from braidcount.cli import MAX_BOUNDED_WORDS_X, MAX_TUPLES_J_X, MAX_X, main
+from braidcount.cli import MAX_BOUNDED_WORDS_X, MAX_X, main
 
 
 def run(capsys, *argv):
@@ -168,6 +168,8 @@ class TestCount:
         ["count", "tuples", "--Y", "2000"],
         ["count", "tuples", "--X", str(MAX_X + 1)],
         ["count", "words", "--Y", "log(100000000001)"],
+        ["count", "tuples", "--j", "4", "--X", str(MAX_X + 1)],
+        ["count", "tuples", "--j", "3", "--Y", "log(10**11 + 1)"],
     ])
     def test_x_above_ceiling_exits_2_at_once(self, capsys, argv):
         start = time.perf_counter()
@@ -176,24 +178,6 @@ class TestCount:
         captured = capsys.readouterr()
         assert captured.err.startswith("error: ") and "ceiling" in captured.err
         assert captured.out == ""
-
-    @pytest.mark.parametrize("argv", [
-        ["count", "tuples", "--j", "3", "--X", str(10**10 + 1)],
-        ["count", "tuples", "--j", "9", "--X", str(MAX_TUPLES_J_X + 1)],
-        ["count", "tuples", "--j", "3", "--Y", "log(10**10 + 1)"],
-    ])
-    def test_tuples_j_above_its_ceiling_exits_2_at_once(self, capsys, argv):
-        start = time.perf_counter()
-        assert main(argv) == 2
-        assert time.perf_counter() - start < 1.0
-        captured = capsys.readouterr()
-        assert "ceiling" in captured.err and captured.out == ""
-
-    def test_tuples_j_ceiling_spares_empty_counts(self, capsys):
-        # 3^21 > 10^10, so no tuple of length 21 fits and the count is instant
-        x = 3**21 - 1
-        rows = run_json(capsys, "count", "tuples", "--j", "21", "--X", str(x))
-        assert rows[0]["exact"] == "0" and x > MAX_TUPLES_J_X
 
     def test_bounded_words_above_its_ceiling_exits_2_at_once(self, capsys):
         start = time.perf_counter()
@@ -208,6 +192,19 @@ class TestCount:
         assert x > MAX_BOUNDED_WORDS_X
         rows = run_json(capsys, "count", "words", "--X", str(x), "--max-len", str(x))
         assert rows[0]["exact"] == str(counting.count_words(x))
+
+    def test_huge_j_is_an_empty_count_at_once(self, capsys):
+        # no tuple of length 10^9 fits, which is settled before 3^j is built
+        start = time.perf_counter()
+        rows = run_json(capsys, "count", "tuples", "--j", "1000000000", "--X", "5")
+        assert time.perf_counter() - start < 1.0
+        assert rows[0]["exact"] == "0" and rows[0]["bound"] is None
+
+    def test_x_and_y_together_exit_2(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["count", "words", "--X", "100", "--Y", "log(27)"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
 
     def test_x_at_ceiling_is_accepted(self, capsys):
         # no tuple of length 40 fits under 3^40 > MAX_X, so this is instant

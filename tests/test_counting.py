@@ -55,7 +55,7 @@ class TestTupleCounts:
         assert max_tuple_length(28) == 3
 
     def test_total_sums_lengths(self):
-        for x in (1, 3, 10, 81, 500, 3**13, 10**6):
+        for x in (1, 3, 10, 81, 500, 3**13, 10**6, 10**8):
             total = sum(
                 count_tuples_j(j, x) for j in range(1, max_tuple_length(x) + 1)
             )
@@ -77,6 +77,16 @@ class TestTupleCounts:
     def test_rejects_bad_length(self):
         with pytest.raises(ValueError):
             count_tuples_j(0, 10)
+
+    def test_no_fitting_tuple_is_zero_at_once(self):
+        # j is compared with max_tuple_length(x) before 3^j is built
+        start = time.perf_counter()
+        for x in (-10**12, -1, 0, 5):
+            assert count_tuples_j(10**9, x) == 0
+            with pytest.raises(BoundNotApplicable):
+                bound_tuples_j(10**9, x)
+        assert count_tuples_j(3, -5) == 0
+        assert time.perf_counter() - start < 1.0
 
 
 class TestTupleBounds:
@@ -290,6 +300,10 @@ class TestSieveEngine:
         assert count_words(10**9) == 146067466598256
         assert count_tuples(10**9) == 70392958006
         assert count_tuples_j(3, 10**9) == 6114626109
+        # values of the length-graded sieve that count_tuples_j replaced
+        assert count_tuples_j(3, 10**10) == 77614265755
+        assert count_tuples_j(5, 10**10) == 243879693643
+        assert count_tuples_j(9, 10**10) == 95494523809
 
     @pytest.mark.parametrize("cap", [2, 3, 40, 700])
     def test_sieve_cap_does_not_change_counts(self, monkeypatch, cap):
@@ -298,8 +312,7 @@ class TestSieveEngine:
         xs = (10**5, 3**10 - 1, 123457)
 
         def counts(x):
-            by_length = [count_tuples_j(j, x) for j in range(1, max_tuple_length(x) + 1)]
-            return count_tuples(x), count_words(x), by_length
+            return count_tuples(x), count_words(x)
 
         expected = [counts(x) for x in xs]
         monkeypatch.setattr(counting, "_SIEVE_CAP", cap)
