@@ -6,8 +6,11 @@ normalize TEXT        canonical form of a braid word modulo the center
 syllables TEXT        syllable decomposition of a free-group word
 theta TEXT            pure projection of a braid word
 bounds --word/--braid extremal-length (and entropy) bound intervals
-count tuples|words|classes
-                      exact counts next to their analytic bounds
+count tuples (--X N | --Y EXPR) [--j J]
+count words (--X N | --Y EXPR) [--max-len L] [--workers W]
+count classes --pairs J
+                      exact counts next to their analytic bounds; an option
+                      of another kind is refused with exit code 2
 report lambda|entropy --Y EXPR
                       lower-bound report at scale parameter Y
 verify                run the internal check suites
@@ -16,7 +19,7 @@ Output formats: ``json`` (default), ``csv`` with columns exactly the
 json keys, and ``plain``.  Exit codes: 0 on success, 1 when ``verify``
 finds a failing check, 2 on unusable input.  The environment variable
 ``BRAIDCOUNT_PRECISION`` overrides the working precision in bits
-(default 128).
+(default 128, from 8 to 2^15).  ``--format`` may follow any command word.
 """
 
 from __future__ import annotations
@@ -177,7 +180,7 @@ def _resolve_x(args) -> int:
         if args.X < 0:
             raise InputError("--X must be nonnegative")
         x = args.X
-    elif args.Y is not None:
+    else:
         from . import exactlog  # loaded on first use: only a Y needs it
 
         y = exactlog.parse(args.Y)
@@ -186,54 +189,65 @@ def _resolve_x(args) -> int:
         if exactlog.estimate(y) > math.log(MAX_X) + 1:
             raise InputError(f"--Y {args.Y!r} gives X above the ceiling {MAX_X}")
         x = counting.threshold_from_y(y)
-    else:
-        raise InputError("one of --X or --Y is required")
     if x > MAX_X:
         raise InputError(f"X = {x} is above the ceiling {MAX_X}")
     return x
 
 
-def _count_row(function: str, j, x: int, exact: int, bound, satisfied: bool) -> dict:
-    row = {"function": function, "X": x, "exact": str(exact)}
-    if j is not None:
-        row = {"function": function, "j": j, "X": x, "exact": str(exact)}
-    row["bound"] = None if bound is None else _fraction_decimal(bound)
-    row["satisfied"] = satisfied
-    return row
-
-
-def cmd_count(args) -> list[dict]:
-    if args.kind == "tuples":
-        x = _resolve_x(args)
-        if args.j is not None:
-            if args.j < 1:
-                raise InputError("--j must be positive")
-            exact = counting.count_tuples_j(args.j, x)
-            try:
-                bound = counting.bound_tuples_j(args.j, x)
-            except counting.BoundNotApplicable:
-                return [_count_row("tuples_j", args.j, x, exact, None, exact == 0)]
-            return [_count_row("tuples_j", args.j, x, exact, bound, exact <= bound)]
+def cmd_count_tuples(args) -> list[dict]:
+    x = _resolve_x(args)
+    if args.j is None:
         exact = counting.count_tuples(x)
         bound = counting.bound_tuples_total(x)
-        return [_count_row("tuples", None, x, exact, bound, exact <= bound)]
-    if args.kind == "words":
-        x = _resolve_x(args)
-        if args.max_len is not None:
-            if x > MAX_BOUNDED_WORDS_X and args.max_len < x // 3:
-                raise InputError(
-                    f"X = {x} is above the ceiling {MAX_BOUNDED_WORDS_X} "
-                    f"for --max-len below X // 3"
-                )
-            exact = counting.count_words_bounded(x, args.max_len)
-        else:
-            exact = counting.count_words(x, workers=args.workers)
-        chain = counting.bound_words(x)
-        satisfied = exact <= chain.cube_half and exact <= chain.chain_value
-        return [_count_row("words", None, x, exact, chain.cube_half, satisfied)]
-    if args.pairs is None or not 1 <= args.pairs <= classes.MAX_REPORT_INDEX:
-        raise InputError(f"count classes requires --pairs from 1 to {classes.MAX_REPORT_INDEX}")
+        return [{
+            "function": "tuples",
+            "X": x,
+            "exact": str(exact),
+            "bound": _fraction_decimal(bound),
+            "satisfied": exact <= bound,
+        }]
+    if args.j < 1:
+        raise InputError("--j must be positive")
+    exact = counting.count_tuples_j(args.j, x)
+    try:
+        bound = counting.bound_tuples_j(args.j, x)
+    except counting.BoundNotApplicable:
+        bound = None
+    return [{
+        "function": "tuples_j",
+        "j": args.j,
+        "X": x,
+        "exact": str(exact),
+        "bound": None if bound is None else _fraction_decimal(bound),
+        "satisfied": exact == 0 if bound is None else exact <= bound,
+    }]
+
+
+def cmd_count_words(args) -> list[dict]:
+    x = _resolve_x(args)
+    if args.max_len is not None:
+        if x > MAX_BOUNDED_WORDS_X and args.max_len < x // 3:
+            raise InputError(
+                f"X = {x} is above the ceiling {MAX_BOUNDED_WORDS_X} "
+                f"for --max-len below X // 3"
+            )
+        exact = counting.count_words_bounded(x, args.max_len)
+    else:
+        exact = counting.count_words(x, workers=args.workers)
+    chain = counting.bound_words(x)
+    return [{
+        "function": "words",
+        "X": x,
+        "exact": str(exact),
+        "bound": _fraction_decimal(chain.cube_half),
+        "satisfied": exact <= chain.cube_half and exact <= chain.chain_value,
+    }]
+
+
+def cmd_count_classes(args) -> list[dict]:
     j = args.pairs
+    if not 1 <= j <= classes.MAX_REPORT_INDEX:
+        raise InputError(f"count classes requires --pairs from 1 to {classes.MAX_REPORT_INDEX}")
     exact = classes.class_count(j)
     bound = Fraction(4**j, 2 * j)
     return [{
@@ -259,22 +273,16 @@ def cmd_verify(args) -> tuple[list[dict], bool]:
     names = args.suite or ["all"]
     if "all" in names:
         names = list(verify.SUITES)
-    limits = {}
-    if args.max_x is not None:
-        limits["max_x"] = args.max_x
-    if args.max_len is not None:
-        limits["max_len"] = args.max_len
-    if args.pairs is not None:
-        limits["pairs"] = args.pairs
-    if args.conj_len is not None:
-        limits["conj_len"] = args.conj_len
+    limits = {
+        name: value for name in verify.LIMITS if (value := getattr(args, name)) is not None
+    }
     rows = verify.run_suites(names, **limits)
     return [r.to_json() for r in rows], all(r.passed for r in rows)
 
 
 def build_parser() -> argparse.ArgumentParser:
-    # --format is accepted before or after the subcommand; the subparser
-    # copy uses SUPPRESS so an absent trailing flag keeps the leading one.
+    # --format is accepted before or after each command word; the subparser
+    # copies use SUPPRESS so an absent later flag keeps an earlier one.
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
         "--format", choices=("json", "csv", "plain"), default=argparse.SUPPRESS
@@ -286,42 +294,42 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--format", choices=("json", "csv", "plain"), default="json")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("normalize", parents=[common],
-                       help="canonical form of a braid word")
+    def command(group, name: str, handler, help: str) -> argparse.ArgumentParser:
+        p = group.add_parser(name, parents=[common], help=help)
+        p.set_defaults(handler=handler)
+        return p
+
+    p = command(sub, "normalize", cmd_normalize, "canonical form of a braid word")
+    p.add_argument("text")
+    p = command(sub, "syllables", cmd_syllables, "syllable decomposition of a word")
+    p.add_argument("text")
+    p = command(sub, "theta", cmd_theta, "pure projection of a braid word")
     p.add_argument("text")
 
-    p = sub.add_parser("syllables", parents=[common],
-                       help="syllable decomposition of a word")
-    p.add_argument("text")
-
-    p = sub.add_parser("theta", parents=[common],
-                       help="pure projection of a braid word")
-    p.add_argument("text")
-
-    p = sub.add_parser("bounds", parents=[common],
-                       help="invariant bound intervals")
+    p = command(sub, "bounds", cmd_bounds, "invariant bound intervals")
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--word")
     group.add_argument("--braid")
 
-    p = sub.add_parser("count", parents=[common],
-                       help="exact counts with analytic bounds")
-    p.add_argument("kind", choices=("tuples", "words", "classes"))
-    threshold = p.add_mutually_exclusive_group()
-    threshold.add_argument("--X", type=int)
-    threshold.add_argument("--Y")
-    p.add_argument("--j", type=int)
-    p.add_argument("--pairs", type=int)
-    p.add_argument("--max-len", type=int, dest="max_len")
-    p.add_argument("--workers", type=int, default=1)
+    count = sub.add_parser("count", parents=[common], help="exact counts with analytic bounds")
+    kinds = count.add_subparsers(dest="kind", required=True)
+    tuples = command(kinds, "tuples", cmd_count_tuples, "degree tuples with prod(3 d_k) <= X")
+    reduced = command(kinds, "words", cmd_count_words, "reduced words with prod(3 d_k) <= X")
+    for p in (tuples, reduced):
+        threshold = p.add_mutually_exclusive_group(required=True)
+        threshold.add_argument("--X", type=int)
+        threshold.add_argument("--Y")
+    tuples.add_argument("--j", type=int)
+    reduced.add_argument("--max-len", type=int, dest="max_len")
+    reduced.add_argument("--workers", type=int, default=1)
+    p = command(kinds, "classes", cmd_count_classes, "conjugacy classes of index --pairs")
+    p.add_argument("--pairs", type=int, required=True)
 
-    p = sub.add_parser("report", parents=[common],
-                       help="lower-bound report at scale Y")
+    p = command(sub, "report", cmd_report, "lower-bound report at scale Y")
     p.add_argument("variant", choices=("lambda", "entropy"))
     p.add_argument("--Y", required=True)
 
-    p = sub.add_parser("verify", parents=[common],
-                       help="run the internal check suites")
+    p = command(sub, "verify", cmd_verify, "run the internal check suites")
     p.add_argument(
         "--suite", action="append", choices=("all",) + tuple(verify.SUITES)
     )
@@ -336,27 +344,17 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.command == "verify":
-            rows, passed = cmd_verify(args)
-            _emit(rows, args.format)
-            return 0 if passed else 1
-        handler = {
-            "normalize": cmd_normalize,
-            "syllables": cmd_syllables,
-            "theta": cmd_theta,
-            "bounds": cmd_bounds,
-            "count": cmd_count,
-            "report": cmd_report,
-        }[args.command]
-        rows = handler(args)
+        # a handler returns its rows; cmd_verify also whether every check passed
+        result = args.handler(args)
     # InputError, a library function rejecting a value (exactlog raises
     # ValueError where it cannot certify), or an ArithmeticError from a
     # numeric library
     except (ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    rows, passed = result if isinstance(result, tuple) else (result, True)
     _emit(rows, args.format)
-    return 0
+    return 0 if passed else 1
 
 
 if __name__ == "__main__":

@@ -292,15 +292,9 @@ def count_words_bounded(x: int, max_degree: int) -> int:
         # induction on the syllables, as d + s <= 3 d s for d, s >= 1 where
         # s is prod(3 d_k) / 3 over the syllables after the first
         return count_words(x)
-    total = 0
-    top = min(x // 3, max_degree)
+    # as in count_words: twice the nonempty continuations after FIRST
     memo: dict[tuple[int, int, int], int] = {}  # one call's suffix counts
-    for d in range(1, top + 1):
-        q = (x // 3) // d
-        total += 4 * _word_suffixes_bounded(q, SECOND, max_degree - d, memo)
-        if d >= 2:
-            total += 4 * _word_suffixes_bounded(q, FIRST, max_degree - d, memo)
-    return total
+    return 2 * (_word_suffixes_bounded(x, FIRST, max_degree, memo) - 1)
 
 
 # --- analytic bounds --------------------------------------------------------

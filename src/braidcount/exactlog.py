@@ -35,11 +35,9 @@ from functools import lru_cache
 from math import gcd, isqrt
 
 from .counting import MAX_POWER_BITS  # also kept symbolic in exact forms
+from .invariants import MAX_PRECISION_BITS as MAX_PRECISION
 from .invariants import endpoint_fraction, interval_precision
 
-#: Largest working precision, in bits, that a certificate may use.  It
-#: leaves room above the 10^4 bits of the largest threshold ``e^Y``.
-MAX_PRECISION = 1 << 15
 _EXP_LIMIT = 1 << 20  # exp beyond +-this is enclosed by [0, ...] or [..., inf]
 _MAX_TERMS = 64  # a product with more terms becomes one opaque atom
 

@@ -39,6 +39,11 @@ from .words import FreeWord, is_cyclically_syllable_reduced, syllable_decompose
 
 DISPLAY_DIGITS = 12
 DEFAULT_PRECISION_BITS = 128
+#: Largest working precision in bits, for ``BRAIDCOUNT_PRECISION`` and for
+#: the certificates of :mod:`braidcount.exactlog`.  It leaves room above the
+#: 10^4 bits of the largest threshold ``e^Y``.  On a 2-core host ``bounds``
+#: took 0.3 s at this precision and did not finish in 60 s at 10^6 bits.
+MAX_PRECISION_BITS = 1 << 15
 
 
 def working_precision() -> int:
@@ -47,8 +52,8 @@ def working_precision() -> int:
     if raw is None:
         return DEFAULT_PRECISION_BITS
     bits = int(raw)
-    if bits < 8:
-        raise ValueError("BRAIDCOUNT_PRECISION must be at least 8 bits")
+    if not 8 <= bits <= MAX_PRECISION_BITS:
+        raise ValueError(f"BRAIDCOUNT_PRECISION must be from 8 to {MAX_PRECISION_BITS} bits")
     return bits
 
 

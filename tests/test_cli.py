@@ -10,6 +10,7 @@ import pytest
 from braidcount import braid, counting, verify
 from braidcount.classes import MAX_REPORT_INDEX
 from braidcount.cli import MAX_BOUNDED_WORDS_X, MAX_X, main
+from braidcount.invariants import MAX_PRECISION_BITS
 
 
 def run(capsys, *argv):
@@ -98,6 +99,19 @@ class TestBounds:
         assert [r["quantity"] for r in rows] == ["extremal_length"]
         assert rows[0]["exact_zero"] is True
 
+    def test_precision_above_ceiling_exits_2_at_once(self, capsys, monkeypatch):
+        monkeypatch.setenv("BRAIDCOUNT_PRECISION", str(MAX_PRECISION_BITS + 1))
+        start = time.perf_counter()
+        assert main(["bounds", "--word", "a1^2 a2^2"]) == 2
+        assert time.perf_counter() - start < 1.0
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and captured.out == ""
+
+    def test_precision_at_ceiling_is_accepted(self, capsys, monkeypatch):
+        monkeypatch.setenv("BRAIDCOUNT_PRECISION", str(MAX_PRECISION_BITS))
+        rows = run_json(capsys, "bounds", "--word", "a1^2 a2^2")
+        assert [r["quantity"] for r in rows] == ["extremal_length", "entropy"]
+
     def test_omitted_entropy_states_reason(self, capsys):
         code = main(["bounds", "--word", "a1^4"])
         captured = capsys.readouterr()
@@ -151,8 +165,25 @@ class TestCount:
         assert captured.err.startswith("error: ") and captured.out == ""
 
     def test_missing_threshold_exits_2(self, capsys):
-        code, _ = run(capsys, "count", "tuples")
-        assert code == 2
+        with pytest.raises(SystemExit) as exc:
+            main(["count", "tuples"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("argv", [
+        ["count", "classes"],
+        ["count", "words", "--X", "100", "--j", "3"],
+        ["count", "tuples", "--X", "100", "--max-len", "2", "--pairs", "4"],
+        ["count", "classes", "--pairs", "2", "--X", "100"],
+        ["count", "classes", "--pairs", "2", "--Y", "nope"],
+        ["count", "tuples", "--X", "9", "--workers", "2"],
+    ])
+    def test_count_kind_refuses_foreign_or_missing_options(self, capsys, argv):
+        # each kind takes only its own options, so none is silently dropped
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
 
     def test_bad_y_exits_2(self, capsys):
         code, _ = run(capsys, "count", "words", "--Y", "nope(3)")
@@ -308,6 +339,18 @@ class TestFormats:
         _, before = run(capsys, "--format", "csv", "normalize", "s1")
         _, after = run(capsys, "normalize", "s1", "--format", "csv")
         assert before == after
+
+    def test_format_at_every_level_of_count(self, capsys):
+        outs = {
+            run(capsys, *argv)
+            for argv in (
+                ("--format", "csv", "count", "tuples", "--X", "9"),
+                ("count", "--format", "csv", "tuples", "--X", "9"),
+                ("count", "tuples", "--format", "csv", "--X", "9"),
+                ("count", "tuples", "--X", "9", "--format", "csv"),
+            )
+        }
+        assert outs == {(0, "function,X,exact,bound,satisfied\r\ntuples,9,4,6.24025146916,True\r\n")}
 
     def test_plain_lines(self, capsys):
         code, out = run(capsys, "--format", "plain", "count", "tuples", "--X", "9")
