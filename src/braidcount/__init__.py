@@ -7,142 +7,78 @@ normal forms to pure-braid words.  Syllable weights of those words give
 exact lower and upper bounds for extremal length and entropy, and the
 counting module evaluates the number of admissible tuples and words
 below a threshold exactly, next to closed-form analytic bounds.
+
+Submodules are registered in ``sys.modules`` and bound here at import
+time, but each one executes only when one of its attributes is first
+read, so a command runs only the modules it uses.  The public names
+below resolve through the submodule that defines them.
 """
 
-from .braid import (
-    BraidSyntaxError,
-    BraidWord,
-    CosetElement,
-    HALF_TWIST,
-    IDENTITY,
-    NormalForm,
-    braid_to_text,
-    conjugate,
-    embed_pure,
-    evaluate,
-    half_twist_word,
-    normal_form,
-    parse_braid,
-    pure_projection,
-    remultiply,
-    s3_image,
-    sigma_word,
-    swap_generators,
-    unembed,
-)
-from .classes import (
-    FamilyWord,
-    ForbiddenConjugation,
-    LowerBoundReport,
-    class_count,
-    class_count_by_enumeration,
-    enumerate_family,
-    is_alternating_form,
-    lower_bound_report,
-    orbit_of,
-    rotation_conjugator,
-    search_forbidden_conjugations,
-)
-from .counting import (
-    BoundNotApplicable,
-    WordBoundChain,
-    bound_tuples_j,
-    bound_tuples_total,
-    bound_words,
-    count_tuples,
-    count_tuples_j,
-    count_words,
-    count_words_bounded,
-    max_tuple_length,
-    threshold_from_y,
-)
-from .invariants import (
-    BoundInterval,
-    LogInteger,
-    Scale,
-    entropy_bounds,
-    extremal_length_bounds_braid,
-    extremal_length_bounds_word,
-    lower_weight,
-    upper_weight,
-    working_precision,
-)
-from .words import (
-    FreeWord,
-    Syllable,
-    SyllableDecomposition,
-    WordSyntaxError,
-    cyclic_reduce,
-    free_conjugator,
-    is_cyclically_reduced,
-    is_cyclically_syllable_reduced,
-    parse_word,
-    syllable_decompose,
-    word_to_text,
-)
+import importlib.util
+import sys
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BoundInterval",
-    "BoundNotApplicable",
-    "BraidSyntaxError",
-    "BraidWord",
-    "CosetElement",
-    "FamilyWord",
-    "ForbiddenConjugation",
-    "FreeWord",
-    "HALF_TWIST",
-    "IDENTITY",
-    "LogInteger",
-    "LowerBoundReport",
-    "NormalForm",
-    "Scale",
-    "Syllable",
-    "SyllableDecomposition",
-    "WordBoundChain",
-    "WordSyntaxError",
-    "bound_tuples_j",
-    "bound_tuples_total",
-    "bound_words",
-    "braid_to_text",
-    "class_count",
-    "class_count_by_enumeration",
-    "conjugate",
-    "count_tuples",
-    "count_tuples_j",
-    "count_words",
-    "count_words_bounded",
-    "cyclic_reduce",
-    "embed_pure",
-    "entropy_bounds",
-    "enumerate_family",
-    "evaluate",
-    "extremal_length_bounds_braid",
-    "extremal_length_bounds_word",
-    "free_conjugator",
-    "half_twist_word",
-    "is_alternating_form",
-    "is_cyclically_reduced",
-    "is_cyclically_syllable_reduced",
-    "lower_bound_report",
-    "lower_weight",
-    "max_tuple_length",
-    "normal_form",
-    "orbit_of",
-    "parse_braid",
-    "parse_word",
-    "pure_projection",
-    "remultiply",
-    "rotation_conjugator",
-    "s3_image",
-    "search_forbidden_conjugations",
-    "sigma_word",
-    "swap_generators",
-    "syllable_decompose",
-    "threshold_from_y",
-    "unembed",
-    "upper_weight",
-    "word_to_text",
-    "working_precision",
-]
+#: submodule -> the public names it defines, re-exported by the package
+_PUBLIC = {
+    "braid": (
+        "BraidSyntaxError", "BraidWord", "CosetElement", "HALF_TWIST", "IDENTITY",
+        "NormalForm", "braid_to_text", "conjugate", "embed_pure", "evaluate",
+        "half_twist_word", "normal_form", "parse_braid", "pure_projection",
+        "remultiply", "s3_image", "sigma_word", "swap_generators", "unembed",
+    ),
+    "classes": (
+        "FamilyWord", "ForbiddenConjugation", "LowerBoundReport", "class_count",
+        "class_count_by_enumeration", "enumerate_family", "is_alternating_form",
+        "lower_bound_report", "orbit_of", "rotation_conjugator",
+        "search_forbidden_conjugations",
+    ),
+    "counting": (
+        "BoundNotApplicable", "WordBoundChain", "bound_tuples_j", "bound_tuples_total",
+        "bound_words", "count_tuples", "count_tuples_j", "count_words",
+        "count_words_bounded", "max_tuple_length", "threshold_from_y",
+    ),
+    "invariants": (
+        "BoundInterval", "LogInteger", "Scale", "entropy_bounds",
+        "extremal_length_bounds_braid", "extremal_length_bounds_word",
+        "lower_weight", "upper_weight", "working_precision",
+    ),
+    "words": (
+        "FreeWord", "Syllable", "SyllableDecomposition", "WordSyntaxError",
+        "cyclic_reduce", "free_conjugator", "is_cyclically_reduced",
+        "is_cyclically_syllable_reduced", "parse_word", "syllable_decompose",
+        "word_to_text",
+    ),
+}
+_HOME = {name: module for module, names in _PUBLIC.items() for name in names}
+__all__ = sorted(_HOME)
+
+
+def _register_lazily(name: str):
+    # the recipe of the importlib documentation: the module object exists
+    # and is importable at once, and its code runs on first attribute access
+    spec = importlib.util.find_spec(f"{__name__}.{name}")
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+words = _register_lazily("words")
+braid = _register_lazily("braid")
+invariants = _register_lazily("invariants")
+counting = _register_lazily("counting")
+classes = _register_lazily("classes")
+oracle = _register_lazily("oracle")
+verify = _register_lazily("verify")
+
+
+def __getattr__(name: str):
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(globals()[_HOME[name]], name)
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

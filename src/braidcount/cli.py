@@ -224,6 +224,8 @@ def cmd_count_tuples(args) -> list[dict]:
 
 
 def cmd_count_words(args) -> list[dict]:
+    if args.workers < 1:
+        raise InputError("--workers must be positive")
     x = _resolve_x(args)
     if args.max_len is not None:
         if x > MAX_BOUNDED_WORDS_X and args.max_len < x // 3:

@@ -34,8 +34,7 @@ from decimal import Context, Decimal, ROUND_CEILING, ROUND_FLOOR
 from fractions import Fraction
 from functools import total_ordering
 
-from .braid import BraidWord, CosetElement, NormalForm, normal_form, pure_projection
-from .words import FreeWord, is_cyclically_syllable_reduced, syllable_decompose
+from . import braid, words
 
 DISPLAY_DIGITS = 12
 DEFAULT_PRECISION_BITS = 128
@@ -51,9 +50,15 @@ def working_precision() -> int:
     raw = os.environ.get("BRAIDCOUNT_PRECISION")
     if raw is None:
         return DEFAULT_PRECISION_BITS
-    bits = int(raw)
-    if not 8 <= bits <= MAX_PRECISION_BITS:
-        raise ValueError(f"BRAIDCOUNT_PRECISION must be from 8 to {MAX_PRECISION_BITS} bits")
+    try:
+        bits = int(raw)
+    except ValueError:
+        bits = None
+    if bits is None or not 8 <= bits <= MAX_PRECISION_BITS:
+        raise ValueError(
+            f"BRAIDCOUNT_PRECISION must be an integer from 8 to {MAX_PRECISION_BITS} bits, "
+            f"got {raw!r}"
+        )
     return bits
 
 
@@ -127,18 +132,18 @@ ENTROPY_UPPER_SCALE = Scale(Fraction(150), 1)  # 150 pi
 ENTROPY_PER_EXTREMAL_LENGTH = Scale(Fraction(1, 2), 1)
 
 
-def lower_weight(w: FreeWord) -> LogInteger:
+def lower_weight(w: words.FreeWord) -> LogInteger:
     """``log prod(3 d_k)`` over the syllable degrees; identity gives log 1."""
     arg = 1
-    for d in syllable_decompose(w).degrees():
+    for d in words.syllable_decompose(w).degrees():
         arg *= 3 * d
     return LogInteger(arg)
 
 
-def upper_weight(w: FreeWord) -> LogInteger:
+def upper_weight(w: words.FreeWord) -> LogInteger:
     """``log prod(4 d_k)`` over the syllable degrees; identity gives log 1."""
     arg = 1
-    for d in syllable_decompose(w).degrees():
+    for d in words.syllable_decompose(w).degrees():
         arg *= 4 * d
     return LogInteger(arg)
 
@@ -193,12 +198,12 @@ def _zero_interval(lower_scale: Scale, upper_scale: Scale) -> BoundInterval:
 
 
 def _weight_interval(
-    w: FreeWord, lower_scale: Scale, upper_scale: Scale
+    w: words.FreeWord, lower_scale: Scale, upper_scale: Scale
 ) -> BoundInterval:
     return BoundInterval(False, lower_weight(w), upper_weight(w), lower_scale, upper_scale)
 
 
-def extremal_length_bounds_word(w: FreeWord) -> BoundInterval:
+def extremal_length_bounds_word(w: words.FreeWord) -> BoundInterval:
     """Extremal-length enclosure for a reduced pure word.
 
     Exactly zero iff the word is the identity or a power of a single
@@ -210,7 +215,7 @@ def extremal_length_bounds_word(w: FreeWord) -> BoundInterval:
 
 
 def extremal_length_bounds_braid(
-    b: BraidWord | CosetElement | NormalForm,
+    b: braid.BraidWord | braid.CosetElement | braid.NormalForm,
 ) -> BoundInterval:
     """Extremal-length enclosure for any braid, via its normal form.
 
@@ -221,23 +226,23 @@ def extremal_length_bounds_braid(
     positive lower bound, which is why this does not delegate the zero
     test to the word-level rule.
     """
-    form = b if isinstance(b, NormalForm) else normal_form(b)
+    form = b if isinstance(b, braid.NormalForm) else braid.normal_form(b)
     if form.is_power_of_delta or form.b1.is_identity:
         return _zero_interval(EXTREMAL_LOWER_SCALE, EXTREMAL_UPPER_SCALE)
     return _weight_interval(
-        pure_projection(form), EXTREMAL_LOWER_SCALE, EXTREMAL_UPPER_SCALE
+        braid.pure_projection(form), EXTREMAL_LOWER_SCALE, EXTREMAL_UPPER_SCALE
     )
 
 
-def entropy_bounds(w: FreeWord) -> BoundInterval:
+def entropy_bounds(w: words.FreeWord) -> BoundInterval:
     """Entropy enclosure ``[log(P-)/4, 150 pi log(P+)]`` for a conjugacy class.
 
     Requires a cyclically syllable reduced representative with more than
     one syllable; anything else raises :class:`ValueError`.
     """
-    if not is_cyclically_syllable_reduced(w):
+    if not words.is_cyclically_syllable_reduced(w):
         raise ValueError("word is not cyclically syllable reduced")
-    if len(syllable_decompose(w)) <= 1:
+    if len(words.syllable_decompose(w)) <= 1:
         raise ValueError("entropy bounds require more than one syllable")
     return _weight_interval(w, ENTROPY_LOWER_SCALE, ENTROPY_UPPER_SCALE)
 

@@ -107,6 +107,17 @@ class TestBounds:
         captured = capsys.readouterr()
         assert captured.err.startswith("error: ") and captured.out == ""
 
+    @pytest.mark.parametrize("value", ["abc", "1e3", "", "7"])
+    def test_unusable_precision_names_the_variable(self, capsys, monkeypatch, value):
+        monkeypatch.setenv("BRAIDCOUNT_PRECISION", value)
+        assert main(["bounds", "--word", "a1^2 a2^2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: BRAIDCOUNT_PRECISION must be an integer from 8 to "
+            f"{MAX_PRECISION_BITS} bits, got {value!r}\n"
+        )
+
     def test_precision_at_ceiling_is_accepted(self, capsys, monkeypatch):
         monkeypatch.setenv("BRAIDCOUNT_PRECISION", str(MAX_PRECISION_BITS))
         rows = run_json(capsys, "bounds", "--word", "a1^2 a2^2")
@@ -255,6 +266,13 @@ class TestCount:
         monkeypatch.setattr(counting, "threshold_from_y", give_up)
         assert main(["count", "tuples", "--Y", "log(27)"]) == 2
         assert capsys.readouterr().err == "error: cannot certify the floor\n"
+
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_workers_below_one_exit_2(self, capsys, workers):
+        assert main(["count", "words", "--X", "100", "--workers", workers]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --workers must be positive\n"
 
     def test_worker_output_identical(self, capsys):
         _, one = run(capsys, "count", "words", "--X", "2187", "--workers", "1")

@@ -1,9 +1,10 @@
-"""Which heavy packages a command loads, checked in fresh interpreters.
+"""Which packages and submodules a command loads, checked in fresh interpreters.
 
 ``sympy`` costs about 0.3 s to import and ``mpmath`` about 0.03 s, so
 only the commands that need them may load them: no command loads
 ``sympy``, and ``mpmath`` serves the bound columns and the certificates
-of a ``Y`` expression.
+of a ``Y`` expression.  The package's own submodules are registered
+lazily, and a command executes only those it uses.
 """
 
 import json
@@ -13,6 +14,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+import braidcount
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -124,3 +127,72 @@ def test_y_commands_run_without_sympy(capsys):
         expected.append([code, capsys.readouterr().out])
     assert all(code == 0 for code, _ in expected)
     assert json.loads(proc.stdout) == expected
+
+
+SUBMODULES = {"braid", "classes", "counting", "invariants", "oracle", "verify", "words"}
+
+# runs one command line (none: import only) and reports which braidcount
+# submodules are registered and which have executed; a registered module
+# that has not run is still a lazy module, and type() tells without loading
+EXECUTED = """
+import contextlib, io, json, sys, types
+import braidcount
+argv = json.loads(sys.argv[1])
+if argv:
+    import braidcount.cli
+    with contextlib.redirect_stdout(io.StringIO()):
+        braidcount.cli.main(argv)
+ours = {n[len("braidcount."):]: m for n, m in sys.modules.items() if n.startswith("braidcount.")}
+print(json.dumps([sorted(ours), sorted(n for n, m in ours.items() if type(m) is types.ModuleType)]))
+"""
+
+
+def executed(argv):
+    proc = subprocess.run(
+        [sys.executable, "-c", EXECUTED, json.dumps(argv)],
+        capture_output=True, text=True, check=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+    )
+    registered, ran = json.loads(proc.stdout)
+    return set(registered), set(ran)
+
+
+def test_import_registers_every_submodule_and_executes_none():
+    assert executed([]) == (SUBMODULES, set())
+
+
+@pytest.mark.parametrize("argv", [
+    ["count", "words", "--X", "1000"],
+    ["count", "tuples", "--X", "1000"],
+])
+def test_counts_execute_no_braid_or_word_module(argv):
+    _, ran = executed(argv)
+    assert "counting" in ran
+    assert not ran & {"braid", "words", "classes", "oracle"}
+
+
+@pytest.mark.parametrize("argv", [
+    ["normalize", "s1^2 s2^2"],
+    ["syllables", "a1^3 a2"],
+])
+def test_word_commands_execute_no_counting_module(argv):
+    _, ran = executed(argv)
+    assert "words" in ran
+    assert not ran & {"counting", "classes"}
+
+
+def test_public_names_are_the_submodule_objects():
+    star = {}
+    exec("from braidcount import *", star)
+    assert set(braidcount.__all__) <= set(dir(braidcount))
+    for name in braidcount.__all__:
+        held = getattr(sys.modules[f"braidcount.{braidcount._HOME[name]}"], name)
+        assert getattr(braidcount, name) is held
+        assert star[name] is held
+    assert set(star) - {"__builtins__"} == set(braidcount.__all__)
+
+
+def test_unknown_name_is_an_attribute_error():
+    assert not hasattr(braidcount, "no_such_name")
+    with pytest.raises(AttributeError, match="no_such_name"):
+        braidcount.no_such_name
