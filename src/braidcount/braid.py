@@ -43,7 +43,7 @@ from dataclasses import dataclass
 from itertools import chain
 from typing import Iterable
 
-from .words import FreeWord, other_generator
+from .words import FreeWord, other_generator, token_exponent
 
 A_LETTER = 0
 T_LETTER = 1
@@ -122,7 +122,7 @@ def parse_braid(text: str) -> BraidWord:
         match = _BRAID_TOKEN.match(token)
         if match is not None:
             gen = int(match.group("gen"))
-            exp = 1 if match.group("exp") is None else int(match.group("exp"))
+            exp = token_exponent(match, pos, BraidSyntaxError)
             if match.group("shift") == "S":
                 exp = -exp
             size += abs(exp)
@@ -132,7 +132,7 @@ def parse_braid(text: str) -> BraidWord:
             continue
         match = _DELTA_TOKEN.match(token)
         if match is not None:
-            exp = 1 if match.group("exp") is None else int(match.group("exp"))
+            exp = token_exponent(match, pos, BraidSyntaxError)
             size += 3 * abs(exp)
             if size > MAX_BRAID_LETTERS:
                 raise BraidSyntaxError(f"more than {MAX_BRAID_LETTERS} letters", pos)

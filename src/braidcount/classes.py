@@ -38,8 +38,8 @@ from .braid import (
     CosetElement,
     HALF_TWIST,
     embed_pure,
+    evaluate,
     half_twist_word,
-    sigma_power,
     sigma_word,
     swap_generators,
     unembed,
@@ -285,24 +285,21 @@ def search_forbidden_conjugations(
         expansion = fam.expand()
         sources.append(expansion)
         sources.append(swap_generators(expansion))
-    conjugators: list[tuple[BraidWord, CosetElement]] = []
+    conjugators: list[tuple[BraidWord, CosetElement, CosetElement]] = []
     for gen in (1, 2):
         for pure in _pure_words_up_to_degree(max_conj_len):
             for ell in (0, 1):
                 spelling = sigma_word(gen, 1)
                 for g, e in pure.terms:
                     spelling = spelling * sigma_word(g, 2 * e)
-                if ell:
-                    spelling = spelling * half_twist_word(1)
-                coset = sigma_power(gen, 1) * embed_pure(pure)
-                if ell:
-                    coset = coset * HALF_TWIST
-                conjugators.append((spelling, coset))
+                spelling = spelling * half_twist_word(ell)
+                beta = evaluate(spelling)
+                conjugators.append((spelling, beta, beta.inverse()))
     hits = []
     for source in sources:
         x = embed_pure(source)
-        for spelling, beta in conjugators:
-            target = unembed(beta.inverse() * x * beta)
+        for spelling, beta, beta_inv in conjugators:
+            target = unembed(beta_inv * x * beta)
             if target is not None and is_alternating_form(target, min_terms=4):
                 hits.append(ForbiddenConjugation(source, target, spelling))
     return hits

@@ -75,23 +75,19 @@ def _parse_braid_arg(text: str) -> braid.BraidWord:
         raise InputError(f"bad braid {text!r}: {exc}") from exc
 
 
+def _normal_form_arg(text: str) -> braid.NormalForm:
+    return braid.normal_form(_parse_braid_arg(text))
+
+
 def cmd_normalize(args) -> list[dict]:
-    form = braid.normal_form(braid.evaluate(_parse_braid_arg(args.text)))
-    if form.kind == braid.POWER_OF_DELTA:
-        return [{
-            "input": args.text,
-            "kind": form.kind,
-            "j": None,
-            "k": None,
-            "b1": None,
-            "ell": form.ell,
-        }]
+    form = _normal_form_arg(args.text)
+    delta = form.is_power_of_delta
     return [{
         "input": args.text,
         "kind": form.kind,
-        "j": form.j,
-        "k": form.k,
-        "b1": words.word_to_text(form.b1),
+        "j": None if delta else form.j,
+        "k": None if delta else form.k,
+        "b1": None if delta else words.word_to_text(form.b1),
         "ell": form.ell,
     }]
 
@@ -111,8 +107,8 @@ def cmd_syllables(args) -> list[dict]:
 
 
 def cmd_theta(args) -> list[dict]:
-    form = braid.normal_form(braid.evaluate(_parse_braid_arg(args.text)))
-    if form.kind == braid.POWER_OF_DELTA:
+    form = _normal_form_arg(args.text)
+    if form.is_power_of_delta:
         raise InputError("projection undefined for powers of the half twist")
     return [{"input": args.text, "theta": words.word_to_text(braid.pure_projection(form))}]
 
@@ -126,38 +122,24 @@ def _interval_row(kind: str, text: str, quantity: str, interval) -> dict:
 def cmd_bounds(args) -> list[dict]:
     # the entropy row appears only when its hypothesis holds; the reason
     # for omitting it goes to stderr so tabular stdout keeps one shape
-    rows = []
     if args.word is not None:
-        w = _parse_word_arg(args.word)
-        rows.append(
-            _interval_row("word", args.word, "extremal_length",
-                          invariants.extremal_length_bounds_word(w))
-        )
-        try:
-            ent = invariants.entropy_bounds(w)
-        except ValueError as exc:
-            print(f"note: entropy omitted: {exc}", file=sys.stderr)
-        else:
-            rows.append(_interval_row("word", args.word, "entropy", ent))
+        kind, text = "word", args.word
+        pure = _parse_word_arg(text)
+        extremal = invariants.extremal_length_bounds_word(pure)
     else:
-        x = braid.evaluate(_parse_braid_arg(args.braid))
-        rows.append(
-            _interval_row("braid", args.braid, "extremal_length",
-                          invariants.extremal_length_bounds_braid(x))
-        )
-        form = braid.normal_form(x)
-        if form.kind != braid.GENERAL:
-            print(
-                "note: entropy omitted: the braid has no pure part",
-                file=sys.stderr,
-            )
-        else:
-            try:
-                ent = invariants.entropy_bounds(braid.pure_projection(form))
-            except ValueError as exc:
-                print(f"note: entropy omitted: {exc}", file=sys.stderr)
-            else:
-                rows.append(_interval_row("braid", args.braid, "entropy", ent))
+        kind, text = "braid", args.braid
+        form = _normal_form_arg(text)
+        extremal = invariants.extremal_length_bounds_braid(form)
+        pure = None if form.is_power_of_delta else braid.pure_projection(form)
+    rows = [_interval_row(kind, text, "extremal_length", extremal)]
+    try:
+        if pure is None:
+            raise ValueError("the braid has no pure part")
+        ent = invariants.entropy_bounds(pure)
+    except ValueError as exc:
+        print(f"note: entropy omitted: {exc}", file=sys.stderr)
+    else:
+        rows.append(_interval_row(kind, text, "entropy", ent))
     return rows
 
 
@@ -264,11 +246,7 @@ def cmd_count_classes(args) -> list[dict]:
 
 def cmd_report(args) -> list[dict]:
     variant = classes.LAMBDA_VARIANT if args.variant == "lambda" else classes.ENTROPY_VARIANT
-    try:
-        report = classes.lower_bound_report(args.Y, variant)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
-    return [report.to_json()]
+    return [classes.lower_bound_report(args.Y, variant).to_json()]
 
 
 def cmd_verify(args) -> tuple[list[dict], bool]:

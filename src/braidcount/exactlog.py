@@ -77,15 +77,15 @@ def _rational_power(base: Fraction, exponent: Fraction) -> Fraction | None:
 class Node:
     """One node of a ``Y`` tree: ``op`` over ``args``.
 
-    ``num`` nodes hold one Fraction (and, for a float literal, its
-    ``text``); ``rational`` is the exact value of an all-number subtree.
+    ``num`` nodes hold one Fraction; ``rational`` is the exact value of an
+    all-number subtree.
     ``-``, ``*`` and ``/`` build new nodes and take ints and Fractions.
     """
 
-    __slots__ = ("op", "args", "text", "rational", "bits", "source", "_exact")
+    __slots__ = ("op", "args", "rational", "bits", "source", "_exact")
 
-    def __init__(self, op: str, args: tuple = (), text: str | None = None):
-        self.op, self.args, self.text, self.source, self._exact = op, args, text, None, None
+    def __init__(self, op: str, args: tuple = ()):
+        self.op, self.args, self.source, self._exact = op, args, None, None
         self.rational = None
         if op == "num":
             self.rational = args[0]
@@ -156,7 +156,7 @@ def _read(node: ast.AST, text: str) -> Node:
         digits_limit = MAX_POWER_BITS // 3  # about MAX_POWER_BITS bits
         if abs(value.adjusted()) > digits_limit or -value.as_tuple().exponent > digits_limit:
             raise ValueError(f"number {digits} is out of range")
-        return Node("num", (Fraction(value),), digits)
+        return number(value)
     if isinstance(node, ast.Name) and node.id in _CONSTANTS:
         return constant(node.id)
     if isinstance(node, ast.UnaryOp) and type(node.op) in _UNARY:

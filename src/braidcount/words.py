@@ -21,6 +21,7 @@ string is the identity.
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -104,6 +105,16 @@ class FreeWord:
 _WORD_TOKEN = re.compile(r"(?P<shift>[aA])(?P<gen>[12])(?:\^(?P<exp>-?\d+))?\Z")
 
 
+def token_exponent(match: re.Match, pos: int, error: type[ValueError]) -> int:
+    """A token's caret exponent (1 if none); ``error`` past ``int``'s digit limit."""
+    digits = match.group("exp")
+    try:
+        return 1 if digits is None else int(digits)
+    except ValueError:
+        limit = sys.get_int_max_str_digits()  # 4300 unless the interpreter sets it
+        raise error(f"exponent has more than {limit} digits", pos) from None
+
+
 def parse_word(text: str) -> FreeWord:
     """Parse word text syntax; raises :class:`WordSyntaxError` on bad tokens."""
     raw: list[tuple[int, int]] = []
@@ -112,7 +123,7 @@ def parse_word(text: str) -> FreeWord:
         if match is None:
             raise WordSyntaxError(f"bad word token {token!r}", pos)
         gen = int(match.group("gen"))
-        exp = 1 if match.group("exp") is None else int(match.group("exp"))
+        exp = token_exponent(match, pos, WordSyntaxError)
         if match.group("shift") == "A":
             exp = -exp
         raw.append((gen, exp))

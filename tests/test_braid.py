@@ -1,6 +1,7 @@
 """Braid words modulo the center: coset algebra, normal form, projection."""
 
 import random
+import sys
 import time
 from itertools import product
 
@@ -135,6 +136,14 @@ class TestParsing:
         with pytest.raises(BraidSyntaxError):
             parse_braid("D^400000")
         assert time.perf_counter() - start < 1.0
+
+    @pytest.mark.parametrize("token", ["s1^", "S2^-", "D^", "D^-"])
+    def test_exponent_past_int_digit_limit_is_a_syntax_error(self, token):
+        limit = sys.get_int_max_str_digits()
+        with pytest.raises(BraidSyntaxError) as err:
+            parse_braid("s2 " + token + "9" * (limit + 1))
+        assert err.value.position == 1
+        assert str(err.value) == f"exponent has more than {limit} digits (at token 1)"
 
     def test_delta_expands_to_three_letters(self):
         assert len(half_twist_word(1)) == 3

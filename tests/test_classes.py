@@ -7,6 +7,7 @@ import pytest
 import sympy
 from hypothesis import given, strategies as st
 
+from braidcount import classes
 from braidcount.braid import conjugate, embed_pure, evaluate, parse_braid, unembed
 from braidcount.classes import (
     ENTROPY_VARIANT,
@@ -223,6 +224,18 @@ class TestForbiddenSearch:
 
     def test_empty_at_desk_scale(self):
         assert search_forbidden_conjugations(2, 2) == []
+
+    def test_every_hit_is_witnessed_by_its_reported_conjugator(self, monkeypatch):
+        # accepting every pure conjugate forces hits; each reported spelling
+        # must itself carry its source to its target
+        monkeypatch.setattr(classes, "is_alternating_form", lambda w, min_terms=2: True)
+        hits = search_forbidden_conjugations(2, 2)
+        # pure braids form a normal subgroup, so each of the 32 sources and
+        # 2 * 17 * 2 conjugators (17 pure words of degree <= 2) gives a hit
+        assert len(hits) == 32 * 68
+        for hit in hits:
+            beta = evaluate(hit.conjugator)
+            assert unembed(beta.inverse() * embed_pure(hit.source) * beta) == hit.target
 
     def test_positive_control(self):
         # the identities guarantee one conjugation landing in the family shape

@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import sys
 import time
 
 import pytest
@@ -39,9 +40,14 @@ class TestNormalize:
 
     def test_power_of_delta(self, capsys):
         rows = run_json(capsys, "normalize", "D^3")
-        assert rows[0]["kind"] == "power_of_delta"
-        assert rows[0]["ell"] == 1
-        assert rows[0]["j"] is None
+        assert rows == [{
+            "input": "D^3",
+            "kind": "power_of_delta",
+            "j": None,
+            "k": None,
+            "b1": None,
+            "ell": 1,
+        }]
 
     def test_bad_input_exits_2(self, capsys):
         code, _ = run(capsys, "normalize", "s9")
@@ -53,6 +59,16 @@ class TestNormalize:
         assert time.perf_counter() - start < 1.0
         assert code == 2 and out == ""
 
+    def test_exponent_past_int_digit_limit_exits_2(self, capsys):
+        limit = sys.get_int_max_str_digits()
+        text = "s1 s1^" + "9" * (limit + 1)
+        assert main(["normalize", text]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: bad braid {text!r}: exponent has more than {limit} digits (at token 1)\n"
+        )
+
 
 class TestSyllables:
     def test_rows(self, capsys):
@@ -63,6 +79,16 @@ class TestSyllables:
     def test_empty_word(self, capsys):
         assert run_json(capsys, "syllables", "") == []
 
+    def test_exponent_past_int_digit_limit_exits_2(self, capsys):
+        limit = sys.get_int_max_str_digits()
+        text = "a2 A1^-" + "9" * (limit + 1)
+        assert main(["syllables", text]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: bad word {text!r}: exponent has more than {limit} digits (at token 1)\n"
+        )
+
 
 class TestTheta:
     def test_projection(self, capsys):
@@ -72,6 +98,16 @@ class TestTheta:
     def test_delta_power_rejected(self, capsys):
         code, _ = run(capsys, "theta", "D")
         assert code == 2
+
+
+ZERO_ROW = (
+    "extremal_length  exact_zero=True  lower_log_arg=1  upper_log_arg=1  "
+    "lower_value=0  upper_value=0"
+)
+A1_A2_A1_ROW = (
+    "extremal_length  exact_zero=False  lower_log_arg=9  upper_log_arg=12  "
+    "lower_value=0.349699152566  upper_value=745.471994937"
+)
 
 
 class TestBounds:
@@ -131,6 +167,53 @@ class TestBounds:
         assert [r["quantity"] for r in json.loads(captured.out)] == [
             "extremal_length"
         ]
+
+    @pytest.mark.parametrize("flag, text, note, rows", [
+        ("--braid", "D^2", "the braid has no pure part", [ZERO_ROW]),
+        ("--word", "a1^4", "entropy bounds require more than one syllable", [ZERO_ROW]),
+        ("--braid", "s1^7 D^3", "entropy bounds require more than one syllable", [ZERO_ROW]),
+        ("--word", "a1 a2 a1", "word is not cyclically reduced", [A1_A2_A1_ROW]),
+        ("--braid", "s1^2 s2^2 s1^2", "word is not cyclically reduced", [A1_A2_A1_ROW]),
+        ("--braid", "s1^3 s2^-2 D", None, [
+            "extremal_length  exact_zero=False  lower_log_arg=9  upper_log_arg=16  "
+            "lower_value=0.349699152566  upper_value=831.776616672",
+            "entropy  exact_zero=False  lower_log_arg=9  upper_log_arg=16  "
+            "lower_value=0.549306144334  upper_value=1306.55165419",
+        ]),
+    ])
+    def test_entropy_row_or_note(self, capsys, flag, text, note, rows):
+        # --word and --braid share one entropy branch; pin what each prints
+        assert main(["bounds", flag, text, "--format", "plain"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ("" if note is None else f"note: entropy omitted: {note}\n")
+        kind = flag.lstrip("-")
+        assert captured.out.splitlines() == [
+            f"input_kind={kind}  input={text}  quantity={row}" for row in rows
+        ]
+
+    def test_one_normal_form_per_braid_input(self, capsys, monkeypatch):
+        calls = {"normal_form": 0, "unembed": 0}
+
+        def counting(name):
+            original = getattr(braid, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return original(*args)
+
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(braid, name, counting(name))
+        for argv in (
+            ["bounds", "--braid", "s1^3 s2^-2 D"],
+            ["normalize", "s1^3 s2^-2 D"],
+            ["theta", "s1^3 s2^-2 D"],
+        ):
+            calls.update(normal_form=0, unembed=0)
+            assert main(argv) == 0
+            assert calls == {"normal_form": 1, "unembed": 1}, argv
+        capsys.readouterr()
 
 
 class TestCount:

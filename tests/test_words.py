@@ -1,5 +1,7 @@
 """Free-group word algebra: parsing, reduction, syllables, conjugacy."""
 
+import sys
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -53,6 +55,18 @@ class TestParsing:
         for text in ("a3", "b1", "a1^", "a1**2", "a1 x"):
             with pytest.raises(WordSyntaxError):
                 parse_word(text)
+
+    @pytest.mark.parametrize("token", ["a1^", "A2^-"])
+    def test_exponent_past_int_digit_limit_is_a_syntax_error(self, token):
+        limit = sys.get_int_max_str_digits()
+        with pytest.raises(WordSyntaxError) as err:
+            parse_word("a2 a1 " + token + "9" * (limit + 1))
+        assert err.value.position == 2
+        assert str(err.value) == f"exponent has more than {limit} digits (at token 2)"
+
+    def test_exponent_at_int_digit_limit_parses(self):
+        digits = "9" * sys.get_int_max_str_digits()
+        assert parse_word("a1^" + digits).terms == ((1, int(digits)),)
 
     def test_zero_exponent_folds_away(self):
         assert parse_word("a1^0").is_identity
