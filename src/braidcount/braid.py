@@ -7,10 +7,11 @@ cyclic group of order 3, generated by the image ``t`` of
 alternating word over the two factors as a tuple of letters ``0`` (for
 ``a``), ``1`` (for ``t``) and ``2`` (for ``t^2``); canonical words
 never place two letters of the same factor side by side.
-Multiplication pushes letters onto a stack and resolves ``a*a -> 1``
-and ``t^i * t^j -> t^(i+j mod 3)`` locally, so canonicalization is
-linear and tuple equality decides equality in the quotient; words of
-``(generator, sign)`` letters become cosets in one such stack walk.
+Canonicalization pushes letters onto a stack and resolves ``a*a -> 1``
+and ``t^i * t^j -> t^(i+j mod 3)`` locally, so it is linear and tuple
+equality decides equality in the quotient; words of ``(generator,
+sign)`` letters become cosets in one such stack walk.  The product of
+two canonical words reduces only at their junction.
 
 Generator images, pinned down by the relation tests:
 
@@ -40,7 +41,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, islice, permutations
 from typing import Iterable
 
 from .words import FreeWord, other_generator, token_exponent
@@ -108,38 +109,47 @@ _DELTA_TOKEN = re.compile(r"D(?:\^(?P<exp>-?\d+))?\Z")
 
 
 #: Most letters a parsed braid may expand to: ``|e|`` for each ``s`` token
-#: and ``3|e|`` for each ``D`` token.  ``normalize`` of a word of 2*10^6
-#: letters took 1.6 s and 170 MB on a 2-core x86 host.
+#: and ``3|e|`` for each ``D`` token.  At the ceiling on a 2-core x86 host,
+#: ``normalize "s1^1000000"`` took 0.9 s and 67 MB, and a text of random
+#: ``s`` exponents from 1 to 999 took 1.1 s and 73 MB.
 MAX_BRAID_LETTERS = 10**6
+
+
+def _token_letters(token: str, pos: int, room: int) -> tuple[tuple[int, int], ...]:
+    """The letters of one braid token, refused before they are built when
+    there are more than ``room`` of them."""
+    match = _BRAID_TOKEN.match(token)
+    delta = match is None
+    if delta:
+        match = _DELTA_TOKEN.match(token)
+        if match is None:
+            raise BraidSyntaxError(f"bad braid token {token!r}", pos)
+    exp = token_exponent(match, pos, BraidSyntaxError)
+    if not delta and match.group("shift") == "S":
+        exp = -exp
+    if (3 if delta else 1) * abs(exp) > room:
+        raise BraidSyntaxError(f"more than {MAX_BRAID_LETTERS} letters", pos)
+    if delta:
+        return half_twist_word(exp).letters
+    return _sigma_letters(int(match.group("gen")), exp)
 
 
 def parse_braid(text: str) -> BraidWord:
     """Parse braid text syntax; raises :class:`BraidSyntaxError` on bad tokens
     and on words of more than :data:`MAX_BRAID_LETTERS` letters."""
-    letters: list[tuple[int, int]] = []
+    # a text repeats few distinct tokens: decode each once for this call
+    runs: dict[str, tuple[tuple[int, int], ...]] = {}
+    order: list[tuple[tuple[int, int], ...]] = []
     size = 0
     for pos, token in enumerate(text.split()):
-        match = _BRAID_TOKEN.match(token)
-        if match is not None:
-            gen = int(match.group("gen"))
-            exp = token_exponent(match, pos, BraidSyntaxError)
-            if match.group("shift") == "S":
-                exp = -exp
-            size += abs(exp)
-            if size > MAX_BRAID_LETTERS:
-                raise BraidSyntaxError(f"more than {MAX_BRAID_LETTERS} letters", pos)
-            letters.extend(sigma_word(gen, exp).letters if exp else ())
-            continue
-        match = _DELTA_TOKEN.match(token)
-        if match is not None:
-            exp = token_exponent(match, pos, BraidSyntaxError)
-            size += 3 * abs(exp)
-            if size > MAX_BRAID_LETTERS:
-                raise BraidSyntaxError(f"more than {MAX_BRAID_LETTERS} letters", pos)
-            letters.extend(half_twist_word(exp).letters if exp else ())
-            continue
-        raise BraidSyntaxError(f"bad braid token {token!r}", pos)
-    return BraidWord(tuple(letters))
+        room = MAX_BRAID_LETTERS - size
+        run = runs.get(token)
+        if run is None or len(run) > room:
+            # a known run that no longer fits is decoded again, which raises
+            run = runs[token] = _token_letters(token, pos, room)
+        order.append(run)
+        size += len(run)
+    return BraidWord(tuple(chain.from_iterable(order)))
 
 
 def braid_to_text(b: BraidWord) -> str:
@@ -159,20 +169,29 @@ def braid_to_text(b: BraidWord) -> str:
     return " ".join(chunks)
 
 
-def _push_letter(stack: list[int], letter: int) -> None:
-    if letter == A_LETTER:
-        if stack and stack[-1] == A_LETTER:
-            stack.pop()
-        else:
-            stack.append(A_LETTER)
-    else:
-        if stack and stack[-1] != A_LETTER:
-            power = (stack[-1] + letter) % 3
-            stack.pop()
-            if power:
-                stack.append(power)
-        else:
-            stack.append(letter)
+#: Each letter's inverse, indexed by the letter.
+_INVERSE_LETTER = (A_LETTER, TT_LETTER, T_LETTER)
+_LETTER_NAMES = ("a", "t", "t2")
+
+
+def _push(stack: list, letters: Iterable[int]) -> None:
+    """Push coset letters onto ``stack``, a canonical word above a ``None``
+    sentinel, resolving ``a*a -> 1`` and ``t^i * t^j -> t^(i+j mod 3)``."""
+    append, pop = stack.append, stack.pop
+    for letter in letters:
+        top = stack[-1]
+        if letter:  # a power of t; A_LETTER is 0 and the sentinel is falsy
+            if top:
+                power = (top + letter) % 3
+                if power:
+                    stack[-1] = power
+                else:
+                    pop()
+                continue
+        elif top == A_LETTER:
+            pop()
+            continue
+        append(letter)
 
 
 @dataclass(frozen=True)
@@ -182,14 +201,21 @@ class CosetElement:
     letters: tuple[int, ...] = ()
 
     def __mul__(self, other: "CosetElement") -> "CosetElement":
-        stack = list(self.letters)
-        for letter in other.letters:
-            _push_letter(stack, letter)
-        return CosetElement(tuple(stack))
+        # both words are canonical, so letters cancel only at the junction:
+        # drop the inverse pairs there, then push the first letter left on
+        # the right onto the last one left on the left, which may merge two
+        # equal powers of t
+        left, right = self.letters, other.letters
+        n, most = 0, min(len(left), len(right))
+        while n < most and right[n] == _INVERSE_LETTER[left[-1 - n]]:
+            n += 1
+        cut = max(len(left) - n - 1, 0)
+        stack = [None, *left[cut : len(left) - n]]
+        _push(stack, right[n : n + 1])
+        return CosetElement(left[:cut] + tuple(stack[1:]) + right[n + 1 :])
 
     def inverse(self) -> "CosetElement":
-        inv = {A_LETTER: A_LETTER, T_LETTER: TT_LETTER, TT_LETTER: T_LETTER}
-        return CosetElement(tuple(inv[l] for l in reversed(self.letters)))
+        return CosetElement(tuple(_INVERSE_LETTER[l] for l in reversed(self.letters)))
 
     @property
     def is_identity(self) -> bool:
@@ -198,8 +224,7 @@ class CosetElement:
     def __str__(self) -> str:
         if not self.letters:
             return "e"
-        names = {A_LETTER: "a", T_LETTER: "t", TT_LETTER: "t2"}
-        return " ".join(names[l] for l in self.letters)
+        return " ".join(_LETTER_NAMES[l] for l in self.letters)
 
 
 IDENTITY = CosetElement()
@@ -215,11 +240,9 @@ _SIGMA_LETTERS = {
 
 def _coset(letters: Iterable[tuple[int, int]]) -> CosetElement:
     """The canonical coset of ``(generator, sign)`` letters, in one stack walk."""
-    stack: list[int] = []
-    for gen_sign in letters:
-        for letter in _SIGMA_LETTERS[gen_sign]:
-            _push_letter(stack, letter)
-    return CosetElement(tuple(stack))
+    stack = [None]
+    _push(stack, chain.from_iterable(map(_SIGMA_LETTERS.__getitem__, letters)))
+    return CosetElement(tuple(islice(stack, 1, None)))
 
 
 def evaluate(b: BraidWord) -> CosetElement:
@@ -266,12 +289,23 @@ def _compose(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
     return (q[p[0]], q[p[1]], q[p[2]])
 
 
+_PERMS = tuple(permutations(range(3)))
+#: ``_PERM_STEP[3 * i + letter]`` is ``3 * m`` for the permutation ``_PERMS[m]``
+#: of ``_PERMS[i]`` followed by ``letter``: one lookup per letter.
+_PERM_STEP = tuple(
+    3 * _PERMS.index(_compose(p, _PERM_LETTER[letter]))
+    for p in _PERMS
+    for letter in (A_LETTER, T_LETTER, TT_LETTER)
+)
+
+
 def s3_image(x: CosetElement) -> tuple[int, ...]:
     """The strand permutation of a coset element."""
-    perm = PERM_ID
+    code = 3 * _PERMS.index(PERM_ID)
+    step = _PERM_STEP
     for letter in x.letters:
-        perm = _compose(perm, _PERM_LETTER[letter])
-    return perm
+        code = step[code + letter]
+    return _PERMS[code // 3]
 
 
 # --- normal form ----------------------------------------------------------

@@ -94,6 +94,13 @@ def cmd_normalize(args) -> list[dict]:
 
 def cmd_syllables(args) -> list[dict]:
     deco = words.syllable_decompose(_parse_word_arg(args.text))
+    # merged exponents can outgrow the digits each token was checked for
+    for s in deco.syllables:
+        try:
+            str(s.degree)
+        except ValueError:
+            limit = sys.get_int_max_str_digits()
+            raise InputError(f"syllable degree has more than {limit} digits") from None
     return [
         {
             "index": i,

@@ -27,6 +27,7 @@ endpoints and ceiling on upper ones.
 
 from __future__ import annotations
 
+import math
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -198,9 +199,17 @@ def _zero_interval(lower_scale: Scale, upper_scale: Scale) -> BoundInterval:
 
 
 def _weight_interval(
-    w: words.FreeWord, lower_scale: Scale, upper_scale: Scale
+    degrees: tuple[int, ...], lower_scale: Scale, upper_scale: Scale
 ) -> BoundInterval:
-    return BoundInterval(False, lower_weight(w), upper_weight(w), lower_scale, upper_scale)
+    # lower_weight and upper_weight of one syllable pass: prod(c d_k) = c^n prod(d_k)
+    product = math.prod(degrees)
+    return BoundInterval(
+        False,
+        LogInteger(3 ** len(degrees) * product),
+        LogInteger(4 ** len(degrees) * product),
+        lower_scale,
+        upper_scale,
+    )
 
 
 def extremal_length_bounds_word(w: words.FreeWord) -> BoundInterval:
@@ -211,7 +220,8 @@ def extremal_length_bounds_word(w: words.FreeWord) -> BoundInterval:
     """
     if w.num_terms <= 1:
         return _zero_interval(EXTREMAL_LOWER_SCALE, EXTREMAL_UPPER_SCALE)
-    return _weight_interval(w, EXTREMAL_LOWER_SCALE, EXTREMAL_UPPER_SCALE)
+    degrees = words.syllable_decompose(w).degrees()
+    return _weight_interval(degrees, EXTREMAL_LOWER_SCALE, EXTREMAL_UPPER_SCALE)
 
 
 def extremal_length_bounds_braid(
@@ -229,9 +239,8 @@ def extremal_length_bounds_braid(
     form = b if isinstance(b, braid.NormalForm) else braid.normal_form(b)
     if form.is_power_of_delta or form.b1.is_identity:
         return _zero_interval(EXTREMAL_LOWER_SCALE, EXTREMAL_UPPER_SCALE)
-    return _weight_interval(
-        braid.pure_projection(form), EXTREMAL_LOWER_SCALE, EXTREMAL_UPPER_SCALE
-    )
+    degrees = words.syllable_decompose(braid.pure_projection(form)).degrees()
+    return _weight_interval(degrees, EXTREMAL_LOWER_SCALE, EXTREMAL_UPPER_SCALE)
 
 
 def entropy_bounds(w: words.FreeWord) -> BoundInterval:
@@ -242,9 +251,10 @@ def entropy_bounds(w: words.FreeWord) -> BoundInterval:
     """
     if not words.is_cyclically_syllable_reduced(w):
         raise ValueError("word is not cyclically syllable reduced")
-    if len(words.syllable_decompose(w)) <= 1:
+    degrees = words.syllable_decompose(w).degrees()
+    if len(degrees) <= 1:
         raise ValueError("entropy bounds require more than one syllable")
-    return _weight_interval(w, ENTROPY_LOWER_SCALE, ENTROPY_UPPER_SCALE)
+    return _weight_interval(degrees, ENTROPY_LOWER_SCALE, ENTROPY_UPPER_SCALE)
 
 
 # --- rigorous decimal rendering -------------------------------------------

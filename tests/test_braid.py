@@ -61,6 +61,59 @@ def coset(text: str) -> CosetElement:
     return evaluate(parse_braid(text))
 
 
+def random_tokens(rng: random.Random, count: int) -> list[tuple[str, int, int]]:
+    """Braid tokens as ``(name, gen, exp)``; ``name`` is s, S or D (gen 0)."""
+    tokens = []
+    for _ in range(count):
+        name = rng.choice("sSsSD")
+        exp = rng.choice((None, 0, 1, -1, 2, -3, 4, -5))
+        tokens.append((name, 0 if name == "D" else rng.choice((1, 2)), exp))
+    return tokens
+
+
+def token_text(name: str, gen: int, exp: int | None) -> str:
+    head = "D" if name == "D" else f"{name}{gen}"
+    return head if exp is None else f"{head}^{exp}"
+
+
+def per_token_letters(tokens) -> tuple[tuple[int, int], ...]:
+    """One ``sigma_word``/``half_twist_word`` per token, concatenated."""
+    word = BraidWord()
+    for name, gen, exp in tokens:
+        exp = 1 if exp is None else exp
+        if name == "D":
+            word = word * half_twist_word(exp)
+        else:
+            word = word * sigma_word(gen, -exp if name == "S" else exp)
+    return word.letters
+
+
+def random_canonical(rng: random.Random, size: int) -> CosetElement:
+    """An alternating word of ``size`` letters, starting with either factor."""
+    letters = []
+    a_next = rng.random() < 0.5
+    for _ in range(size):
+        letters.append(0 if a_next else rng.choice((1, 2)))
+        a_next = not a_next
+    return CosetElement(tuple(letters))
+
+
+def push_one_at_a_time(x: CosetElement, y: CosetElement) -> CosetElement:
+    """The product that pushes every letter of ``y`` onto ``x`` by the rules."""
+    stack = list(x.letters)
+    for letter in y.letters:
+        if stack and letter == 0 and stack[-1] == 0:
+            stack.pop()
+        elif stack and letter != 0 and stack[-1] != 0:
+            power = (stack[-1] + letter) % 3
+            stack.pop()
+            if power:
+                stack.append(power)
+        else:
+            stack.append(letter)
+    return CosetElement(tuple(stack))
+
+
 def reference_normal_forms(x: CosetElement) -> list[NormalForm]:
     """Every factorization found by trying each leading letter and ``ell``.
 
@@ -129,6 +182,59 @@ class TestParsing:
             with pytest.raises(BraidSyntaxError, match="more than 10 letters"):
                 parse_braid(text)
 
+    def test_matches_per_token_expansion(self):
+        rng = random.Random(1301)
+        for _ in range(300):
+            tokens = random_tokens(rng, rng.randint(0, 40))
+            text = " ".join(token_text(*t) for t in tokens)
+            assert parse_braid(text).letters == per_token_letters(tokens)
+
+    def test_zero_exponents_and_negative_half_twists(self):
+        assert parse_braid("s1^0 S2^0 D^0") == BraidWord()
+        for k in range(1, 5):
+            assert parse_braid(f"D^-{k}") == half_twist_word(-k)
+            assert parse_braid(f"s2 D^-{k} s2").letters == (
+                ((2, 1),) + half_twist_word(-k).letters + ((2, 1),)
+            )
+
+    def test_bad_token_position_after_repeated_tokens(self):
+        rng = random.Random(1302)
+        for _ in range(50):
+            tokens = [token_text(*t) for t in random_tokens(rng, rng.randint(1, 20))]
+            pos = rng.randint(0, len(tokens))
+            bad = rng.choice(("s3", "d", "s1^", "q2", "D1", "S1^x"))
+            tokens.insert(pos, bad)
+            with pytest.raises(BraidSyntaxError) as err:
+                parse_braid(" ".join(tokens))
+            assert err.value.position == pos
+            assert str(err.value) == f"bad braid token {bad!r} (at token {pos})"
+
+    @pytest.mark.parametrize(
+        "text, fits",
+        [
+            ("s1^1000000", True),
+            ("S2^1000001", False),
+            ("s1^500000 S2^-500000", True),
+            ("s1^500000 s1^500000 s2", False),
+            ("D^333333 s1", True),
+            ("D^333333 s1^2", False),
+            (" ".join(["s1^250000"] * 4), True),
+            (" ".join(["s1^250000"] * 5), False),
+            (" ".join(["D^-1"] * 333333 + ["s2"]), True),
+            (" ".join(["D^-1"] * 333334), False),
+        ],
+    )
+    def test_letter_ceiling_at_the_limit(self, text, fits):
+        # at the real ceiling, in one token and spread over repeated tokens
+        assert braid.MAX_BRAID_LETTERS == 10**6
+        if fits:
+            assert len(parse_braid(text)) == 10**6
+            return
+        with pytest.raises(BraidSyntaxError) as err:
+            parse_braid(text)
+        assert err.value.position == len(text.split()) - 1
+        assert str(err.value).startswith("more than 1000000 letters")
+
     def test_huge_exponent_refused_before_expanding(self):
         start = time.perf_counter()
         with pytest.raises(BraidSyntaxError):
@@ -177,6 +283,29 @@ class TestCosetAlgebra:
         for u, v in zip(ls, ls[1:]):
             assert (u == 0) != (v == 0)
 
+    def test_product_matches_pushing_one_letter_at_a_time(self):
+        rng = random.Random(1303)
+        for _ in range(2000):
+            x = random_canonical(rng, rng.randint(0, 12))
+            y = random_canonical(rng, rng.randint(0, 12))
+            assert x * y == push_one_at_a_time(x, y)
+            # cancel a random suffix of x before y goes on
+            cut = CosetElement(x.letters[rng.randint(0, len(x.letters)):]).inverse()
+            z = cut * y
+            assert x * z == push_one_at_a_time(x, z)
+
+    def test_product_full_cancellation_and_merges(self):
+        rng = random.Random(1304)
+        for size in range(12):
+            x = random_canonical(rng, size)
+            assert x * x.inverse() == IDENTITY == x.inverse() * x
+        t, tt = CosetElement((1,)), CosetElement((2,))
+        assert t * t == tt and tt * tt == t and t * tt == IDENTITY
+        # two pairs cancel, then t^2 t^2 merges: (a t^2 a t)(t^2 a t^2 a) = a t a
+        x = CosetElement((0, 2, 0, 1))
+        y = CosetElement((2, 0, 2, 0))
+        assert x * y == CosetElement((0, 1, 0)) == push_one_at_a_time(x, y)
+
     def test_sigma_power_matches_iteration(self):
         for gen in (1, 2):
             for exp in range(-6, 7):
@@ -200,6 +329,15 @@ class TestSymmetricImage:
         assert s3_image(coset("s1")) == (1, 0, 2)
         assert s3_image(coset("s2")) == (0, 2, 1)
         assert s3_image(coset("s1^2")) == (0, 1, 2)
+
+    def test_table_matches_composition_fold(self):
+        rng = random.Random(1305)
+        for _ in range(500):
+            x = random_canonical(rng, rng.randint(0, 40))
+            perm = PERM_ID
+            for letter in x.letters:
+                perm = braid._compose(perm, braid._PERM_LETTER[letter])
+            assert s3_image(x) == perm
 
 
 class TestPureEmbedding:

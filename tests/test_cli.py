@@ -89,6 +89,17 @@ class TestSyllables:
             f"error: bad word {text!r}: exponent has more than {limit} digits (at token 1)\n"
         )
 
+    @pytest.mark.parametrize("fmt", ["json", "csv", "plain"])
+    def test_merged_degree_past_int_digit_limit_exits_2(self, capsys, fmt):
+        # each exponent parses, but the two terms merge into one degree
+        limit = sys.get_int_max_str_digits()
+        nines = "9" * limit
+        code = main(["syllables", f"a1^{nines} a1^{nines}", "--format", fmt])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == f"error: syllable degree has more than {limit} digits\n"
+
 
 class TestTheta:
     def test_projection(self, capsys):

@@ -1,6 +1,7 @@
 """Bound intervals: weights, scales, rigorous decimal endpoints."""
 
 import os
+import random
 from decimal import Decimal
 from fractions import Fraction
 
@@ -8,7 +9,14 @@ import mpmath
 import pytest
 from hypothesis import given, strategies as st
 
-from braidcount.braid import HALF_TWIST, evaluate, normal_form, parse_braid
+from braidcount.braid import (
+    HALF_TWIST,
+    BraidWord,
+    evaluate,
+    normal_form,
+    parse_braid,
+    pure_projection,
+)
 from braidcount.invariants import (
     DEFAULT_PRECISION_BITS,
     ENTROPY_LOWER_SCALE,
@@ -28,7 +36,7 @@ from braidcount.invariants import (
     upper_weight,
     working_precision,
 )
-from braidcount.words import parse_word, syllable_decompose
+from braidcount.words import FreeWord, cyclic_reduce, parse_word, syllable_decompose
 
 degree_lists = st.lists(st.integers(min_value=1, max_value=9), min_size=1, max_size=6)
 
@@ -72,6 +80,54 @@ class TestWeights:
         assert ENTROPY_LOWER_SCALE == Scale(Fraction(1, 4), 0)
         assert ENTROPY_UPPER_SCALE == Scale(Fraction(150), 1)
         assert ENTROPY_PER_EXTREMAL_LENGTH == Scale(Fraction(1, 2), 1)
+
+
+class TestLogArguments:
+    """Every bound takes its log arguments from one syllable pass; they must
+    equal the public ``lower_weight``/``upper_weight`` of the same word."""
+
+    @staticmethod
+    def random_word(rng: random.Random, terms: int):
+        gen = rng.choice((1, 2))
+        raw = []
+        for _ in range(terms):
+            raw.append((gen, rng.choice((-4, -3, -2, -1, -1, 1, 1, 2, 3, 4))))
+            gen = 3 - gen
+        return FreeWord(tuple(raw))
+
+    def test_word_bounds(self):
+        rng = random.Random(1306)
+        for _ in range(300):
+            w = self.random_word(rng, rng.randint(2, 60))
+            iv = extremal_length_bounds_word(w)
+            assert (iv.lower_log_arg, iv.upper_log_arg) == (lower_weight(w), upper_weight(w))
+
+    def test_entropy_bounds(self):
+        rng = random.Random(1307)
+        checked = 0
+        for _ in range(300):
+            core, _ = cyclic_reduce(self.random_word(rng, rng.randint(2, 60)))
+            try:
+                iv = entropy_bounds(core)
+            except ValueError:
+                continue
+            checked += 1
+            assert (iv.lower_log_arg, iv.upper_log_arg) == (
+                lower_weight(core), upper_weight(core)
+            )
+        assert checked > 100
+
+    def test_braid_bounds(self):
+        rng = random.Random(1308)
+        for _ in range(300):
+            size = rng.randint(0, 80)
+            letters = [(rng.choice((1, 2)), rng.choice((1, -1))) for _ in range(size)]
+            form = normal_form(BraidWord(tuple(letters)))
+            iv = extremal_length_bounds_braid(form)
+            if iv.exact_zero:
+                continue
+            w = pure_projection(form)
+            assert (iv.lower_log_arg, iv.upper_log_arg) == (lower_weight(w), upper_weight(w))
 
 
 class TestWordBounds:
