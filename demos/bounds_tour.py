@@ -37,5 +37,5 @@ w = parse_word("a1^2 a2^2")
 print(f"  extremal length of {w}: {extremal_length_bounds_word(w)}")
 print(f"  entropy of {w}:         {entropy_bounds(w)}")
 print()
-print("Set BRAIDCOUNT_PRECISION to change the working precision in bits;")
-print("endpoints are always rounded outward, so the interval stays true.")
+print("Endpoints are computed at 128 bits and rounded outward, so every")
+print("printed interval encloses the exact value.")

@@ -41,7 +41,7 @@ _PUBLIC = {
     "invariants": (
         "BoundInterval", "LogInteger", "Scale", "entropy_bounds",
         "extremal_length_bounds_braid", "extremal_length_bounds_word",
-        "lower_weight", "upper_weight", "working_precision",
+        "lower_weight", "upper_weight",
     ),
     "words": (
         "FreeWord", "Syllable", "SyllableDecomposition", "WordSyntaxError",

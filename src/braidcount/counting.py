@@ -34,7 +34,7 @@ from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
-from math import factorial, isqrt, log
+from math import factorial, isqrt
 from operator import mul, sub
 
 from .invariants import endpoint_fraction, interval_precision
@@ -354,30 +354,23 @@ def bound_words(x: int) -> WordBoundChain:
 
 # --- thresholds from exponential form ---------------------------------------
 
-#: A power with rational exponent in ``Y`` whose exact value would exceed
-#: this many bits (about 3000 digits) is refused when parsed.
-MAX_POWER_BITS = 10**4
-#: Largest ``Y`` that :func:`threshold_from_y` takes: ``e^Y`` then has at
-#: most ``MAX_POWER_BITS`` bits.
-MAX_THRESHOLD_Y = MAX_POWER_BITS * log(2)
-
 
 def threshold_from_y(y) -> int:
     """The exact integer floor of e^y, for any y that :func:`exactlog.from_value` takes.
 
     The floor is certified by :mod:`braidcount.exactlog`: interval
     enclosures at doubling precision, and an exact form where ``e^y`` is
-    an integer.  A ``y`` whose value exceeds :data:`MAX_THRESHOLD_Y`
+    an integer.  A ``y`` whose value exceeds :data:`exactlog.MAX_THRESHOLD_Y`
     (about 6931.5) or lies beyond what an enclosure represents, and a
     negative ``y``, raise ValueError before ``e^y`` is evaluated.
     """
     from . import exactlog
 
     node = exactlog.from_value(y)
-    if exactlog.estimate(node) > MAX_THRESHOLD_Y:
+    if exactlog.estimate(node) > exactlog.MAX_THRESHOLD_Y:
         raise ValueError(
-            f"Y = {y} is out of range: e^Y must stay within {MAX_POWER_BITS} bits "
-            f"(Y at most {MAX_THRESHOLD_Y:.1f})"
+            f"Y = {y} is out of range: e^Y must stay within {exactlog.MAX_POWER_BITS} bits "
+            f"(Y at most {exactlog.MAX_THRESHOLD_Y:.1f})"
         )
     if exactlog.sign(node) < 0:
         raise ValueError("exponent must be nonnegative")

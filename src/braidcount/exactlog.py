@@ -34,10 +34,19 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt
 
-from .counting import MAX_POWER_BITS  # also kept symbolic in exact forms
-from .invariants import MAX_PRECISION_BITS as MAX_PRECISION
 from .invariants import endpoint_fraction, interval_precision
 
+#: A power with rational exponent in ``Y`` whose exact value would exceed
+#: this many bits (about 3000 digits) is refused when parsed; larger powers
+#: of integers also stay symbolic in exact forms.
+MAX_POWER_BITS = 10**4
+#: Largest ``Y`` that :func:`counting.threshold_from_y` takes: ``e^Y`` then
+#: has at most ``MAX_POWER_BITS`` bits.
+MAX_THRESHOLD_Y = MAX_POWER_BITS * math.log(2)
+#: Largest precision in bits of a certificate.  It leaves room above the
+#: 10^4 bits of the largest threshold ``e^Y``.  On a 2-core host ``bounds``
+#: took 0.3 s at this precision and did not finish in 60 s at 10^6 bits.
+MAX_PRECISION = 1 << 15
 _EXP_LIMIT = 1 << 20  # exp beyond +-this is enclosed by [0, ...] or [..., inf]
 _MAX_TERMS = 64  # a product with more terms becomes one opaque atom
 
@@ -526,8 +535,10 @@ def _iv_exp(iv, x):
     inner = iv.exp(iv.mpf([low, high]))
     low, high = inner.a, inner.b
     if x.a < -_EXP_LIMIT:
-        # e^a >= 2^floor(1.4427 a) for a < 0, as 1.4427 > 1/log(2)
-        a = _ends(x)[0]
+        # e^a >= 2^floor(1.4427 a) for a < 0, as 1.4427 > 1/log(2); a = -inf,
+        # or an a of more than _EXP_LIMIT bits, too big for a fraction, keeps 0
+        _, _, exp, bc = x._mpi_[0]
+        a = _ends(x)[0] if exp + bc <= _EXP_LIMIT else None
         low = 0 if a is None else mpf((0, 1, math.floor(a * Fraction(14427, 10000)), 1))
     if x.b > _EXP_LIMIT:
         high = "inf"  # the value lies beyond any threshold or report
@@ -597,13 +608,26 @@ def _enclose(node: Node, iv):
 # --- certificates -----------------------------------------------------------
 
 
+def _special(t: tuple) -> bool:
+    """An infinity or nan: mpmath marks those by a zero mantissa and a
+    negative bit count."""
+    return not t[1] and t[3] < 0
+
+
 def _ends(x) -> tuple[Fraction | None, Fraction | None]:
     """Both endpoints of an enclosure exactly, None for an infinity or nan."""
-    # mpmath marks those by a zero mantissa and a negative bit count
     return tuple(
-        None if not t[1] and t[3] < 0 else endpoint_fraction(x, side)
+        None if _special(t) else endpoint_fraction(x, side)
         for t, side in zip(x._mpi_, ("lower", "upper"))
     )
+
+
+def _floors(x) -> tuple[int | None, int | None]:
+    """The floors of both endpoints of an enclosure, None for an infinity or
+    nan; taken from the raw tuples, so a far tiny end costs no fraction."""
+    from mpmath.libmp import round_floor, to_int
+
+    return tuple(None if _special(t) else to_int(t, round_floor) for t in x._mpi_)
 
 
 def _certify(node: Node, decide, settle=None, start: int = 64):
@@ -634,9 +658,10 @@ def estimate(node: Node) -> float:
     from mpmath.libmp import to_float
 
     def decide(x, iv):
+        # to_float saturates an end beyond the float range to +-inf
         low, high = (to_float(t) for t in x._mpi_)
         mid = (low + high) / 2
-        return math.inf if math.isnan(mid) or None in _ends(x) else mid
+        return math.inf if math.isnan(mid) or any(map(_special, x._mpi_)) else mid
 
     return _certify(node, decide)
 
@@ -654,10 +679,8 @@ def floor(node: Node) -> int:
     """The exact floor of the value."""
 
     def decide(x, iv):
-        low, high = _ends(x)
-        if low is not None and high is not None and math.floor(low) == math.floor(high):
-            return math.floor(low)
-        return None
+        low, high = _floors(x)
+        return low if low == high else None
 
     def settle(form, x):
         q = _rational(form)
@@ -670,10 +693,8 @@ def floor_exp(node: Node) -> int:
     """The exact floor of ``e^value``; the caller bounds the value first."""
 
     def decide(x, iv):
-        low, high = _ends(_iv_exp(iv, x))
-        if low is not None and high is not None and math.floor(low) == math.floor(high):
-            return math.floor(low)
-        return None
+        low, high = _floors(_iv_exp(iv, x))
+        return low if low == high else None
 
     def settle(form, x):
         # e^Y is the integer prod(b^k) when Y is a sum of k log b, k >= 0

@@ -20,15 +20,14 @@ The entropy of a conjugacy class equals pi/2 times its extremal
 length; :data:`ENTROPY_PER_EXTREMAL_LENGTH` records the conversion.
 
 Decimal rendering of interval endpoints is rigorous: evaluation uses
-interval arithmetic at ``BRAIDCOUNT_PRECISION`` bits (default 128) and
-the printed 12-digit decimals are rounded outward, floor on lower
-endpoints and ceiling on upper ones.
+interval arithmetic at a fixed 128 bits and the printed 12-digit
+decimals are rounded outward, floor on lower endpoints and ceiling on
+upper ones.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from contextlib import contextmanager
 from dataclasses import dataclass
 from decimal import Context, Decimal, ROUND_CEILING, ROUND_FLOOR
@@ -38,37 +37,19 @@ from functools import total_ordering
 from . import braid, words
 
 DISPLAY_DIGITS = 12
-DEFAULT_PRECISION_BITS = 128
-#: Largest working precision in bits, for ``BRAIDCOUNT_PRECISION`` and for
-#: the certificates of :mod:`braidcount.exactlog`.  It leaves room above the
-#: 10^4 bits of the largest threshold ``e^Y``.  On a 2-core host ``bounds``
-#: took 0.3 s at this precision and did not finish in 60 s at 10^6 bits.
-MAX_PRECISION_BITS = 1 << 15
-
-
-def working_precision() -> int:
-    """Interval-arithmetic precision in bits; BRAIDCOUNT_PRECISION overrides."""
-    raw = os.environ.get("BRAIDCOUNT_PRECISION")
-    if raw is None:
-        return DEFAULT_PRECISION_BITS
-    try:
-        bits = int(raw)
-    except ValueError:
-        bits = None
-    if bits is None or not 8 <= bits <= MAX_PRECISION_BITS:
-        raise ValueError(
-            f"BRAIDCOUNT_PRECISION must be an integer from 8 to {MAX_PRECISION_BITS} bits, "
-            f"got {raw!r}"
-        )
-    return bits
 
 
 @contextmanager
-def interval_precision(bits: int | None = None):
-    """``mpmath.iv`` at ``bits`` (default :func:`working_precision`), restored on exit."""
+def interval_precision(bits: int = 128):
+    """``mpmath.iv`` at ``bits``, restored on exit.
+
+    The default serves the bound columns and analytic bounds: outward
+    rounding makes every printed decimal a true bound, and 128 bits keep
+    its 12 digits sharp.
+    """
     import mpmath  # loaded on first use: bounds and certificates need it, parsing not
 
-    old, mpmath.iv.prec = mpmath.iv.prec, working_precision() if bits is None else bits
+    old, mpmath.iv.prec = mpmath.iv.prec, bits
     try:
         yield mpmath.iv
     finally:
@@ -153,28 +134,25 @@ def upper_weight(w: words.FreeWord) -> LogInteger:
 class BoundInterval:
     """A two-sided enclosure ``[lower_scale*log(P-), upper_scale*log(P+)]``.
 
-    ``exact_zero`` intervals pin the invariant to exactly zero; their log
-    arguments are 1 so both endpoints evaluate to 0.
+    It pins the invariant to exactly zero when both log arguments are 1.
     """
 
-    exact_zero: bool
     lower_log_arg: LogInteger
     upper_log_arg: LogInteger
     lower_scale: Scale
     upper_scale: Scale
 
-    def __post_init__(self):
-        if self.exact_zero:
-            if not (self.lower_log_arg.is_zero and self.upper_log_arg.is_zero):
-                raise ValueError("exact-zero interval must carry trivial logs")
+    @property
+    def exact_zero(self) -> bool:
+        return self.lower_log_arg.is_zero and self.upper_log_arg.is_zero
 
     def lower_decimal(self) -> str:
-        if self.exact_zero or self.lower_log_arg.is_zero:
+        if self.lower_log_arg.is_zero:
             return "0"
         return scaled_log_decimal(self.lower_scale, self.lower_log_arg, "lower")
 
     def upper_decimal(self) -> str:
-        if self.exact_zero or self.upper_log_arg.is_zero:
+        if self.upper_log_arg.is_zero:
             return "0"
         return scaled_log_decimal(self.upper_scale, self.upper_log_arg, "upper")
 
@@ -195,7 +173,7 @@ class BoundInterval:
 
 
 def _zero_interval(lower_scale: Scale, upper_scale: Scale) -> BoundInterval:
-    return BoundInterval(True, LogInteger(1), LogInteger(1), lower_scale, upper_scale)
+    return BoundInterval(LogInteger(1), LogInteger(1), lower_scale, upper_scale)
 
 
 def _weight_interval(
@@ -204,7 +182,6 @@ def _weight_interval(
     # lower_weight and upper_weight of one syllable pass: prod(c d_k) = c^n prod(d_k)
     product = math.prod(degrees)
     return BoundInterval(
-        False,
         LogInteger(3 ** len(degrees) * product),
         LogInteger(4 ** len(degrees) * product),
         lower_scale,

@@ -308,7 +308,17 @@ SUITES = {
 
 
 def run_suites(names: list[str], **limits) -> list[CheckResult]:
-    _check_limits(**limits)  # before any suite runs
+    """The rows of the named suites in order; ``"all"`` runs every suite.
+
+    An unknown name or a limit out of range raises ValueError before any
+    suite runs.
+    """
+    for name in names:
+        if name != "all" and name not in SUITES:
+            raise ValueError(f"unknown suite {name!r}: choose from all, {', '.join(SUITES)}")
+    _check_limits(**limits)
+    if "all" in names:
+        names = list(SUITES)
     rows: list[CheckResult] = []
     for name in names:
         rows.extend(SUITES[name](limits))

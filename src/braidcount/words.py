@@ -94,13 +94,6 @@ class FreeWord:
     def __str__(self) -> str:
         return word_to_text(self)
 
-    def letters(self) -> Iterator[tuple[int, int]]:
-        """Yield the word one (generator, +-1) letter at a time."""
-        for gen, exp in self.terms:
-            sign = 1 if exp > 0 else -1
-            for _ in range(abs(exp)):
-                yield gen, sign
-
 
 _WORD_TOKEN = re.compile(r"(?P<shift>[aA])(?P<gen>[12])(?:\^(?P<exp>-?\d+))?\Z")
 

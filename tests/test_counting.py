@@ -396,7 +396,7 @@ class TestThresholds:
         assert time.perf_counter() - start < 1.0
 
     def test_accepts_y_below_the_bit_limit(self):
-        assert counting.MAX_THRESHOLD_Y > 3300 * math.log(8)
+        assert exactlog.MAX_THRESHOLD_Y > 3300 * math.log(8)
         assert threshold_from_y("3300*log(8)") == 8**3300
 
     @pytest.mark.parametrize("y", ["log(-1)", "1/0", "sqrt(-2)", sympy.log(-1), float("nan")])

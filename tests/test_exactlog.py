@@ -97,6 +97,19 @@ class TestCertificates:
         assert estimate(parse("exp(-10**7)")) == 0.0
         assert sign(parse("exp(-10**7)")) == 1
 
+    @pytest.mark.parametrize("text, value_floor, exp_floor", [
+        ("exp(-E**40)", 0, 1),  # an enclosure end near 2^(-3.4*10^17)
+        ("-exp(-E**40)", -1, None),  # e^Y just below 1 cannot be separated
+        ("2 + 7*exp(-E**7000)", 2, 7),
+    ])
+    def test_floors_of_far_tiny_values_are_quick(self, text, value_floor, exp_floor):
+        # floors are read off the enclosure, never off an exact fraction of it
+        start = time.perf_counter()
+        assert floor(parse(text)) == value_floor
+        if exp_floor is not None:
+            assert floor_exp(parse(text)) == exp_floor
+        assert time.perf_counter() - start < 1.0
+
     def test_unsettled_tie_is_refused_quickly(self):
         # (1 + pi)^2 stays one opaque atom, so log(4) in disguise never settles
         start = time.perf_counter()

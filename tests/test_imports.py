@@ -181,6 +181,20 @@ def test_word_commands_execute_no_counting_module(argv):
     assert not ran & {"counting", "classes"}
 
 
+def test_report_executes_no_counting_module():
+    _, ran = executed(["report", "lambda", "--Y", "600*log(8)"])
+    assert "classes" in ran and "counting" not in ran
+
+
+@pytest.mark.parametrize("argv", [
+    ["normalize", "s1^2 s2^2"],
+    ["count", "words", "--X", "1000"],
+])
+def test_only_verify_executes_the_verify_module(argv):
+    _, ran = executed(argv)
+    assert "verify" not in ran
+
+
 def test_public_names_are_the_submodule_objects():
     star = {}
     exec("from braidcount import *", star)

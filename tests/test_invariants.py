@@ -18,7 +18,6 @@ from braidcount.braid import (
     pure_projection,
 )
 from braidcount.invariants import (
-    DEFAULT_PRECISION_BITS,
     ENTROPY_LOWER_SCALE,
     ENTROPY_PER_EXTREMAL_LENGTH,
     ENTROPY_UPPER_SCALE,
@@ -34,7 +33,6 @@ from braidcount.invariants import (
     lower_weight,
     scaled_log_decimal,
     upper_weight,
-    working_precision,
 )
 from braidcount.words import FreeWord, cyclic_reduce, parse_word, syllable_decompose
 
@@ -249,23 +247,6 @@ class TestDecimals:
             truth = mpmath.log(arg) / (2 * mpmath.pi)
             assert lo <= Fraction(mpmath.nstr(truth, 40)) <= hi
         assert (hi - lo) / hi < Fraction(1, 10**9)
-
-    def test_precision_env_var(self, monkeypatch):
-        monkeypatch.delenv("BRAIDCOUNT_PRECISION", raising=False)
-        assert working_precision() == DEFAULT_PRECISION_BITS
-        monkeypatch.setenv("BRAIDCOUNT_PRECISION", "64")
-        assert working_precision() == 64
-        monkeypatch.setenv("BRAIDCOUNT_PRECISION", "4")
-        with pytest.raises(ValueError):
-            working_precision()
-
-    def test_low_precision_still_encloses(self, monkeypatch):
-        monkeypatch.setenv("BRAIDCOUNT_PRECISION", "16")
-        lo = Fraction(scaled_log_decimal(EXTREMAL_UPPER_SCALE, LogInteger(8), "lower"))
-        hi = Fraction(scaled_log_decimal(EXTREMAL_UPPER_SCALE, LogInteger(8), "upper"))
-        with mpmath.workprec(128):
-            truth = Fraction(mpmath.nstr(300 * mpmath.log(8), 40))
-        assert lo <= truth <= hi
 
     def test_interval_json_keys(self):
         iv = extremal_length_bounds_word(parse_word("a1 a2"))
