@@ -47,7 +47,7 @@ _PUBLIC = {
         "FreeWord", "Syllable", "SyllableDecomposition", "WordSyntaxError",
         "cyclic_reduce", "free_conjugator", "is_cyclically_reduced",
         "is_cyclically_syllable_reduced", "parse_word", "syllable_decompose",
-        "word_to_text",
+        "syllable_degrees", "word_to_text",
     ),
 }
 _HOME = {name: module for module, names in _PUBLIC.items() for name in names}

@@ -47,7 +47,10 @@ MAX_THRESHOLD_Y = MAX_POWER_BITS * math.log(2)
 #: 10^4 bits of the largest threshold ``e^Y``.  On a 2-core host ``bounds``
 #: took 0.3 s at this precision and did not finish in 60 s at 10^6 bits.
 MAX_PRECISION = 1 << 15
-_EXP_LIMIT = 1 << 20  # exp beyond +-this is enclosed by [0, ...] or [..., inf]
+_EXP_LIMIT = 1 << 20  # exp beyond +-this is enclosed by [tiny, ...] or [..., inf]
+#: e^a for an a of up to this many bits below -_EXP_LIMIT keeps a positive
+#: lower end, whose exponent is an int of as many bits (2 MB)
+_TINY_EXP_BITS = 1 << 24
 _MAX_TERMS = 64  # a product with more terms becomes one opaque atom
 
 _FUNCTIONS = frozenset({"log", "exp", "sqrt"})
@@ -535,11 +538,18 @@ def _iv_exp(iv, x):
     inner = iv.exp(iv.mpf([low, high]))
     low, high = inner.a, inner.b
     if x.a < -_EXP_LIMIT:
-        # e^a >= 2^floor(1.4427 a) for a < 0, as 1.4427 > 1/log(2); a = -inf,
-        # or an a of more than _EXP_LIMIT bits, too big for a fraction, keeps 0
-        _, _, exp, bc = x._mpi_[0]
-        a = _ends(x)[0] if exp + bc <= _EXP_LIMIT else None
-        low = 0 if a is None else mpf((0, 1, math.floor(a * Fraction(14427, 10000)), 1))
+        # e^a >= 2^floor(1.4427 a) for a < 0, as 1.4427 > 1/log(2); the floor
+        # is taken in ints from the raw tuple of a = -man * 2^exp, so it
+        # builds no fraction; a = -inf, or an a of more than _TINY_EXP_BITS
+        # bits, keeps 0
+        end = x._mpi_[0]
+        _, man, exp, bc = end
+        if _special(end) or exp + bc > _TINY_EXP_BITS:
+            low = 0
+        else:
+            num = -man * 14427
+            log2_low = (num << exp) // 10000 if exp >= 0 else num // (10000 << -exp)
+            low = mpf((0, 1, log2_low, 1))
     if x.b > _EXP_LIMIT:
         high = "inf"  # the value lies beyond any threshold or report
     return iv.mpf([low, high])
@@ -620,6 +630,13 @@ def _ends(x) -> tuple[Fraction | None, Fraction | None]:
         None if _special(t) else endpoint_fraction(x, side)
         for t, side in zip(x._mpi_, ("lower", "upper"))
     )
+
+
+def _fraction_sized(x) -> bool:
+    """True when both ends of an enclosure are finite and within
+    2^+-_EXP_LIMIT, so their exact fractions are small enough to build;
+    read from the raw tuples, so it builds no fraction."""
+    return not any(_special(t) or abs(t[2] + t[3]) > _EXP_LIMIT for t in x._mpi_)
 
 
 def _floors(x) -> tuple[int | None, int | None]:
@@ -723,10 +740,9 @@ def ceil_decimal(node: Node, digits: int) -> str:
         return str(Decimal((sign, shown + (0,) * pad, exponent - pad)))
 
     def decide(x, iv):
-        low, high = _ends(x)
-        if low is None or high is None:
+        if not _fraction_sized(x):
             return None
-        low, high = ceil(low), ceil(high)
+        low, high = (ceil(end) for end in _ends(x))
         return low if low == high else None
 
     def settle(form, x):

@@ -197,7 +197,7 @@ def extremal_length_bounds_word(w: words.FreeWord) -> BoundInterval:
     """
     if w.num_terms <= 1:
         return _zero_interval(EXTREMAL_LOWER_SCALE, EXTREMAL_UPPER_SCALE)
-    degrees = words.syllable_decompose(w).degrees()
+    degrees = words.syllable_degrees(w)
     return _weight_interval(degrees, EXTREMAL_LOWER_SCALE, EXTREMAL_UPPER_SCALE)
 
 
@@ -216,7 +216,7 @@ def extremal_length_bounds_braid(
     form = b if isinstance(b, braid.NormalForm) else braid.normal_form(b)
     if form.is_power_of_delta or form.b1.is_identity:
         return _zero_interval(EXTREMAL_LOWER_SCALE, EXTREMAL_UPPER_SCALE)
-    degrees = words.syllable_decompose(braid.pure_projection(form)).degrees()
+    degrees = words.syllable_degrees(braid.pure_projection(form))
     return _weight_interval(degrees, EXTREMAL_LOWER_SCALE, EXTREMAL_UPPER_SCALE)
 
 
@@ -228,7 +228,7 @@ def entropy_bounds(w: words.FreeWord) -> BoundInterval:
     """
     if not words.is_cyclically_syllable_reduced(w):
         raise ValueError("word is not cyclically syllable reduced")
-    degrees = words.syllable_decompose(w).degrees()
+    degrees = words.syllable_degrees(w)
     if len(degrees) <= 1:
         raise ValueError("entropy bounds require more than one syllable")
     return _weight_interval(degrees, ENTROPY_LOWER_SCALE, ENTROPY_UPPER_SCALE)

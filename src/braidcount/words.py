@@ -108,19 +108,25 @@ def token_exponent(match: re.Match, pos: int, error: type[ValueError]) -> int:
         raise error(f"exponent has more than {limit} digits", pos) from None
 
 
+def _token_term(token: str, pos: int) -> tuple[int, int]:
+    """The term of one word token; ``pos`` places a syntax error."""
+    match = _WORD_TOKEN.match(token)
+    if match is None:
+        raise WordSyntaxError(f"bad word token {token!r}", pos)
+    exp = token_exponent(match, pos, WordSyntaxError)
+    return int(match.group("gen")), -exp if match.group("shift") == "A" else exp
+
+
 def parse_word(text: str) -> FreeWord:
     """Parse word text syntax; raises :class:`WordSyntaxError` on bad tokens."""
-    raw: list[tuple[int, int]] = []
-    for pos, token in enumerate(text.split()):
-        match = _WORD_TOKEN.match(token)
-        if match is None:
-            raise WordSyntaxError(f"bad word token {token!r}", pos)
-        gen = int(match.group("gen"))
-        exp = token_exponent(match, pos, WordSyntaxError)
-        if match.group("shift") == "A":
-            exp = -exp
-        raw.append((gen, exp))
-    return FreeWord.from_terms(raw)
+    # a text repeats few distinct tokens: decode each once for this call, in
+    # order of first appearance, so the first bad token raises at its position
+    tokens = text.split()
+    terms: dict[str, tuple[int, int]] = {}
+    for pos, token in enumerate(tokens):
+        if token not in terms:
+            terms[token] = _token_term(token, pos)
+    return FreeWord.from_terms(map(terms.__getitem__, tokens))
 
 
 def word_to_text(w: FreeWord) -> str:
@@ -184,33 +190,49 @@ class SyllableDecomposition:
         return tuple(out)
 
 
+def _syllable_runs(
+    terms: Iterable[tuple[int, int]],
+) -> Iterator[tuple[str, int, int, int]]:
+    """``(kind, degree, sign, start)`` of each syllable, in one pass over the
+    terms; like :class:`Syllable`, refuses a syllable that starts with a
+    generator outside {1, 2} or with exponent 0."""
+    run_start = run_sign = run_len = 0
+    for gen, exp in terms:
+        if abs(exp) >= 2:
+            if gen not in GENERATORS:
+                raise ValueError("malformed syllable")
+            if run_len:
+                yield SECOND_KIND, run_len, run_sign, run_start
+                run_len = 0
+            yield FIRST_KIND, abs(exp), 1 if exp > 0 else -1, gen
+        elif run_len and run_sign == exp:
+            run_len += 1
+        else:
+            if gen not in GENERATORS or not exp:
+                raise ValueError("malformed syllable")
+            if run_len:
+                yield SECOND_KIND, run_len, run_sign, run_start
+            run_start, run_sign, run_len = gen, exp, 1
+    if run_len:
+        yield SECOND_KIND, run_len, run_sign, run_start
+
+
 def syllable_decompose(w: FreeWord) -> SyllableDecomposition:
     """Split a reduced word into its unique syllable sequence."""
-    syllables: list[Syllable] = []
-    run_start = 0
-    run_sign = 0
-    run_len = 0
-
-    def close_run() -> None:
-        nonlocal run_len
-        if run_len:
-            syllables.append(Syllable(SECOND_KIND, run_len, run_sign, run_start))
-            run_len = 0
-
-    for gen, exp in w.terms:
-        if abs(exp) >= 2:
-            close_run()
-            syllables.append(
-                Syllable(FIRST_KIND, abs(exp), 1 if exp > 0 else -1, gen)
-            )
-        else:
-            if run_len and run_sign == exp:
-                run_len += 1
-            else:
-                close_run()
-                run_start, run_sign, run_len = gen, exp, 1
-    close_run()
+    # a word repeats few distinct syllables: validate each once for this call
+    made: dict[tuple[str, int, int, int], Syllable] = {}
+    syllables = []
+    for run in _syllable_runs(w.terms):
+        syllable = made.get(run)
+        if syllable is None:
+            syllable = made[run] = Syllable(*run)
+        syllables.append(syllable)
     return SyllableDecomposition(tuple(syllables))
+
+
+def syllable_degrees(w: FreeWord) -> tuple[int, ...]:
+    """The syllable degrees of a reduced word, without building syllables."""
+    return tuple(degree for _, degree, _, _ in _syllable_runs(w.terms))
 
 
 def is_cyclically_reduced(w: FreeWord) -> bool:
@@ -222,20 +244,19 @@ def is_cyclically_reduced(w: FreeWord) -> bool:
 
 def cyclic_reduce(w: FreeWord) -> tuple[FreeWord, FreeWord]:
     """Return ``(core, c)`` with ``w = c * core * c^-1`` and core cyclically reduced."""
-    terms = list(w.terms)
-    conj: list[tuple[int, int]] = []
-    while len(terms) >= 2 and terms[0][0] == terms[-1][0]:
-        gen, head = terms[0]
-        tail = terms[-1][1]
-        if head + tail == 0:
-            conj.append((gen, head))
-            terms = terms[1:-1]
-        else:
+    terms = w.terms
+    # strip matching ends inward: terms[:i] is the conjugator, terms[i:j+1] the core
+    i, j = 0, len(terms) - 1
+    while i < j and terms[i][0] == terms[j][0]:
+        gen, head = terms[i]
+        tail = terms[j][1]
+        if head + tail != 0:
             # conjugating by the full head term leaves a cyclically reduced word
-            conj.append((gen, head))
-            terms = terms[1:-1] + [(gen, head + tail)]
-            break
-    return FreeWord(tuple(terms)), FreeWord.from_terms(conj)
+            core = terms[i + 1 : j] + ((gen, head + tail),)
+            return FreeWord(core), FreeWord.from_terms(terms[: i + 1])
+        i += 1
+        j -= 1
+    return FreeWord(terms[i : j + 1]), FreeWord.from_terms(terms[:i])
 
 
 def is_cyclically_syllable_reduced(w: FreeWord) -> bool:

@@ -358,6 +358,11 @@ class TestCount:
         _, many = run(capsys, "count", "words", "--X", "2187", "--workers", "4")
         assert one == many
 
+    def test_tiny_positive_y_is_certified(self, capsys):
+        rows = run_json(capsys, "count", "tuples", "--Y", "exp(-E**(720000))")
+        assert rows[0]["X"] == 1
+        assert run_json(capsys, "count", "tuples", "--Y", "exp(-E**(800000))") == rows
+
     @pytest.mark.parametrize("argv", [
         ["count", "tuples", "--Y", "E**(10**9)"],
         ["report", "lambda", "--Y", "E**(10**9)"],

@@ -1,5 +1,6 @@
 """Certified signs, floors and decimals of Y expressions, without sympy."""
 
+import math
 import time
 from fractions import Fraction
 
@@ -109,6 +110,42 @@ class TestCertificates:
         if exp_floor is not None:
             assert floor_exp(parse(text)) == exp_floor
         assert time.perf_counter() - start < 1.0
+
+    def test_tiny_value_of_an_exponent_past_the_fraction_limit_is_positive(self):
+        # -E**800000 has about 1.15*10^6 bits, past the 2^20 bits that are
+        # turned into a fraction; e^a still gets a positive lower end
+        start = time.perf_counter()
+        assert sign(parse("exp(-E**(800000))")) == 1
+        assert floor_exp(parse("exp(-E**(800000))")) == 1
+        assert time.perf_counter() - start < 1.0
+
+    @pytest.mark.parametrize("a", [
+        -(2**21), -(2**21) - Fraction(1, 2), -(3 * 2**40 + 7), -(2**(exactlog._EXP_LIMIT + 12345)),
+    ], ids=["2^21", "2^21+1/2", "3*2^40+7", "2^(2^20+12345)"])
+    def test_lower_end_of_a_tiny_exp_is_the_bound_2_to_floor_1_4427_a(self, a):
+        # e^a >= 2^floor(1.4427 a) for a < 0, as 1.4427 > 1/log(2); the
+        # fraction is the reference, the code works on the raw tuple
+        with exactlog.interval_precision(64) as iv:
+            low = exactlog._iv_exp(iv, iv.mpf(a.numerator) / a.denominator)._mpi_[0]
+        assert low[:2] == (0, 1) and low[2] == math.floor(a * Fraction(14427, 10000))
+
+    @pytest.mark.parametrize("text", ["exp(-E**40)", "-exp(-E**40)", "E**(2**40)"])
+    def test_ceil_decimal_of_a_far_end_is_refused_quickly(self, text):
+        # an end near 2^(-3.4*10^17) or 2^(1.6*10^12) never becomes a fraction
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="cannot certify"):
+            ceil_decimal(parse(text), 12)
+        assert time.perf_counter() - start < 1.0
+
+    def test_only_finite_near_ends_become_fractions(self):
+        with exactlog.interval_precision(64) as iv:
+            near, far = iv.mpf(2) ** -exactlog._EXP_LIMIT, iv.mpf(2) ** (exactlog._EXP_LIMIT + 1)
+            assert exactlog._fraction_sized(iv.mpf([-near, near]))
+            assert exactlog._fraction_sized(iv.mpf([0, 1]))
+            # mpmath codes +inf with exponent and bit count -456 and -2
+            assert not exactlog._fraction_sized(iv.mpf([near, "inf"]))
+            assert not exactlog._fraction_sized(iv.mpf([-far, 0]))
+            assert not exactlog._fraction_sized(iv.mpf([1, far]))
 
     def test_unsettled_tie_is_refused_quickly(self):
         # (1 + pi)^2 stays one opaque atom, so log(4) in disguise never settles

@@ -38,6 +38,13 @@ from braidcount.words import FreeWord, cyclic_reduce, parse_word, syllable_decom
 
 degree_lists = st.lists(st.integers(min_value=1, max_value=9), min_size=1, max_size=6)
 
+#: term lists with long unit runs; FreeWord.from_terms reduces them
+term_lists = st.lists(
+    st.tuples(st.sampled_from((1, 2)), st.sampled_from((-3, -2, -1, -1, 1, 1, 2, 3))),
+    max_size=50,
+)
+braid_letters = st.lists(st.tuples(st.sampled_from((1, 2)), st.sampled_from((1, -1))), max_size=80)
+
 
 class TestLogInteger:
     def test_ordering(self):
@@ -124,6 +131,31 @@ class TestLogArguments:
             iv = extremal_length_bounds_braid(form)
             if iv.exact_zero:
                 continue
+            w = pure_projection(form)
+            assert (iv.lower_log_arg, iv.upper_log_arg) == (lower_weight(w), upper_weight(w))
+
+
+    @given(term_lists)
+    def test_word_bounds_random(self, raw):
+        w = FreeWord.from_terms(raw)
+        iv = extremal_length_bounds_word(w)
+        if w.num_terms > 1:
+            assert (iv.lower_log_arg, iv.upper_log_arg) == (lower_weight(w), upper_weight(w))
+
+    @given(term_lists)
+    def test_entropy_bounds_random(self, raw):
+        core, _ = cyclic_reduce(FreeWord.from_terms(raw))
+        try:
+            iv = entropy_bounds(core)
+        except ValueError:
+            return
+        assert (iv.lower_log_arg, iv.upper_log_arg) == (lower_weight(core), upper_weight(core))
+
+    @given(braid_letters)
+    def test_braid_bounds_random(self, letters):
+        form = normal_form(BraidWord(tuple(letters)))
+        iv = extremal_length_bounds_braid(form)
+        if not iv.exact_zero:
             w = pure_projection(form)
             assert (iv.lower_log_arg, iv.upper_log_arg) == (lower_weight(w), upper_weight(w))
 

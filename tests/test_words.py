@@ -5,10 +5,12 @@ import sys
 import pytest
 from hypothesis import given, strategies as st
 
+from braidcount.invariants import extremal_length_bounds_word
 from braidcount.words import (
     FIRST_KIND,
     SECOND_KIND,
     FreeWord,
+    Syllable,
     WordSyntaxError,
     cyclic_reduce,
     free_conjugator,
@@ -17,6 +19,7 @@ from braidcount.words import (
     other_generator,
     parse_word,
     syllable_decompose,
+    syllable_degrees,
     word_to_text,
 )
 
@@ -36,6 +39,65 @@ def reduced_words(max_terms=8, max_exp=4):
         return FreeWord(tuple(terms))
 
     return build()
+
+
+#: words with long unit runs as well as first-kind terms
+run_words = reduced_words(max_terms=40, max_exp=2)
+
+#: tokens of every shape, each drawn repeatedly into a text
+word_tokens = st.sampled_from(
+    ["a1", "a2", "A1", "A2", "a1^2", "a2^-3", "A1^2", "A2^-1", "a1^0", "a2^1", "a1^-1"]
+)
+
+
+def reference_parse(text):
+    """The token-by-token parser: every token decoded where it stands."""
+    raw = []
+    for token in text.split():
+        sign = -1 if token[0] == "A" else 1
+        exp = int(token[3:]) if "^" in token else 1
+        raw.append((int(token[1]), sign * exp))
+    return FreeWord.from_terms(raw)
+
+
+def reference_decompose(w):
+    """One validated Syllable per syllable, built where it closes."""
+    syllables = []
+    run_start = run_sign = run_len = 0
+
+    def close_run():
+        nonlocal run_len
+        if run_len:
+            syllables.append(Syllable(SECOND_KIND, run_len, run_sign, run_start))
+            run_len = 0
+
+    for gen, exp in w.terms:
+        if abs(exp) >= 2:
+            close_run()
+            syllables.append(Syllable(FIRST_KIND, abs(exp), 1 if exp > 0 else -1, gen))
+        elif run_len and run_sign == exp:
+            run_len += 1
+        else:
+            close_run()
+            run_start, run_sign, run_len = gen, exp, 1
+    close_run()
+    return tuple(syllables)
+
+
+def reference_cyclic_reduce(w):
+    """Strip one matching end pair per step, copying the rest of the terms."""
+    terms = list(w.terms)
+    conj = []
+    while len(terms) >= 2 and terms[0][0] == terms[-1][0]:
+        gen, head = terms[0]
+        tail = terms[-1][1]
+        conj.append((gen, head))
+        if head + tail == 0:
+            terms = terms[1:-1]
+        else:
+            terms = terms[1:-1] + [(gen, head + tail)]
+            break
+    return FreeWord(tuple(terms)), FreeWord.from_terms(conj)
 
 
 class TestParsing:
@@ -75,6 +137,25 @@ class TestParsing:
     @given(reduced_words())
     def test_round_trip_random(self, w):
         assert parse_word(word_to_text(w)) == w
+
+    @given(st.lists(word_tokens, max_size=60))
+    def test_matches_token_by_token_reference(self, tokens):
+        text = " ".join(tokens)
+        assert parse_word(text) == reference_parse(text)
+
+    def test_bad_token_after_repeated_good_tokens_raises_at_its_position(self):
+        with pytest.raises(WordSyntaxError) as err:
+            parse_word("a1 a2 a1 a2 a1 a2^3 a1 x1 a1 x1")
+        assert err.value.position == 7
+        assert str(err.value) == "bad word token 'x1' (at token 7)"
+
+    def test_repeated_long_exponent_raises_at_its_first_token(self):
+        limit = sys.get_int_max_str_digits()
+        token = "a1^" + "9" * (limit + 1)
+        with pytest.raises(WordSyntaxError) as err:
+            parse_word(f"a2 a2 {token} a2 {token}")
+        assert err.value.position == 2
+        assert str(err.value) == f"exponent has more than {limit} digits (at token 2)"
 
 
 class TestGroupOps:
@@ -135,6 +216,26 @@ class TestSyllables:
     def test_degrees_positive(self, w):
         assert all(d >= 1 for d in syllable_decompose(w).degrees())
 
+    @given(run_words)
+    def test_matches_per_syllable_reference(self, w):
+        assert tuple(syllable_decompose(w)) == reference_decompose(w)
+
+    @given(run_words)
+    def test_degrees_match_decomposition(self, w):
+        assert syllable_degrees(w) == syllable_decompose(w).degrees()
+
+    @pytest.mark.parametrize("terms", [
+        ((1, 1), (3, 2), (2, 1), (3, 2)),
+        ((1, 1), (2, 0), (1, 1)),
+        ((3, -1), (2, -1)),
+    ])
+    @pytest.mark.parametrize("f", [syllable_decompose, syllable_degrees, extremal_length_bounds_word])
+    def test_malformed_syllable_is_refused(self, f, terms):
+        # a FreeWord built directly is not reduced; a syllable starting with
+        # a bad generator or exponent 0 raises, also where no Syllable is built
+        with pytest.raises(ValueError, match="malformed syllable"):
+            f(FreeWord(terms))
+
 
 class TestCyclicReduction:
     def test_examples(self):
@@ -146,6 +247,18 @@ class TestCyclicReduction:
         core, conj = cyclic_reduce(w)
         assert is_cyclically_reduced(core)
         assert conj * core * conj.inverse() == w
+
+    @given(run_words, reduced_words(max_terms=12))
+    def test_matches_reference_loop(self, w, g):
+        for word in (w, g * w * g.inverse()):
+            assert cyclic_reduce(word) == reference_cyclic_reduce(word)
+
+    def test_long_conjugate(self):
+        g = FreeWord(tuple((1 + i % 2, 1 + i % 3) for i in range(4000)))
+        w = g * parse_word("a1^2 a2 a1^-3 a2") * g.inverse()
+        core, conj = cyclic_reduce(w)
+        assert (core, conj) == reference_cyclic_reduce(w)
+        assert core.num_terms == 4 and conj * core * conj.inverse() == w
 
     def test_syllable_reduced_rejects_identity(self):
         with pytest.raises(ValueError):
