@@ -188,10 +188,12 @@ def lower_bound_report(y, variant: str) -> LowerBoundReport:
     else:
         raise ValueError(f"unknown report variant {variant!r}")
     unit = scale / 3 * exactlog.call("log", 8)  # 300 log 8, or 300 pi log 8
-    exactlog.estimate(expr)  # a Y that is not real is refused by name
-    # an estimate spares certifying the floor of a ratio far out of range
+    exactlog.bounds(expr)  # a Y that is not real is refused by name
+    # an enclosure that proves the ratio far out of range spares certifying
+    # its floor; any other ratio goes on to the certified floor
     ratio = expr / unit
-    far = abs(exactlog.estimate(ratio)) > MAX_REPORT_INDEX + 1
+    low, high = exactlog.bounds(ratio)
+    far = low > MAX_REPORT_INDEX + 1 or high < -(MAX_REPORT_INDEX + 1)
     index = None if far else exactlog.floor(ratio)
     if far or index > MAX_REPORT_INDEX:
         raise ValueError(

@@ -153,10 +153,11 @@ def cmd_bounds(args) -> list[dict]:
 
 #: Largest threshold ``count`` accepts.  At ``X = 10**11`` on a 2-core x86
 #: host, ``count words`` (its exact count plus the ``count_tuples`` of its
-#: bound chain) took 26 s and 45 MB, and ``count tuples --j 4``, the
-#: costliest length, 17 s and 32 MB, measured together; past ``10**10``
-#: the cost of ``count words`` grows about linearly in ``X``, so
-#: ``10**12`` would take minutes.
+#: bound chain) took about 18 s and 46.5 MB, against 23-24 s and 44.8 MB
+#: for the one-slice-per-source sieves in interleaved runs, and
+#: ``count tuples --j 4``, the costliest length, 17 s and 32 MB; past
+#: ``10**10`` the cost of ``count words`` grows about linearly in ``X``,
+#: so ``10**12`` would take minutes.
 MAX_X = 10**11
 #: Largest threshold ``count words --max-len L`` accepts when the budget
 #: binds (``L < X // 3``).  Its memoised recursion takes 6.9-7.5 s and up
@@ -174,9 +175,9 @@ def _resolve_x(args) -> int:
         from . import exactlog  # loaded on first use: only a Y needs it
 
         y = exactlog.parse(args.Y)
-        # an estimate rejects a far too large Y before the floor of e^Y is
-        # certified; the exact X is checked against MAX_X below
-        if exactlog.estimate(y) > math.log(MAX_X) + 1:
+        # a Y that an enclosure proves far too large is rejected before the
+        # floor of e^Y is certified; the exact X is checked against MAX_X below
+        if exactlog.bounds(y)[0] > math.log(MAX_X) + 1:
             raise InputError(f"--Y {args.Y!r} gives X above the ceiling {MAX_X}")
         x = counting.threshold_from_y(y)
     if x > MAX_X:

@@ -16,12 +16,15 @@ integral makes every counter exact:
 series over the products ``3d``.  Each call sieves their coefficients up
 to ``N``, about ``X^(2/3) / 2`` and at most ``2*10^6``, takes prefix sums,
 and recurses only on the quotients ``X // k`` above ``N``, summing each by
-the hyperbola split.  That costs about ``X^(2/3)`` steps per series until
-``N`` reaches its cap near ``X = 10^10``, and grows about linearly
-beyond.  A tuple of length ``j`` passes exactly when ``prod d_k <= X //
-3^j``, so ``count_tuples_j(j, X)`` is the Piltz divisor function
-``D_j(X // 3^j)`` (Titchmarsh, *The Theory of the Riemann Zeta-Function*,
-ch. 12), a recursion on ``j`` over the quotients of ``X // 3^j``.
+the hyperbola split.  The sieve pushes its sources in blocks whose own
+sources all lie below them, one slice per stride and block: about
+``2.5 sqrt(N / 9)`` slices per table in place of one per source.  That
+costs about ``X^(2/3)`` steps per series until ``N`` reaches its cap near
+``X = 10^10``, and grows about linearly beyond.  A tuple of length ``j``
+passes exactly when ``prod d_k <= X // 3^j``, so ``count_tuples_j(j, X)``
+is the Piltz divisor function ``D_j(X // 3^j)`` (Titchmarsh, *The Theory
+of the Riemann Zeta-Function*, ch. 12), a recursion on ``j`` over the
+quotients of ``X // 3^j``.
 Nothing is kept between calls.  The analytic companions
 (``bound_tuples_j``, ``bound_tuples_total``, ``bound_words``) are
 evaluated with interval arithmetic and rounded up, so a reported
@@ -35,7 +38,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 from math import factorial, isqrt
-from operator import mul, sub
+from operator import add, mul
 
 from .invariants import endpoint_fraction, interval_precision
 
@@ -69,12 +72,34 @@ def max_tuple_length(x: int) -> int:
 # This is the split of Lagarias-Miller-Odlyzko (Math. Comp. 44, 1985) and
 # Deleglise-Rivat (Exp. Math. 5, 1996).  The tables live for one call.
 #
-# Tables are array('q').  The largest entry is F_FIRST(N) - 1, and the cube
-# majorant count_words(n) <= n^3 / 2 gives F_FIRST(n) <= n^3 / 4 + 1, so the
-# cap N <= 2*10^6 keeps every entry below 2*10^18 < 2^63.  A store that did
-# overflow would raise OverflowError, never wrap.
+# The push sieve over i <= m = N // 3 adds a weighted f(3j) of each source
+# j <= m // 3 to f(3jt) for every t >= 1, so f(3j) is final once every
+# j' <= j / 3 has pushed.  Each j up to low = isqrt(m // 3) pushes on its
+# own, one strided slice over all its multiples.  Above low the sources come
+# in blocks [b, e) with e <= 3b, at most _BLOCK_CAP wide: every source of a
+# block has its own sources below j / 3 < b, so all are final when the block
+# starts, and its targets lie at 3b >= e or beyond.  One slice per stride 3t
+# then adds the block's vector to f(3tb), ..., f(3t(e - 1)).  A block from b
+# takes about m / 3b slices, so the geometric blocks take about 1.5 low and
+# the sieve about 2.5 low slices per table instead of m // 3: 179 instead of
+# 5363 at x = 3*10^7, 1319 instead of 222222 at the cap.  _quotient_sums
+# reads the raw coefficients f(3i) only for i <= isqrt(x // 3) // 3, so
+# only that head of them outlives the sieve.
+#
+# Tables and heads are array('q').  The largest table entry is
+# F_FIRST(N) - 1, and the cube majorant count_words(n) <= n^3 / 2 gives
+# F_FIRST(n) <= n^3 / 4 + 1, so the cap N <= 2*10^6 keeps every entry below
+# 2*10^18 < 2^63.  Every raw entry, head entries included, is a partial sum
+# of nonnegative terms of one f(3i) <= F(3i), so it meets the same bound.
+# The block vectors, such as 2f + 2g over a block of the word sieve, are
+# lists of Python ints, and each adds into an entry that stays below its
+# final f(3i).  A store that did overflow would raise OverflowError, never
+# wrap.
 
 _SIEVE_CAP = 2 * 10**6
+#: Widest source block of a sieve, and most quotient indices listed at once
+#: in _quotient_sums, so that their lists stay small at the sieve cap.
+_BLOCK_CAP = 2**12
 
 
 def _sieve_limit(x: int) -> int:
@@ -88,14 +113,15 @@ def _prefix_sums(counts: array) -> array:
     return array("q", accumulate(counts))
 
 
-def _quotient_sums(y: int, n: int, tables: list[array], values) -> list[int]:
+def _quotient_sums(y: int, n: int, tables: list[array], heads: list[array], values) -> list[int]:
     """``sum(F(y // d) for d in 1..y)`` for the ``F`` of each table.
 
     ``F(q)`` is ``1 + table[q // 3]`` for ``q <= n``, and ``values(q)`` holds
     one ``F(q)`` per table above that.  The terms with ``d <= split`` (at
     least ``sqrt(y)``) are read one by one; the rest regroup by coefficient,
-    as ``f(m) = F(m) - F(m - 1)`` for ``m <= y // (split + 1)`` appears in
-    ``y // m - split`` of them.
+    as ``f(m)`` for ``m <= y // (split + 1)``, read from the table's raw
+    ``head`` (``f(3i)`` at ``head[i - 1]``), appears in ``y // m - split``
+    of them.
     """
     deep = y // (n + 1)  # d <= deep leaves y // d above the sieve
     split = max(isqrt(y), deep)
@@ -104,23 +130,30 @@ def _quotient_sums(y: int, n: int, tables: list[array], values) -> list[int]:
     sums = [y - deep] * len(tables)
     for d in range(1, deep + 1):
         sums = [s + v for s, v in zip(sums, values(y // d))]
+    # the indices y // 3d for deep < d <= split, computed once for all
+    # tables, _BLOCK_CAP at a time
     near = range(3 * deep + 3, 3 * split + 1, 3)
+    for start in range(0, len(near), _BLOCK_CAP):
+        indices = list(map(y.__floordiv__, near[start : start + _BLOCK_CAP]))
+        sums = [s + sum(map(table.__getitem__, indices)) for s, table in zip(sums, tables)]
     weights = list(map(y.__floordiv__, range(3, 3 * top + 1, 3)))
-    for k, table in enumerate(tables):
-        sums[k] += sum(map(table.__getitem__, map(y.__floordiv__, near)))
-        coefficients = map(sub, table[1 : top + 1], table[:top])
-        sums[k] += sum(map(mul, coefficients, weights)) - split * table[top]
-    return sums
+    # map stops at the end of weights, at f(3 top)
+    return [
+        s + sum(map(mul, head, weights)) - split * table[top]
+        for s, table, head in zip(sums, tables, heads)
+    ]
 
 
 def _summatory(x: int, sieve, step) -> list[int]:
-    """The summatory functions at ``x`` whose tables ``sieve(n // 3)`` builds.
+    """The summatory functions at ``x`` whose tables ``sieve(n // 3, head)`` builds.
 
     Above the sieve limit, ``step(sums, at_y)`` gives their values at ``q``
     from the quotient sums at ``y = q // 3`` and their values at ``y``.
     """
     n = _sieve_limit(x)
-    tables = sieve(n // 3)
+    # every y = q // 3 is at most x // 3, so _quotient_sums reads f(3i) only
+    # for i <= isqrt(x // 3) // 3
+    tables, heads = sieve(n // 3, isqrt(x // 3) // 3 + 2)
     memo: dict[int, list[int]] = {}
 
     def values(q: int) -> list[int]:
@@ -129,22 +162,51 @@ def _summatory(x: int, sieve, step) -> list[int]:
         got = memo.get(q)
         if got is None:
             y = q // 3
-            got = memo[q] = step(_quotient_sums(y, n, tables, values), values(y))
+            got = memo[q] = step(_quotient_sums(y, n, tables, heads, values), values(y))
         return got
 
     return values(x)
 
 
-def _tuple_sieve(m: int) -> list[array]:
-    """Prefix sums over ``i <= m`` of the tuples with ``prod(3 d_k) = 3i``."""
+def _sieve_schedule(m: int) -> tuple[int, list[tuple[int, int]]]:
+    """The sources ``j`` of a push sieve over ``1..m``, in the order it takes them.
+
+    Each ``j <= low`` is pushed on its own; the rest come as blocks
+    ``[b, e)`` with ``e <= 3b``, each pushed whole, one stride at a time.
+    """
+    last = m // 3  # a source j pushes to multiples of 3j up to m
+    low = isqrt(last)
+    blocks = []
+    b = low + 1
+    while b <= last:
+        e = min(3 * b, b + _BLOCK_CAP, last + 1)
+        blocks.append((b, e))
+        b = e
+    return low, blocks
+
+
+def _push(table: array, targets: slice, source: list[int]) -> None:
+    """Add ``source`` elementwise to the entries of ``table`` at ``targets``;
+    ``map`` stops at the end of the slice, which may be the shorter."""
+    table[targets] = array("q", map(add, table[targets], source))
+
+
+def _tuple_sieve(m: int, head: int) -> tuple[list[array], list[array]]:
+    """Prefix sums over ``i <= m`` of the tuples with ``prod(3 d_k) = 3i``,
+    and the raw counts for ``1 <= i < head``."""
     # such a tuple is the single degree i, or a tuple of product 3j
     # followed by the degree i / 3j for a multiple i of 3j
     counts = array("q", [1]) * (m + 1)
     counts[0] = 0
-    for j in range(1, m // 3 + 1):
+    low, blocks = _sieve_schedule(m)
+    for j in range(1, low + 1):
         step = 3 * j
         counts[step::step] = array("q", map(counts[j].__add__, counts[step::step]))
-    return [_prefix_sums(counts)]
+    for b, e in blocks:
+        source = counts[b:e].tolist()
+        for step in range(3, m // b + 1, 3):
+            _push(counts, slice(step * b, step * e, step), source)
+    return [_prefix_sums(counts)], [counts[1:head]]
 
 
 def _tuple_step(sums: list[int], at_y: list[int]) -> list[int]:
@@ -212,8 +274,9 @@ def _transition(prev_kind: int, kind: int) -> int:
     return 2
 
 
-def _word_sieve(m: int) -> list[array]:
-    """Prefix sums over ``i <= m`` of the spelled continuations with product 3i.
+def _word_sieve(m: int, head: int) -> tuple[list[array], list[array]]:
+    """Prefix sums over ``i <= m`` of the spelled continuations with product
+    3i, and their raw counts for ``1 <= i < head``.
 
     One table for continuations after a FIRST syllable, one after a SECOND.
     """
@@ -226,16 +289,35 @@ def _word_sieve(m: int) -> list[array]:
     first[0] = second[0] = 0
     if m >= 1:
         first[1], second[1] = 2, 1
-    for j in range(1, m // 3 + 1):
+    low, blocks = _sieve_schedule(m)
+    for j in range(1, low + 1):
         after_first, after_second = first[j], second[j]
         step = 3 * j
         first[step] += 2 * after_second
         second[step] += after_second
-        add = 2 * after_second + 2 * after_first
-        first[2 * step :: step] = array("q", map(add.__add__, first[2 * step :: step]))
-        add = after_second + 2 * after_first
-        second[2 * step :: step] = array("q", map(add.__add__, second[2 * step :: step]))
-    return [_prefix_sums(first), _prefix_sums(second)]
+        add_first = 2 * after_second + 2 * after_first
+        first[2 * step :: step] = array("q", map(add_first.__add__, first[2 * step :: step]))
+        add_second = after_second + 2 * after_first
+        second[2 * step :: step] = array("q", map(add_second.__add__, second[2 * step :: step]))
+    for b, e in blocks:
+        # the per-source weights above, as vectors over the block: 2g and g
+        # for the degree d = 1, 2f + 2g and 2f + g for every d >= 2
+        g = second[b:e].tolist()
+        twice_g = [2 * v for v in g]
+        f_twice = [2 * v for v in first[b:e]]
+        add_first = list(map(add, f_twice, twice_g))
+        add_second = list(map(add, f_twice, g))
+        _push(first, slice(3 * b, 3 * e, 3), twice_g)
+        _push(second, slice(3 * b, 3 * e, 3), g)
+        for step in range(6, m // b + 1, 3):
+            targets = slice(step * b, step * e, step)
+            _push(first, targets, add_first)
+            _push(second, targets, add_second)
+    heads = [first[1:head], second[1:head]]
+    # each raw table goes once its prefix sums exist, so at most three
+    # tables of m + 1 entries are alive at once
+    first = _prefix_sums(first)
+    return [first, _prefix_sums(second)], heads
 
 
 def _word_step(sums: list[int], at_y: list[int]) -> list[int]:
@@ -360,14 +442,17 @@ def threshold_from_y(y) -> int:
 
     The floor is certified by :mod:`braidcount.exactlog`: interval
     enclosures at doubling precision, and an exact form where ``e^y`` is
-    an integer.  A ``y`` whose value exceeds :data:`exactlog.MAX_THRESHOLD_Y`
-    (about 6931.5) or lies beyond what an enclosure represents, and a
-    negative ``y``, raise ValueError before ``e^y`` is evaluated.
+    an integer, or the exact value where that is rational.  A ``y`` that
+    an enclosure proves above :data:`exactlog.MAX_THRESHOLD_Y` (about
+    6931.5) or below its negative, and a negative ``y``, raise ValueError
+    before ``e^y`` is evaluated; a ``y`` that no certificate settles raises
+    ValueError with "cannot certify".
     """
     from . import exactlog
 
     node = exactlog.from_value(y)
-    if exactlog.estimate(node) > exactlog.MAX_THRESHOLD_Y:
+    low, high = exactlog.bounds(node)
+    if low > exactlog.MAX_THRESHOLD_Y or high < -exactlog.MAX_THRESHOLD_Y:
         raise ValueError(
             f"Y = {y} is out of range: e^Y must stay within {exactlog.MAX_POWER_BITS} bits "
             f"(Y at most {exactlog.MAX_THRESHOLD_Y:.1f})"

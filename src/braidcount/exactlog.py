@@ -649,7 +649,8 @@ def _floors(x) -> tuple[int | None, int | None]:
 
 def _certify(node: Node, decide, settle=None, start: int = 64):
     """Enclose ``node`` at doubling precision until ``decide(enclosure, iv)``
-    answers; where it cannot, ``settle(exact form, enclosure)`` may."""
+    answers; where it cannot, ``settle(exact form, enclosure)`` may, and an
+    exact form that is a rational is enclosed in place of ``node``."""
     name = f"Y = {node.source}" if node.source is not None else "the expression"
     prec = max(start, 64)
     while prec <= MAX_PRECISION:
@@ -658,7 +659,14 @@ def _certify(node: Node, decide, settle=None, start: int = 64):
                 x = _enclose(node, iv)
                 got = decide(x, iv)
                 if got is None and settle is not None:
-                    got = settle(_exact(node), x)
+                    form = _exact(node)
+                    got = settle(form, x)
+                    q = _rational(form)
+                    if got is None and q is not None and node.op != "num":
+                        # the value is the rational q: enclose q instead,
+                        # which no enclosure of a clamped exp can spoil
+                        node = number(q)
+                        continue
             except _Undecided:
                 got = None
             except _NotReal:
@@ -669,16 +677,21 @@ def _certify(node: Node, decide, settle=None, start: int = 64):
     raise ValueError(f"cannot certify {name} within {MAX_PRECISION} bits")
 
 
-def estimate(node: Node) -> float:
-    """The value as a float (the midpoint of an enclosure); ``inf`` also for
-    a value of either sign beyond what an enclosure represents."""
+def bounds(node: Node) -> tuple[float, float]:
+    """Floats ``low <= value <= high`` from one enclosure: a limit below
+    ``low`` or above ``high`` is proven passed, however loose the enclosure.
+    An end beyond the float range, or unknown, reads as an infinity."""
     from mpmath.libmp import to_float
 
     def decide(x, iv):
-        # to_float saturates an end beyond the float range to +-inf
-        low, high = (to_float(t) for t in x._mpi_)
-        mid = (low + high) / 2
-        return math.inf if math.isnan(mid) or any(map(_special, x._mpi_)) else mid
+        # to_float saturates an end beyond the float range to +-inf and is
+        # within one unit in the last place otherwise, so one step outward
+        # keeps each end on its side of the value
+        low, high = x._mpi_
+        return (
+            -math.inf if _special(low) else math.nextafter(to_float(low), -math.inf),
+            math.inf if _special(high) else math.nextafter(to_float(high), math.inf),
+        )
 
     return _certify(node, decide)
 
@@ -724,7 +737,8 @@ def floor_exp(node: Node) -> int:
             n *= m[0][0][1] ** int(k)
         return n
 
-    bits = max(estimate(node), 0) / math.log(2)
+    # e^Y has at least this many bits, so no lower precision can settle it
+    bits = max(bounds(node)[0], 0) / math.log(2)
     if not bits < MAX_PRECISION:
         raise ValueError(f"e^Y beyond {MAX_PRECISION} bits")
     return _certify(node, decide, settle, start=64 + int(bits))

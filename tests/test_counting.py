@@ -5,7 +5,9 @@ import math
 import operator
 import random
 import time
+from array import array
 from fractions import Fraction
+from itertools import accumulate
 
 import mpmath
 import pytest
@@ -317,6 +319,108 @@ class TestSieveEngine:
         expected = [counts(x) for x in xs]
         monkeypatch.setattr(counting, "_SIEVE_CAP", cap)
         assert [counts(x) for x in xs] == expected
+
+
+# The one-slice-per-source push sieves that the blocked sieves replaced,
+# kept as references; each returns its raw coefficient arrays.
+
+
+def _reference_tuple_sieve(m):
+    counts = array("q", [1]) * (m + 1)
+    counts[0] = 0
+    for j in range(1, m // 3 + 1):
+        step = 3 * j
+        counts[step::step] = array("q", map(counts[j].__add__, counts[step::step]))
+    return [counts]
+
+
+def _reference_word_sieve(m):
+    first = array("q", [4]) * (m + 1)
+    second = array("q", [3]) * (m + 1)
+    first[0] = second[0] = 0
+    if m >= 1:
+        first[1], second[1] = 2, 1
+    for j in range(1, m // 3 + 1):
+        after_first, after_second = first[j], second[j]
+        step = 3 * j
+        first[step] += 2 * after_second
+        second[step] += after_second
+        add = 2 * after_second + 2 * after_first
+        first[2 * step :: step] = array("q", map(add.__add__, first[2 * step :: step]))
+        add = after_second + 2 * after_first
+        second[2 * step :: step] = array("q", map(add.__add__, second[2 * step :: step]))
+    return [first, second]
+
+
+def _block_edge_sizes():
+    """Sieve sizes m at which the low bound or a block boundary moves."""
+    sizes = set()
+    for b in (1, 2, 5, 17, 40, 100):
+        sizes.update({3 * b * b - 1, 3 * b * b, 3 * b * b + 1})
+    # at 3 * 10^4 the fourth block is the first that _BLOCK_CAP cuts short
+    for m in (10**3, 3 * 10**4):
+        for _, e in counting._sieve_schedule(m)[1]:
+            # the last source is e - 1 or e: a block ends at, or one past, it
+            sizes.update({3 * e - 1, 3 * e, 3 * e + 2, 3 * e + 3})
+    return sorted(sizes)
+
+
+def _sieve_sizes_of(*xs):
+    return [counting._sieve_limit(x) // 3 for x in xs]
+
+
+class TestBlockedSieves:
+    # a coefficient does not depend on the sieve size, so one reference run
+    # at the largest size serves every smaller one
+    @staticmethod
+    def _assert_matches_reference(sizes, head=None):
+        for sieve, reference in (
+            (counting._tuple_sieve, _reference_tuple_sieve),
+            (counting._word_sieve, _reference_word_sieve),
+        ):
+            raws = reference(max(sizes))
+            sums = [array("q", accumulate(r)) for r in raws]
+            for m in sizes:
+                size_head = m + 1 if head is None else head
+                tables, heads = sieve(m, size_head)
+                assert tables == [t[: m + 1] for t in sums], m
+                assert heads == [r[1 : min(m + 1, size_head)] for r in raws], m
+
+    def test_every_small_size(self):
+        self._assert_matches_reference(range(3001))
+
+    def test_low_bound_and_block_edges(self):
+        self._assert_matches_reference(_block_edge_sizes())
+
+    def test_sizes_of_large_thresholds(self):
+        for x, m in zip((29999987, 10**8, 10**9), _sieve_sizes_of(29999987, 10**8, 10**9)):
+            self._assert_matches_reference([m], math.isqrt(x // 3) // 3 + 2)
+
+    def test_block_cap_binds_at_large_thresholds(self):
+        m = _sieve_sizes_of(10**9)[0]
+        widths = [e - b for b, e in counting._sieve_schedule(m)[1]]
+        assert max(widths) == counting._BLOCK_CAP
+
+    @given(st.integers(min_value=0, max_value=10**9))
+    def test_schedule_covers_each_source_once(self, m):
+        low, blocks = counting._sieve_schedule(m)
+        assert low == math.isqrt(m // 3)
+        # the sources 1..low one by one, then blocks, each starting where
+        # the last ended, up to m // 3
+        starts = [low + 1] + [e for _, e in blocks]
+        assert [b for b, _ in blocks] == starts[:-1]
+        assert starts[-1] == m // 3 + 1
+        for b, e in blocks:
+            # every source of a block is final when the block starts: its
+            # own sources lie at <= j / 3 < b
+            assert b < e <= 3 * b
+            assert e - b <= counting._BLOCK_CAP
+
+    @given(st.integers(min_value=0, max_value=2000))
+    def test_schedule_lists_each_source_once(self, m):
+        low, blocks = counting._sieve_schedule(m)
+        sources = list(range(1, low + 1)) + [j for b, e in blocks for j in range(b, e)]
+        assert sources == list(range(1, m // 3 + 1))
 
 
 def _bounded_by_recursion(x, limit):

@@ -1,6 +1,7 @@
 """Certified signs, floors and decimals of Y expressions, without sympy."""
 
 import math
+import sys
 import time
 from fractions import Fraction
 
@@ -8,7 +9,10 @@ import pytest
 import sympy
 
 from braidcount import exactlog
-from braidcount.exactlog import ceil_decimal, estimate, floor, floor_exp, parse, sign
+from braidcount.exactlog import bounds, ceil_decimal, floor, floor_exp, parse, sign
+
+#: exactly 0, but exp(-2**23) lies beyond what an enclosure of exp resolves
+LOOSE = "log(exp(-2**23)) + 2**23"
 
 
 class TestExactForms:
@@ -93,10 +97,22 @@ class TestCertificates:
         assert floor(parse("(-2)**(log(4)/log(2))")) == 4
 
     def test_beyond_range_estimates_inf(self):
-        assert estimate(parse("exp(exp(exp(exp(10))))")) == float("inf")
-        assert estimate(parse("-exp(exp(exp(exp(10))))")) == float("inf")
-        assert estimate(parse("exp(-10**7)")) == 0.0
+        assert bounds(parse("exp(exp(exp(exp(10))))")) == (sys.float_info.max, math.inf)
+        assert bounds(parse("-exp(exp(exp(exp(10))))")) == (-math.inf, -sys.float_info.max)
+        low, high = bounds(parse("exp(-10**7)"))
+        assert low <= 0 < high < 1e-300
         assert sign(parse("exp(-10**7)")) == 1
+
+    @pytest.mark.parametrize("text, value", [(LOOSE + " + 10", 10), (LOOSE + " - 10", -10)])
+    def test_loose_enclosure_of_an_exact_rational(self, text, value):
+        # the enclosure of exp(-2**23) is clamped, so that of Y spans about
+        # 7*10^6 although Y is the integer value: bounds stay sound, and the
+        # certificates enclose the rational exact form instead
+        low, high = bounds(parse(text))
+        assert low <= value <= high and high - low > 10**6
+        assert sign(parse(text)) == (1 if value > 0 else -1)
+        assert floor(parse(text)) == value
+        assert floor_exp(parse(text)) == math.floor(math.exp(value))
 
     @pytest.mark.parametrize("text, value_floor, exp_floor", [
         ("exp(-E**40)", 0, 1),  # an enclosure end near 2^(-3.4*10^17)
