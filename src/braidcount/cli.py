@@ -325,8 +325,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _attach_y_values(argv: list[str]) -> list[str]:
+    """``--Y VALUE`` as ``--Y=VALUE`` where ``VALUE`` starts with ``-``.
+
+    argparse reads such a token as an option unless it is a plain negative
+    number, so ``--Y -log(2)`` would stop at "expected one argument" before
+    the value is read.  A token that starts with ``--`` or is ``-h`` is an
+    option of this parser and stays apart.
+    """
+    out: list[str] = []
+    for token in argv:
+        dashed_value = token.startswith("-") and not token.startswith("--") and token != "-h"
+        if dashed_value and out and out[-1] == "--Y":
+            out[-1] = f"--Y={token}"
+        else:
+            out.append(token)
+    return out
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = build_parser().parse_args(_attach_y_values(sys.argv[1:] if argv is None else argv))
     try:
         # a handler returns its rows; cmd_verify also whether every check passed
         result = args.handler(args)

@@ -8,23 +8,26 @@ integral makes every counter exact:
 * ``count_tuples_j(j, X)``: ordered degree tuples of length ``j``;
 * ``count_tuples(X)``: tuples of any length (empty for ``X < 3``);
 * ``count_words(X)``: nonidentity reduced words in two generators whose
-  degree product passes the threshold, via a two-state syllable transfer;
+  degree product passes the threshold;
 * ``count_words_bounded(X, L)``: the same with total degree at most
   ``L``, the shape the brute-force oracle can cross-check.
 
 ``count_tuples`` and ``count_words`` are summatory functions of Dirichlet
-series over the products ``3d``.  Each call sieves their coefficients up
-to ``N``, about ``X^(2/3) / 2`` and at most ``2*10^6``, takes prefix sums,
-and recurses only on the quotients ``X // k`` above ``N``, summing each by
-the hyperbola split.  The sieve pushes its sources in blocks whose own
-sources all lie below them, one slice per stride and block: about
-``2.5 sqrt(N / 9)`` slices per table in place of one per source.  That
-costs about ``X^(2/3)`` steps per series until ``N`` reaches its cap near
-``X = 10^10``, and grows about linearly beyond.  A tuple of length ``j``
-passes exactly when ``prod d_k <= X // 3^j``, so ``count_tuples_j(j, X)``
-is the Piltz divisor function ``D_j(X // 3^j)`` (Titchmarsh, *The Theory
-of the Riemann Zeta-Function*, ch. 12), a recursion on ``j`` over the
-quotients of ``X // 3^j``.
+series over the products ``3d``, each set by one *series* of spelling
+tables (``_TUPLES``, ``_WORDS``), and one engine reads either: each call
+sieves the coefficients up to ``N``, about ``X^(2/3) / 2`` and at most
+``2*10^6``, takes prefix sums, and recurses only on the quotients
+``X // k`` above ``N``, summing each by the hyperbola split.  The sieve
+pushes its sources in blocks whose own sources all lie below them, one
+slice per stride and block: about ``2.5 sqrt(N / 9)`` slices per table in
+place of one per source.  That costs about ``X^(2/3)`` steps per series
+until ``N`` reaches its cap near ``X = 10^10``, and grows about linearly
+beyond.  ``count_words_bounded`` reads the word tables in a memoised
+recursion over the degree left.  A tuple of length ``j`` passes exactly
+when ``prod d_k <= X // 3^j``, so ``count_tuples_j(j, X)`` is the Piltz
+divisor function ``D_j(X // 3^j)`` (Titchmarsh, *The Theory of the
+Riemann Zeta-Function*, ch. 12), a recursion on ``j`` over the quotients
+of ``X // 3^j``.
 Nothing is kept between calls.  The analytic companions
 (``bound_tuples_j``, ``bound_tuples_total``, ``bound_words``) are
 evaluated with interval arithmetic and rounded up, so a reported
@@ -36,9 +39,9 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, repeat
 from math import factorial, isqrt
-from operator import add, mul
+from operator import add, mul, sub
 
 from .invariants import endpoint_fraction, interval_precision
 
@@ -60,41 +63,71 @@ def max_tuple_length(x: int) -> int:
     return j
 
 
+# --- series -----------------------------------------------------------------
+#
+# Tuples and reduced words are chains of syllables, each of degree d >= 1
+# and contributing the factor 3d to the product.  A series is the pair of
+# tables (one, more): one[prev][kind] spellings for the next syllable of
+# degree 1, more[prev][kind] for degree 2 and up, given the kind of the
+# syllable before it.  The first syllable is left to each counter.
+#
+# A reduced word's first syllable has 4 spellings of either kind (start
+# generator x sign).  Afterwards the start generator is forced by the
+# previous syllable's last term, leaving 2 spellings per kind, except a
+# second-kind syllable after a second-kind one, whose sign is also forced
+# (equal signs would merge the runs), leaving 1.  First-kind syllables
+# have degree at least 2.  Rows and columns run FIRST, SECOND.
+_WORDS = (((0, 2), (0, 1)), ((2, 2), (2, 1)))
+# a degree tuple is a chain of one kind, one spelling per degree
+_TUPLES = (((1,),), ((1,),))
+
 # --- sieve plus recursion ---------------------------------------------------
 #
-# The sieved counters are summatory functions F(x) = sum_{n <= x} f(n) of
-# Dirichlet series supported on n = 1 and on multiples of 3 (each syllable
-# contributes a factor 3d), with f(1) = 1.  A push sieve gives f(3i) for every
-# 3i <= N, about x^(2/3) / 2, and prefix sums replace the coefficients, so
-# that F(q) = 1 + table[q // 3] for q <= N.  Above N the kernels recurse on
-# the quotients q = x // k, about x / N of them, each summing about sqrt(q)
-# table reads in _quotient_sums; both halves then take about x^(2/3) steps.
-# This is the split of Lagarias-Miller-Odlyzko (Math. Comp. 44, 1985) and
-# Deleglise-Rivat (Exp. Math. 5, 1996).  The tables live for one call.
+# A series has one table per row.  Table k holds the Dirichlet coefficients
+# f_k(n) of the continuations after a syllable of kind k by product n:
+# f_k(1) = 1 for the empty one, and f_k(3i) counts a next syllable of degree
+# d with the continuation of product 3i / 3d after it (1 for d = i, 3j for
+# i = 3jd), weighted by one[k] for d = 1 and more[k] for d >= 2.  So with
+# y = q // 3 and the quotient sums S(y) = sum_{d <= y} F(y // d) of the
+# summatory functions F(q) = sum_{n <= q} f(n), whose d = 1 term is F(y),
 #
-# The push sieve over i <= m = N // 3 adds a weighted f(3j) of each source
-# j <= m // 3 to f(3jt) for every t >= 1, so f(3j) is final once every
-# j' <= j / 3 has pushed.  Each j up to low = isqrt(m // 3) pushes on its
-# own, one strided slice over all its multiples.  Above low the sources come
-# in blocks [b, e) with e <= 3b, at most _BLOCK_CAP wide: every source of a
-# block has its own sources below j / 3 < b, so all are final when the block
-# starts, and its targets lie at 3b >= e or beyond.  One slice per stride 3t
-# then adds the block's vector to f(3tb), ..., f(3t(e - 1)).  A block from b
-# takes about m / 3b slices, so the geometric blocks take about 1.5 low and
-# the sieve about 2.5 low slices per table instead of m // 3: 179 instead of
-# 5363 at x = 3*10^7, 1319 instead of 222222 at the cap.  _quotient_sums
-# reads the raw coefficients f(3i) only for i <= isqrt(x // 3) // 3, so
-# only that head of them outlives the sieve.
+#     F_k(q) = 1 + more[k] . S(y) + (one[k] - more[k]) . F(y).
 #
-# Tables and heads are array('q').  The largest table entry is
-# F_FIRST(N) - 1, and the cube majorant count_words(n) <= n^3 / 2 gives
+# A push sieve gives f(3i) for every 3i <= N, about x^(2/3) / 2, and prefix
+# sums replace the coefficients, so that F(q) = 1 + table[q // 3] for
+# q <= N.  Above N the kernels recurse on the quotients q = x // k, about
+# x / N of them, each summing about sqrt(q) table reads in _quotient_sums;
+# both halves then take about x^(2/3) steps.  This is the split of
+# Lagarias-Miller-Odlyzko (Math. Comp. 44, 1985) and Deleglise-Rivat
+# (Exp. Math. 5, 1996).  The tables live for one call.
+#
+# Entry i of table k holds f_k(3i).  The push sieve over i <= m = N // 3
+# seeds each entry with a single syllable of degree i: the row sum of
+# one[k] at i = 1 and of more[k] above.  Each source j <= m // 3 then adds
+# one[k] . f(3j) to entry 3j of table k and more[k] . f(3j) to entry 3jt for
+# every t >= 2, so f(3j) is final once every j' <= j / 3 has pushed.  Each
+# j up to low = isqrt(m // 3) pushes on its own, one strided slice over all
+# its multiples.  Above low the sources come in blocks [b, e) with e <= 3b,
+# at most _BLOCK_CAP wide: every source of a block has its own sources below
+# j / 3 < b, so all are final when the block starts, and its targets lie at
+# 3b >= e or beyond.  One slice per stride 3t then adds the block's weighted
+# vector to the entries 3tb, ..., 3t(e - 1).  A block from b takes about
+# m / 3b slices, so the geometric blocks take about 1.5 low and the sieve
+# about 2.5 low slices per table instead of m // 3: 179 instead of 5363 at
+# x = 3*10^7, 1319 instead of 222222 at the cap.  _quotient_sums reads the
+# raw coefficients f(3i) only for i <= isqrt(x // 3) // 3, so only that
+# head of them outlives the sieve.
+#
+# Tables and heads are array('q').  The largest entry of any table is the
+# words' F_FIRST(N) - 1: a row SECOND of spellings is at most the row FIRST,
+# and a degree tuple continues a first-kind syllable as a chain of
+# second-kind ones.  The cube majorant count_words(n) <= n^3 / 2 gives
 # F_FIRST(n) <= n^3 / 4 + 1, so the cap N <= 2*10^6 keeps every entry below
 # 2*10^18 < 2^63.  Every raw entry, head entries included, is a partial sum
 # of nonnegative terms of one f(3i) <= F(3i), so it meets the same bound.
-# The block vectors, such as 2f + 2g over a block of the word sieve, are
-# lists of Python ints, and each adds into an entry that stays below its
-# final f(3i).  A store that did overflow would raise OverflowError, never
-# wrap.
+# The block vectors are lists of Python ints, and each adds into an entry
+# that stays below its final f(3i).  A store that did overflow would raise
+# OverflowError, never wrap.
 
 _SIEVE_CAP = 2 * 10**6
 #: Widest source block of a sieve, and most quotient indices listed at once
@@ -144,16 +177,15 @@ def _quotient_sums(y: int, n: int, tables: list[array], heads: list[array], valu
     ]
 
 
-def _summatory(x: int, sieve, step) -> list[int]:
-    """The summatory functions at ``x`` whose tables ``sieve(n // 3, head)`` builds.
-
-    Above the sieve limit, ``step(sums, at_y)`` gives their values at ``q``
-    from the quotient sums at ``y = q // 3`` and their values at ``y``.
-    """
+def _summatory(x: int, series) -> list[int]:
+    """``F_k(x)`` for each table ``k`` of ``series``."""
+    one, more = series
+    # each F_k(q) as 1 plus this row times S(y) followed by F(y)
+    rows = [r_more + tuple(map(sub, r_one, r_more)) for r_one, r_more in zip(one, more)]
     n = _sieve_limit(x)
     # every y = q // 3 is at most x // 3, so _quotient_sums reads f(3i) only
     # for i <= isqrt(x // 3) // 3
-    tables, heads = sieve(n // 3, isqrt(x // 3) // 3 + 2)
+    tables, heads = _sieve(n // 3, isqrt(x // 3) // 3 + 2, series)
     memo: dict[int, list[int]] = {}
 
     def values(q: int) -> list[int]:
@@ -162,7 +194,8 @@ def _summatory(x: int, sieve, step) -> list[int]:
         got = memo.get(q)
         if got is None:
             y = q // 3
-            got = memo[q] = step(_quotient_sums(y, n, tables, heads, values), values(y))
+            terms = _quotient_sums(y, n, tables, heads, values) + values(y)
+            got = memo[q] = [sum(map(mul, row, terms), 1) for row in rows]
         return got
 
     return values(x)
@@ -191,34 +224,64 @@ def _push(table: array, targets: slice, source: list[int]) -> None:
     table[targets] = array("q", map(add, table[targets], source))
 
 
-def _tuple_sieve(m: int, head: int) -> tuple[list[array], list[array]]:
-    """Prefix sums over ``i <= m`` of the tuples with ``prod(3 d_k) = 3i``,
-    and the raw counts for ``1 <= i < head``."""
-    # such a tuple is the single degree i, or a tuple of product 3j
-    # followed by the degree i / 3j for a multiple i of 3j
-    counts = array("q", [1]) * (m + 1)
-    counts[0] = 0
+def _weighted(row: tuple[int, ...], sources: list[list[int]], scaled: dict) -> list[int]:
+    """``row . sources``, elementwise over a block; ``scaled`` keeps each
+    ``w * sources[k]`` it builds for the other rows of the block."""
+    total = None
+    for k, w in enumerate(row):
+        if w:
+            term = scaled.get((w, k))
+            if term is None:
+                term = scaled[w, k] = sources[k] if w == 1 else [w * v for v in sources[k]]
+            total = term if total is None else list(map(add, total, term))
+    return total
+
+
+def _sieve(m: int, head: int, series) -> tuple[list[array], list[array]]:
+    """Prefix sums over ``i <= m`` of ``f_k(3i)`` for each table ``k`` of
+    ``series``, and the raw ``f_k(3i)`` for ``1 <= i < head``."""
+    one, more = series
+    tables = []
+    for r_one, r_more in zip(one, more):
+        table = array("q", [sum(r_more)]) * (m + 1)
+        table[0] = 0
+        if m >= 1:
+            table[1] = sum(r_one)
+        tables.append(table)
     low, blocks = _sieve_schedule(m)
     for j in range(1, low + 1):
+        at_j = [table[j] for table in tables]
         step = 3 * j
-        counts[step::step] = array("q", map(counts[j].__add__, counts[step::step]))
+        targets = slice(2 * step, None, step)
+        for table, r_one, r_more in zip(tables, one, more):
+            table[step] += sum(map(mul, r_one, at_j))
+            add_more = sum(map(mul, r_more, at_j))
+            table[targets] = array("q", map(add, table[targets], repeat(add_more)))
     for b, e in blocks:
-        source = counts[b:e].tolist()
-        for step in range(3, m // b + 1, 3):
-            _push(counts, slice(step * b, step * e, step), source)
-    return [_prefix_sums(counts)], [counts[1:head]]
-
-
-def _tuple_step(sums: list[int], at_y: list[int]) -> list[int]:
-    # a tuple is empty, or a first degree d followed by a tuple under x // 3d
-    return [1 + sums[0]]
+        sources = [table[b:e].tolist() for table in tables]
+        scaled: dict[tuple[int, int], list[int]] = {}
+        for table, r_one in zip(tables, one):
+            _push(table, slice(3 * b, 3 * e, 3), _weighted(r_one, sources, scaled))
+        pushes = [_weighted(r_more, sources, scaled) for r_more in more]
+        for step in range(6, m // b + 1, 3):
+            targets = slice(step * b, step * e, step)
+            for table, source in zip(tables, pushes):
+                _push(table, targets, source)
+    heads = []
+    # each raw table goes once its prefix sums and head exist, so at most
+    # one table of m + 1 entries more than the series has is alive at once
+    for k, raw in enumerate(tables):
+        tables[k] = _prefix_sums(raw)
+        heads.append(raw[1:head])
+    return tables, heads
 
 
 def count_tuples(x: int) -> int:
     """Exact number of nonempty ordered degree tuples with prod(3 d_k) <= x."""
     if x < 3:
         return 0
-    return _summatory(x, _tuple_sieve, _tuple_step)[0] - 1
+    # a tuple is a first degree followed by a continuation, one spelling each
+    return _summatory(x, _TUPLES)[0] - 1
 
 
 def _divisor_summatory(j: int, y: int) -> int:
@@ -258,77 +321,6 @@ def count_tuples_j(j: int, x: int) -> int:
 
 
 # --- word counting ----------------------------------------------------------
-#
-# A reduced word is a chain of syllables.  Given the degree sequence, the
-# number of spellings factors over adjacent pairs: the first syllable has 4
-# spellings for either kind (start generator x sign); afterwards the start
-# generator is forced by the previous syllable's last term, leaving 2
-# spellings per kind except second kind after second kind, where the sign is
-# also forced (equal signs would merge the runs), leaving 1.  First-kind
-# syllables have degree at least 2.
-
-
-def _transition(prev_kind: int, kind: int) -> int:
-    if prev_kind == SECOND and kind == SECOND:
-        return 1
-    return 2
-
-
-def _word_sieve(m: int, head: int) -> tuple[list[array], list[array]]:
-    """Prefix sums over ``i <= m`` of the spelled continuations with product
-    3i, and their raw counts for ``1 <= i < head``.
-
-    One table for continuations after a FIRST syllable, one after a SECOND.
-    """
-    # a continuation opens with a syllable of degree d and goes on with a
-    # continuation of product 1 (d = i) or 3j (i = 3jd); it has 2 spellings
-    # of the second kind after FIRST and 1 after SECOND, plus 2 of the first
-    # kind after either when d >= 2
-    first = array("q", [4]) * (m + 1)
-    second = array("q", [3]) * (m + 1)
-    first[0] = second[0] = 0
-    if m >= 1:
-        first[1], second[1] = 2, 1
-    low, blocks = _sieve_schedule(m)
-    for j in range(1, low + 1):
-        after_first, after_second = first[j], second[j]
-        step = 3 * j
-        first[step] += 2 * after_second
-        second[step] += after_second
-        add_first = 2 * after_second + 2 * after_first
-        first[2 * step :: step] = array("q", map(add_first.__add__, first[2 * step :: step]))
-        add_second = after_second + 2 * after_first
-        second[2 * step :: step] = array("q", map(add_second.__add__, second[2 * step :: step]))
-    for b, e in blocks:
-        # the per-source weights above, as vectors over the block: 2g and g
-        # for the degree d = 1, 2f + 2g and 2f + g for every d >= 2
-        g = second[b:e].tolist()
-        twice_g = [2 * v for v in g]
-        f_twice = [2 * v for v in first[b:e]]
-        add_first = list(map(add, f_twice, twice_g))
-        add_second = list(map(add, f_twice, g))
-        _push(first, slice(3 * b, 3 * e, 3), twice_g)
-        _push(second, slice(3 * b, 3 * e, 3), g)
-        for step in range(6, m // b + 1, 3):
-            targets = slice(step * b, step * e, step)
-            _push(first, targets, add_first)
-            _push(second, targets, add_second)
-    heads = [first[1:head], second[1:head]]
-    # each raw table goes once its prefix sums exist, so at most three
-    # tables of m + 1 entries are alive at once
-    first = _prefix_sums(first)
-    return [first, _prefix_sums(second)], heads
-
-
-def _word_step(sums: list[int], at_y: list[int]) -> list[int]:
-    # with F_k(q) the continuations (stopping included) after a kind-k
-    # syllable, the next syllable of degree d leaves q // 3d; dropping the
-    # d = 1 term F_FIRST(y) from the FIRST sum keeps first-kind degrees >= 2.
-    # After FIRST a second-kind syllable has 2 spellings instead of 1, so
-    # F_FIRST exceeds F_SECOND by the SECOND sum.
-    first_sum, second_sum = sums
-    after_second = 1 + second_sum + 2 * (first_sum - at_y[FIRST])
-    return [after_second + second_sum, after_second]
 
 
 def count_words(x: int, workers: int = 1) -> int:
@@ -342,7 +334,7 @@ def count_words(x: int, workers: int = 1) -> int:
     """
     if x < 3:
         return 0
-    return 2 * (_summatory(x, _word_sieve, _word_step)[FIRST] - 1)
+    return 2 * (_summatory(x, _WORDS)[FIRST] - 1)
 
 
 def _word_suffixes_bounded(x: int, prev_kind: int, degree_left: int, memo: dict) -> int:
@@ -351,16 +343,16 @@ def _word_suffixes_bounded(x: int, prev_kind: int, degree_left: int, memo: dict)
     if cached is not None:
         return cached
     total = 1
-    top = min(x // 3, degree_left)
-    for d in range(1, top + 1):
+    one, more = _WORDS
+    row = one[prev_kind]  # and more[prev_kind] from degree 2 on
+    for d in range(1, min(x // 3, degree_left) + 1):
         q = (x // 3) // d
-        total += _transition(prev_kind, SECOND) * _word_suffixes_bounded(
-            q, SECOND, degree_left - d, memo
-        )
-        if d >= 2:
-            total += _transition(prev_kind, FIRST) * _word_suffixes_bounded(
-                q, FIRST, degree_left - d, memo
-            )
+        kind = FIRST  # the kinds are the column indices
+        for spellings in row:
+            if spellings:
+                total += spellings * _word_suffixes_bounded(q, kind, degree_left - d, memo)
+            kind += 1
+        row = more[prev_kind]
     memo[key] = total
     return total
 

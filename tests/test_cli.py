@@ -340,6 +340,24 @@ class TestCount:
         assert main(["count", "words", "--Y", "log(-1)"]) == 2
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize("argv, message", [
+        (["count", "words", "--Y", "-log(2)"], "exponent must be nonnegative"),
+        (["report", "lambda", "--Y", "-10**100"], "out of range"),
+    ])
+    def test_y_starting_with_minus_reaches_its_check(self, capsys, argv, message):
+        # argparse alone reads such a value as an option and stops at
+        # "expected one argument"
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and message in captured.err
+        assert captured.out == ""
+
+    def test_option_after_y_is_left_to_argparse(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["count", "words", "--Y", "--X", "5"])
+        assert exc.value.code == 2
+        assert "argument --Y: expected one argument" in capsys.readouterr().err
+
     def test_arithmetic_error_exits_2(self, capsys, monkeypatch):
         # no library path raises ArithmeticError today, but a numeric library
         # may; the command reports it like any unusable input

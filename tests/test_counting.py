@@ -6,6 +6,7 @@ import operator
 import random
 import time
 from array import array
+from collections import Counter
 from fractions import Fraction
 from itertools import accumulate
 
@@ -14,7 +15,7 @@ import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
-from braidcount import counting, exactlog
+from braidcount import counting, exactlog, words
 from braidcount.counting import (
     FIRST,
     SECOND,
@@ -29,7 +30,11 @@ from braidcount.counting import (
     max_tuple_length,
     threshold_from_y,
 )
-from braidcount.oracle import brute_count_tuples, word_product_histogram
+from braidcount.oracle import (
+    brute_count_tuples,
+    enumerate_reduced_words,
+    word_product_histogram,
+)
 
 
 class TestTupleCounts:
@@ -196,6 +201,41 @@ class TestWordCounts:
     @given(st.integers(min_value=0, max_value=1500))
     def test_cube_inequality(self, x):
         assert 2 * count_words(x) <= x**3
+
+    def test_spelling_table_against_enumeration(self):
+        # every reduced word of at most 8 letters by its (kind, degree)
+        # sequence; a syllable of degree d has d letters, so each sequence
+        # of total degree at most 8 is counted whole, and absent ones are 0
+        groups = Counter(
+            tuple(
+                (SECOND if s.kind == words.SECOND_KIND else FIRST, s.degree)
+                for s in words.syllable_decompose(w)
+            )
+            for w in enumerate_reduced_words(8)
+        )
+        one, more = counting._WORDS
+
+        def sequences(budget):
+            yield ()
+            for d in range(1, budget + 1):
+                for kind in (FIRST, SECOND):
+                    for rest in sequences(budget - d):
+                        yield ((kind, d),) + rest
+
+        checked = 0
+        for sequence in sequences(8):
+            if not sequence:
+                continue
+            # the first syllable's 4 spellings of either kind are twice those
+            # after a first-kind syllable, as count_words takes them, so a
+            # group is 4 times the entries along its sequence
+            spellings, prev = 2, FIRST
+            for kind, d in sequence:
+                spellings *= (one if d == 1 else more)[prev][kind]
+                prev = kind
+            assert groups.get(sequence, 0) == spellings, sequence
+            checked += groups.get(sequence, 0)
+        assert checked == sum(groups.values())
 
 
 class TestWordBounds:
@@ -374,15 +414,15 @@ class TestBlockedSieves:
     # at the largest size serves every smaller one
     @staticmethod
     def _assert_matches_reference(sizes, head=None):
-        for sieve, reference in (
-            (counting._tuple_sieve, _reference_tuple_sieve),
-            (counting._word_sieve, _reference_word_sieve),
+        for series, reference in (
+            (counting._TUPLES, _reference_tuple_sieve),
+            (counting._WORDS, _reference_word_sieve),
         ):
             raws = reference(max(sizes))
             sums = [array("q", accumulate(r)) for r in raws]
             for m in sizes:
                 size_head = m + 1 if head is None else head
-                tables, heads = sieve(m, size_head)
+                tables, heads = counting._sieve(m, size_head, series)
                 assert tables == [t[: m + 1] for t in sums], m
                 assert heads == [r[1 : min(m + 1, size_head)] for r in raws], m
 
