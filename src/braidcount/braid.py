@@ -19,6 +19,14 @@ Generator images, pinned down by the relation tests:
     sigma2 -> a t^2      sigma2^-1 -> t a
     half twist -> a
 
+The strand permutation maps the quotient onto ``S_3``; its kernel, the
+pure braids modulo the center, is free on ``sigma1^2, sigma2^2``.  One
+table, indexed by the permutation of a prefix and the next letter, steps
+the permutation (:func:`s3_image`); a second table indexed the same way
+holds the Reidemeister-Schreier rewriting over the transversal
+``1, a, t, t^2, a t, a t^2``, so :func:`unembed` reads a pure word off
+the same walk.
+
 Every element that is not a power of the half twist factors uniquely
 as ``sigma_j^k  b1  delta^ell`` with ``k != 0``, ``ell`` in ``{0, 1}``
 and ``b1`` a reduced word in ``sigma1^2, sigma2^2`` whose first term,
@@ -110,8 +118,9 @@ _DELTA_TOKEN = re.compile(r"D(?:\^(?P<exp>-?\d+))?\Z")
 
 #: Most letters a parsed braid may expand to: ``|e|`` for each ``s`` token
 #: and ``3|e|`` for each ``D`` token.  At the ceiling on a 2-core x86 host,
-#: ``normalize "s1^1000000"`` took 0.9 s and 67 MB, and a text of random
-#: ``s`` exponents from 1 to 999 took 1.1 s and 73 MB.
+#: ``normalize "s1^1000000"`` took 0.6 s and 68 MB, and a text of 2000
+#: random ``s1``/``s2`` exponents from 1 to 999 (998 341 letters) 0.9 s and
+#: 93 MB.
 MAX_BRAID_LETTERS = 10**6
 
 
@@ -239,9 +248,13 @@ _SIGMA_LETTERS = {
 
 
 def _coset(letters: Iterable[tuple[int, int]]) -> CosetElement:
-    """The canonical coset of ``(generator, sign)`` letters, in one stack walk."""
+    """The canonical coset of ``(generator, sign)`` letters, in one stack walk;
+    any other letter raises ValueError."""
     stack = [None]
-    _push(stack, chain.from_iterable(map(_SIGMA_LETTERS.__getitem__, letters)))
+    try:
+        _push(stack, chain.from_iterable(map(_SIGMA_LETTERS.__getitem__, letters)))
+    except KeyError as missing:
+        raise ValueError(f"bad braid letter {missing.args[0]}") from None
     return CosetElement(tuple(islice(stack, 1, None)))
 
 
@@ -297,15 +310,61 @@ _PERM_STEP = tuple(
     for p in _PERMS
     for letter in (A_LETTER, T_LETTER, TT_LETTER)
 )
+_ID_CODE = 3 * _PERMS.index(PERM_ID)
 
 
 def s3_image(x: CosetElement) -> tuple[int, ...]:
     """The strand permutation of a coset element."""
-    code = 3 * _PERMS.index(PERM_ID)
+    code = _ID_CODE
     step = _PERM_STEP
     for letter in x.letters:
         code = step[code + letter]
     return _PERMS[code // 3]
+
+
+# --- pure words -----------------------------------------------------------
+
+#: The nontrivial Schreier generators ``T(p) a T(p a)^-1`` of the transversal
+#: ``T = 1, a, t, t^2, a t, a t^2``, keyed by the representative they are read
+#: after; every other step by one coset letter stays inside the transversal.
+_A_TERMS = {
+    (TT_LETTER,): (1, 1),
+    (A_LETTER, TT_LETTER): (2, 1),
+    (T_LETTER,): (2, -1),
+    (A_LETTER, T_LETTER): (1, -1),
+}
+_A_TERM_AT = {s3_image(CosetElement(rep)): term for rep, term in _A_TERMS.items()}
+#: ``_PERM_SPELL[3 * i + letter]`` is the pure term spelled by ``letter`` read
+#: after a prefix of strand permutation ``_PERMS[i]``, or None: indexed like
+#: :data:`_PERM_STEP`.
+_PERM_SPELL = tuple(
+    _A_TERM_AT.get(p) if letter == A_LETTER else None
+    for p in _PERMS
+    for letter in (A_LETTER, T_LETTER, TT_LETTER)
+)
+
+
+def unembed(x: CosetElement) -> FreeWord | None:
+    """Invert :func:`embed_pure`, or return None when ``x`` is not a pure word.
+
+    The pure words are the kernel of the strand permutation, free on
+    ``sigma1^2, sigma2^2``.  Reidemeister-Schreier rewriting reads ``x``
+    as a word in them: one walk over the letters steps the strand
+    permutation of the prefix, and each ``a`` read after a prefix in the
+    coset of ``t^2``, ``a t^2``, ``t`` or ``a t`` spells ``a1``, ``a2``,
+    ``a2^-1`` or ``a1^-1``.  ``x`` is pure exactly when the walk ends at
+    the identity.
+    """
+    code = _ID_CODE
+    step, spell = _PERM_STEP, _PERM_SPELL
+    terms = []
+    append = terms.append
+    for letter in x.letters:
+        code += letter
+        if spell[code]:
+            append(spell[code])
+        code = step[code]
+    return FreeWord.from_terms(terms) if code == _ID_CODE else None
 
 
 # --- normal form ----------------------------------------------------------
@@ -363,73 +422,6 @@ class NormalForm:
         if not self.b1.is_identity:
             body += " " + " ".join(f"s{g}^{2 * e}" for g, e in self.b1.terms)
         return body + (f" D^{self.ell}" if self.ell else "")
-
-
-def unembed(x: CosetElement) -> FreeWord | None:
-    """Invert :func:`embed_pure`, or return None when ``x`` is not a pure word.
-
-    The canonical word of an embedded pure word is a chain of blocks, one
-    per term, whose interior letters are ``t^2`` for positive terms and
-    ``t`` for negative ones; adjacent same-sign blocks fuse at a single
-    joint letter of the opposite value.  Every block covers an even number
-    of units, so the parity of each interior run decides whether the run
-    ends at a joint, which makes the left-to-right parse deterministic.
-    """
-    letters = x.letters
-    if not letters:
-        return FreeWord()
-    ts = [l for l in letters if l != A_LETTER]
-    if not ts:
-        return None
-    lead = letters[0] == A_LETTER
-    trail = letters[-1] == A_LETTER
-
-    first = ts[0]
-    if not lead and first == TT_LETTER:
-        gen, sign = 1, 1
-    elif lead and first == TT_LETTER:
-        gen, sign = 2, 1
-    elif lead and first == T_LETTER:
-        gen, sign = 1, -1
-    else:
-        gen, sign = 2, -1
-    interior = TT_LETTER if sign > 0 else T_LETTER
-    joint = T_LETTER if sign > 0 else TT_LETTER
-
-    terms: list[tuple[int, int]] = []
-    i = 0
-    n = len(ts)
-    joint_on_left = 0
-    while True:
-        run = 0
-        while i < n and ts[i] == interior:
-            run += 1
-            i += 1
-        joint_on_right = (run + joint_on_left) % 2
-        if joint_on_right:
-            if i >= n or ts[i] != joint:
-                return None
-            i += 1
-        units = run + joint_on_left + joint_on_right
-        if units == 0 or units % 2:
-            return None
-        terms.append((gen, sign * (units // 2)))
-        if i >= n:
-            if joint_on_right:
-                return None
-            break
-        gen = other_generator(gen)
-        if joint_on_right:
-            joint_on_left = 1
-        else:
-            sign = -sign
-            interior, joint = joint, interior
-            joint_on_left = 0
-
-    expected_trail = (gen, sign) in ((1, 1), (2, -1))
-    if expected_trail != trail:
-        return None
-    return FreeWord(tuple(terms))
 
 
 _PERM_GEN = {PERM_ID: 0, PERM_S1: 1, PERM_S2: 2}

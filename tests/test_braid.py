@@ -98,6 +98,19 @@ def random_canonical(rng: random.Random, size: int) -> CosetElement:
     return CosetElement(tuple(letters))
 
 
+def canonical_words(max_size: int):
+    """Every canonical coset word of at most ``max_size`` letters."""
+    yield IDENTITY
+    for size in range(1, max_size + 1):
+        for a_first in (True, False):
+            t_count = size // 2 if a_first else (size + 1) // 2
+            for powers in product((1, 2), repeat=t_count):
+                t_letters = iter(powers)
+                yield CosetElement(tuple(
+                    0 if (i % 2 == 0) == a_first else next(t_letters) for i in range(size)
+                ))
+
+
 def push_one_at_a_time(x: CosetElement, y: CosetElement) -> CosetElement:
     """The product that pushes every letter of ``y`` onto ``x`` by the rules."""
     stack = list(x.letters)
@@ -306,6 +319,21 @@ class TestCosetAlgebra:
         y = CosetElement((2, 0, 2, 0))
         assert x * y == CosetElement((0, 1, 0)) == push_one_at_a_time(x, y)
 
+    @pytest.mark.parametrize(
+        "call, letter",
+        [
+            (lambda: evaluate(BraidWord(((3, 1),))), "(3, 1)"),
+            (lambda: normal_form(BraidWord(((1, 0),))), "(1, 0)"),
+            (lambda: embed_pure(FreeWord(((3, 2),))), "(3, 1)"),
+        ],
+        ids=["evaluate", "normal_form", "embed_pure"],
+    )
+    def test_malformed_letter_is_a_value_error(self, call, letter):
+        # the text BraidWord.from_letters raises for the same letter
+        with pytest.raises(ValueError) as raised:
+            call()
+        assert str(raised.value) == f"bad braid letter {letter}"
+
     def test_sigma_power_matches_iteration(self):
         for gen in (1, 2):
             for exp in range(-6, 7):
@@ -362,6 +390,34 @@ class TestPureEmbedding:
     def test_swap_generators(self):
         w = parse_word("a1^2 a2^-1")
         assert swap_generators(w) == parse_word("a2^2 a1^-1")
+
+    def test_every_short_coset(self):
+        words = list(canonical_words(20))
+        assert len(words) == 7162
+        for x in words:
+            w = unembed(x)
+            assert (w is None) == (s3_image(x) != PERM_ID), x
+            if w is not None:
+                assert embed_pure(w) == x, x
+            assert remultiply(normal_form(x)) == x, x
+
+    def test_spelling_table_from_its_definition(self):
+        # T(p) a T(p a)^-1 for each representative T(p) of the transversal
+        transversal = [CosetElement(rep) for rep in ((), (0,), (1,), (2,), (0, 1), (0, 2))]
+        rep_of = {s3_image(r): r for r in transversal}
+        assert len(rep_of) == 6
+        spelled = 0
+        for p, rep in rep_of.items():
+            for letter in (0, 1, 2):
+                step = rep * CosetElement((letter,))
+                generator = step * rep_of[s3_image(step)].inverse()
+                term = braid._PERM_SPELL[3 * braid._PERMS.index(p) + letter]
+                if term is None:
+                    assert generator.is_identity, (rep, letter)
+                else:
+                    spelled += 1
+                    assert generator == embed_pure(FreeWord((term,))), (rep, letter)
+        assert spelled == 4
 
 
 class TestNormalForm:

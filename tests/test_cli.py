@@ -1,6 +1,7 @@
 """Command-line interface: formats, exit codes, row shapes."""
 
 import csv
+import inspect
 import io
 import json
 import sys
@@ -581,6 +582,18 @@ class TestVerify:
             checks.append([r["check"] for r in rows])
         assert counts[0] < counts[1]
         assert checks[0] == checks[1]
+
+    @pytest.mark.parametrize("suite", ["words", "braid", "counting", "classes"])
+    def test_each_default_limit_leaves_stdout_unchanged(self, capsys, suite):
+        # the suite's signature holds each default: naming it changes nothing
+        function, limits = verify.SUITES[suite]
+        defaults = inspect.signature(function).parameters
+        code, plain = run(capsys, "verify", "--suite", suite)
+        assert code == 0
+        for name in limits:
+            flag = "--" + name.replace("_", "-")
+            value = str(defaults[name].default)
+            assert run(capsys, "verify", "--suite", suite, flag, value) == (0, plain)
 
     def test_unknown_suite_exits_2(self, capsys):
         assert main(["verify", "--suite", "nosuch"]) == 2
