@@ -10,8 +10,8 @@ never place two letters of the same factor side by side.
 Canonicalization pushes letters onto a stack and resolves ``a*a -> 1``
 and ``t^i * t^j -> t^(i+j mod 3)`` locally, so it is linear and tuple
 equality decides equality in the quotient; words of ``(generator,
-sign)`` letters become cosets in one such stack walk.  The product of
-two canonical words reduces only at their junction.
+sign)`` letters become cosets in one such stack walk, and a product
+is the letters of the right factor pushed onto the left one.
 
 Generator images, pinned down by the relation tests:
 
@@ -25,7 +25,9 @@ table, indexed by the permutation of a prefix and the next letter, steps
 the permutation (:func:`s3_image`); a second table indexed the same way
 holds the Reidemeister-Schreier rewriting over the transversal
 ``1, a, t, t^2, a t, a t^2``, so :func:`unembed` reads a pure word off
-the same walk.
+the same walk.  Rewriting is a homomorphism, so the walk may run over
+the letters of several factors in turn and read the pure word of their
+product without building it.
 
 Every element that is not a power of the half twist factors uniquely
 as ``sigma_j^k  b1  delta^ell`` with ``k != 0``, ``ell`` in ``{0, 1}``
@@ -33,8 +35,10 @@ and ``b1`` a reduced word in ``sigma1^2, sigma2^2`` whose first term,
 if any, uses the generator other than ``j``.  :func:`normal_form` reads
 it off in one pass: exactly one ``ell`` puts the strand permutation of
 ``y = x delta^ell`` in ``{id, s1, s2}``; ``s_j`` means ``k`` is odd, and
-one :func:`unembed` of ``sigma_j^-1 y`` (of ``y`` for ``id``) gives the
-pure word, whose first term joins the leading power if it uses ``j``.
+one :func:`unembed` walk over the factors ``sigma_j^-1``, ``x`` and
+``delta^ell`` (no ``sigma_j^-1`` for ``id``) gives the pure word of
+``sigma_j^-1 y``, whose first term joins the leading power if it uses
+``j``.
 :func:`pure_projection` maps the factorization to the reduced pure word
 obtained by rounding the leading exponent to the nearest even integer
 toward zero.
@@ -118,9 +122,9 @@ _DELTA_TOKEN = re.compile(r"D(?:\^(?P<exp>-?\d+))?\Z")
 
 #: Most letters a parsed braid may expand to: ``|e|`` for each ``s`` token
 #: and ``3|e|`` for each ``D`` token.  At the ceiling on a 2-core x86 host,
-#: ``normalize "s1^1000000"`` took 0.6 s and 68 MB, and a text of 2000
+#: ``normalize "s1^1000000"`` took 1.0 s and 64 MB, and a text of 2000
 #: random ``s1``/``s2`` exponents from 1 to 999 (998 341 letters) 0.9 s and
-#: 93 MB.
+#: 75 MB.
 MAX_BRAID_LETTERS = 10**6
 
 
@@ -210,18 +214,9 @@ class CosetElement:
     letters: tuple[int, ...] = ()
 
     def __mul__(self, other: "CosetElement") -> "CosetElement":
-        # both words are canonical, so letters cancel only at the junction:
-        # drop the inverse pairs there, then push the first letter left on
-        # the right onto the last one left on the left, which may merge two
-        # equal powers of t
-        left, right = self.letters, other.letters
-        n, most = 0, min(len(left), len(right))
-        while n < most and right[n] == _INVERSE_LETTER[left[-1 - n]]:
-            n += 1
-        cut = max(len(left) - n - 1, 0)
-        stack = [None, *left[cut : len(left) - n]]
-        _push(stack, right[n : n + 1])
-        return CosetElement(left[:cut] + tuple(stack[1:]) + right[n + 1 :])
+        stack = [None, *self.letters]
+        _push(stack, other.letters)
+        return CosetElement(tuple(islice(stack, 1, None)))
 
     def inverse(self) -> "CosetElement":
         return CosetElement(tuple(_INVERSE_LETTER[l] for l in reversed(self.letters)))
@@ -344,22 +339,25 @@ _PERM_SPELL = tuple(
 )
 
 
-def unembed(x: CosetElement) -> FreeWord | None:
-    """Invert :func:`embed_pure`, or return None when ``x`` is not a pure word.
+def unembed(*factors: CosetElement) -> FreeWord | None:
+    """Invert :func:`embed_pure` on the product of ``factors``, or return None
+    when that product is not a pure word.
 
     The pure words are the kernel of the strand permutation, free on
-    ``sigma1^2, sigma2^2``.  Reidemeister-Schreier rewriting reads ``x``
-    as a word in them: one walk over the letters steps the strand
-    permutation of the prefix, and each ``a`` read after a prefix in the
-    coset of ``t^2``, ``a t^2``, ``t`` or ``a t`` spells ``a1``, ``a2``,
-    ``a2^-1`` or ``a1^-1``.  ``x`` is pure exactly when the walk ends at
-    the identity.
+    ``sigma1^2, sigma2^2``.  Reidemeister-Schreier rewriting reads the
+    product as a word in them: one walk over the letters of the factors,
+    one factor after another, steps the strand permutation of the prefix,
+    and each ``a`` read after a prefix in the coset of ``t^2``, ``a t^2``,
+    ``t`` or ``a t`` spells ``a1``, ``a2``, ``a2^-1`` or ``a1^-1``.  The
+    rewriting is a homomorphism, so letters that cancel across a junction
+    spell terms that cancel in the free word.  The product is pure exactly
+    when the walk ends at the identity.
     """
     code = _ID_CODE
     step, spell = _PERM_STEP, _PERM_SPELL
     terms = []
     append = terms.append
-    for letter in x.letters:
+    for letter in chain.from_iterable(f.letters for f in factors):
         code += letter
         if spell[code]:
             append(spell[code])
@@ -433,11 +431,10 @@ def normal_form(b: BraidWord | CosetElement) -> NormalForm:
     perm = s3_image(x)
     ell = int(perm not in _PERM_GEN)
     if ell:
-        x = x * HALF_TWIST
         perm = _compose(perm, _PERM_LETTER[A_LETTER])
     # a transposition s_j leaves k odd: strip one sigma_j before unembedding
     j = _PERM_GEN[perm]
-    w = unembed(sigma_power(j, -1) * x if j else x)
+    w = unembed(sigma_power(j, -1) if j else IDENTITY, x, HALF_TWIST if ell else IDENTITY)
     if w is None:
         raise ArithmeticError("canonical coset word did not parse; invariant violated")
     if j and (not w.terms or w.terms[0][0] != j):

@@ -301,7 +301,7 @@ def search_forbidden_conjugations(
     for source in sources:
         x = embed_pure(source)
         for spelling, beta, beta_inv in conjugators:
-            target = unembed(beta_inv * x * beta)
+            target = unembed(beta_inv, x, beta)
             if target is not None and is_alternating_form(target, min_terms=4):
                 hits.append(ForbiddenConjugation(source, target, spelling))
     return hits

@@ -116,18 +116,12 @@ ENTROPY_PER_EXTREMAL_LENGTH = Scale(Fraction(1, 2), 1)
 
 def lower_weight(w: words.FreeWord) -> LogInteger:
     """``log prod(3 d_k)`` over the syllable degrees; identity gives log 1."""
-    arg = 1
-    for d in words.syllable_decompose(w).degrees():
-        arg *= 3 * d
-    return LogInteger(arg)
+    return LogInteger(math.prod(3 * d for d in words.syllable_degrees(w)))
 
 
 def upper_weight(w: words.FreeWord) -> LogInteger:
     """``log prod(4 d_k)`` over the syllable degrees; identity gives log 1."""
-    arg = 1
-    for d in words.syllable_decompose(w).degrees():
-        arg *= 4 * d
-    return LogInteger(arg)
+    return LogInteger(math.prod(4 * d for d in words.syllable_degrees(w)))
 
 
 @dataclass(frozen=True)

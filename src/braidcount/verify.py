@@ -35,10 +35,9 @@ class CheckResult:
 #: The accepted range of each suite limit, so that no suite runs for minutes.
 #: On a 2-core host: ``max_x`` 10^4 takes about 7 s (every threshold is
 #: counted); ``max_len`` 10 about 1.4 s in the counting suite (the word
-#: oracle; 12 took about 25 s) and about 39 s in the braid suite, which
-#: enumerates all 4^n letter sequences (0.24, 0.66, 2.4, 9.4 s at 6 to 9);
-#: ``pairs`` 5 about 20 s; ``conj_len`` 4 at 5 pairs about 64 s, and 6 at
-#: 2 pairs about 6 s.
+#: oracle; 12 took about 25 s) and about 61 s in the braid suite, which
+#: enumerates all 4^n letter sequences (0.33, 1.1, 3.9, 12 s at 6 to 9);
+#: ``pairs`` 5 about 7 s; ``conj_len`` 4 at 5 pairs about 31 s.
 LIMITS = {"max_x": (0, 10**4), "max_len": (0, 10), "pairs": (1, 5), "conj_len": (0, 4)}
 
 

@@ -3,6 +3,7 @@
 import random
 import sys
 import time
+from functools import reduce
 from itertools import product
 
 import pytest
@@ -401,6 +402,22 @@ class TestPureEmbedding:
                 assert embed_pure(w) == x, x
             assert remultiply(normal_form(x)) == x, x
 
+    def test_factors_walk_like_their_product(self):
+        # rewriting is a homomorphism: walking the factors one after another
+        # reads the pure word of their product, or None when it is not pure
+        assert unembed() == FreeWord() == unembed(IDENTITY)
+        rng = random.Random(1307)
+        pure = 0
+        for _ in range(3000):
+            fs = [random_canonical(rng, rng.randint(0, 12)) for _ in range(rng.randint(0, 4))]
+            if fs and rng.random() < 0.5:
+                # close the list with the inverse of the rest, so the product is pure
+                fs.append(reduce(push_one_at_a_time, fs, IDENTITY).inverse())
+            w = unembed(reduce(push_one_at_a_time, fs, IDENTITY))
+            assert unembed(*fs) == w, fs
+            pure += w is not None
+        assert 1000 < pure < 2500
+
     def test_spelling_table_from_its_definition(self):
         # T(p) a T(p a)^-1 for each representative T(p) of the transversal
         transversal = [CosetElement(rep) for rep in ((), (0,), (1,), (2,), (0, 1), (0, 2))]
@@ -455,9 +472,9 @@ class TestNormalForm:
     def test_one_unembed_per_call(self, monkeypatch):
         calls = []
 
-        def counted(x):
-            calls.append(x)
-            return unembed(x)
+        def counted(*factors):
+            calls.append(factors)
+            return unembed(*factors)
 
         monkeypatch.setattr(braid, "unembed", counted)
         rng = random.Random(11)
@@ -468,6 +485,21 @@ class TestNormalForm:
             calls.clear()
             normal_form(coset(text))
             assert len(calls) == 1, text
+
+    def test_takes_no_coset_product(self, monkeypatch):
+        # the half twist and the stripped sigma_j are walked as factors
+        rng = random.Random(1308)
+        letters = ((1, 1), (1, -1), (2, 1), (2, -1))
+        xs = [evaluate(BraidWord(tuple(rng.choice(letters) for _ in range(rng.randint(1, 30)))))
+              for _ in range(300)]
+        forms = [normal_form(x) for x in xs]
+
+        def refuse(self, other):
+            raise AssertionError("coset product taken")
+
+        monkeypatch.setattr(CosetElement, "__mul__", refuse)
+        assert [normal_form(x) for x in xs] == forms
+        assert any(f.ell == 1 and f.j != 0 and f.k % 2 for f in forms)
 
     def test_long_word_round_trip(self):
         # 20 000 letters, where a coset build that copies its stack per term is quadratic

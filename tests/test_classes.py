@@ -8,7 +8,14 @@ import sympy
 from hypothesis import given, strategies as st
 
 from braidcount import classes
-from braidcount.braid import conjugate, embed_pure, evaluate, parse_braid, unembed
+from braidcount.braid import (
+    CosetElement,
+    conjugate,
+    embed_pure,
+    evaluate,
+    parse_braid,
+    unembed,
+)
 from braidcount.classes import (
     ENTROPY_VARIANT,
     ENUMERATION_LIMIT,
@@ -223,6 +230,14 @@ class TestForbiddenSearch:
             search_forbidden_conjugations(1, 2)
 
     def test_empty_at_desk_scale(self):
+        assert search_forbidden_conjugations(2, 2) == []
+
+    def test_takes_no_coset_product(self, monkeypatch):
+        # each conjugate is unembedded as three factors, never multiplied out
+        def refuse(self, other):
+            raise AssertionError("coset product taken")
+
+        monkeypatch.setattr(CosetElement, "__mul__", refuse)
         assert search_forbidden_conjugations(2, 2) == []
 
     def test_every_hit_is_witnessed_by_its_reported_conjugator(self, monkeypatch):

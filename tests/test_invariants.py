@@ -1,5 +1,6 @@
 """Bound intervals: weights, scales, rigorous decimal endpoints."""
 
+import math
 import os
 import random
 from decimal import Decimal
@@ -78,6 +79,19 @@ class TestWeights:
             hi *= 4 * d
         assert lower_weight(w) == LogInteger(lo)
         assert upper_weight(w) == LogInteger(hi)
+
+    @given(term_lists)
+    def test_weights_match_built_syllables(self, raw):
+        w = FreeWord.from_terms(raw)
+        degrees = syllable_decompose(w).degrees()
+        assert lower_weight(w) == LogInteger(math.prod(3 * d for d in degrees))
+        assert upper_weight(w) == LogInteger(math.prod(4 * d for d in degrees))
+
+    @pytest.mark.parametrize("terms", [((3, 2),), ((1, 0),), ((1, 2), (0, -1))])
+    @pytest.mark.parametrize("weight", [lower_weight, upper_weight])
+    def test_malformed_word_is_a_value_error(self, weight, terms):
+        with pytest.raises(ValueError):
+            weight(FreeWord(terms))
 
     def test_scales(self):
         assert EXTREMAL_LOWER_SCALE == Scale(Fraction(1, 2), -1)
