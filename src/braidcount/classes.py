@@ -179,7 +179,7 @@ def lower_bound_report(y, variant: str) -> LowerBoundReport:
     """
     from . import exactlog  # loaded on first use: only the reports need it
 
-    y_text = y if isinstance(y, str) else str(y)
+    y_text = str(y)
     expr = exactlog.from_value(y)
     if variant == LAMBDA_VARIANT:
         scale = exactlog.number(900)

@@ -92,6 +92,7 @@ class Node:
     ``num`` nodes hold one Fraction; ``rational`` is the exact value of an
     all-number subtree.
     ``-``, ``*`` and ``/`` build new nodes and take ints and Fractions.
+    ``str()`` gives the source text, or "the expression" for a built tree.
     """
 
     __slots__ = ("op", "args", "rational", "bits", "source", "_exact")
@@ -138,6 +139,9 @@ class Node:
 
     def __truediv__(self, other):
         return Node("div", (self, _node(other)))
+
+    def __str__(self):
+        return "the expression" if self.source is None else self.source
 
 
 def number(value) -> Node:
@@ -528,31 +532,42 @@ def _exact(node: Node) -> dict:
 # --- enclosures ---------------------------------------------------------------
 
 
-def _iv_exp(iv, x):
-    from mpmath import mpf
+def _outward(y):
+    # mpmath rounds exp and log once from a few guard bits, so an end can miss
+    # the value (both ends of e^2101 at 256 bits): widen by a relative 2^(4-prec)
+    from mpmath.libmp import mpi_mul
 
-    if -_EXP_LIMIT <= x.a and x.b <= _EXP_LIMIT:
-        return iv.exp(x)
-    low = min(max(x.a, -_EXP_LIMIT), _EXP_LIMIT)
-    high = max(min(x.b, _EXP_LIMIT), -_EXP_LIMIT)
-    inner = iv.exp(iv.mpf([low, high]))
-    low, high = inner.a, inner.b
-    if x.a < -_EXP_LIMIT:
-        # e^a >= 2^floor(1.4427 a) for a < 0, as 1.4427 > 1/log(2); the floor
-        # is taken in ints from the raw tuple of a = -man * 2^exp, so it
-        # builds no fraction; a = -inf, or an a of more than _TINY_EXP_BITS
-        # bits, keeps 0
-        end = x._mpi_[0]
-        _, man, exp, bc = end
-        if _special(end) or exp + bc > _TINY_EXP_BITS:
-            low = 0
+    k = y.ctx.prec - 4
+    factor = (0, (1 << k) - 1, -k, k), (0, (1 << k) + 1, -k, k + 1)  # 1 -+ 2^-k
+    return y.ctx.make_mpf(mpi_mul(y._mpi_, factor, k + 4))
+
+
+def _iv_exp(iv, x):
+    from mpmath.libmp import finf, fone, fzero, from_int, mpf_gt, mpf_lt, mpf_neg, mpf_sign
+
+    a, b = x._mpi_
+    limit = from_int(_EXP_LIMIT)
+    tiny, huge = mpf_lt(a, mpf_neg(limit)), mpf_gt(b, limit)
+    if tiny or huge:  # the ends are clamped to +-_EXP_LIMIT, and set below
+        x = iv.mpf([min(max(x.a, -_EXP_LIMIT), _EXP_LIMIT), max(min(x.b, _EXP_LIMIT), -_EXP_LIMIT)])
+    low, high = _outward(iv.exp(x))._mpi_
+    # the widening keeps e^a >= 1 for a >= 0 and e^a <= 1 for a <= 0
+    low = fone if mpf_sign(a) >= 0 and mpf_lt(low, fone) else low
+    high = fone if mpf_sign(b) <= 0 and mpf_lt(fone, high) else high
+    if tiny:
+        # e^a >= 2^floor(1.4427 a) for a < 0, as 1.4427 > 1/log(2); the floor is
+        # taken in ints from the raw tuple of a = -man * 2^exp, so it builds no
+        # fraction; a = -inf, or an a of more than _TINY_EXP_BITS bits, keeps 0
+        _, man, exp, bc = a
+        if _special(a) or exp + bc > _TINY_EXP_BITS:
+            low = fzero
         else:
             num = -man * 14427
             log2_low = (num << exp) // 10000 if exp >= 0 else num // (10000 << -exp)
-            low = mpf((0, 1, log2_low, 1))
-    if x.b > _EXP_LIMIT:
-        high = "inf"  # the value lies beyond any threshold or report
-    return iv.mpf([low, high])
+            low = (0, 1, log2_low, 1)
+    if huge:
+        high = finf  # the value lies beyond any threshold or report
+    return iv.make_mpf((low, high))
 
 
 def _exactly_zero(node: Node) -> bool:
@@ -608,11 +623,12 @@ def _enclose(node: Node, iv):
                 raise _NotReal
             raise _Undecided
         return iv.mpf(0)
-    if op == "log":
-        return iv.log(x)
     if op == "sqrt":
         return iv.sqrt(x)
-    return _iv_exp(iv, (e if r is None else iv.mpf(r.numerator) / r.denominator) * iv.log(x))
+    log = _outward(iv.log(x))
+    if op == "log":
+        return log
+    return _iv_exp(iv, (e if r is None else iv.mpf(r.numerator) / r.denominator) * log)
 
 
 # --- certificates -----------------------------------------------------------
@@ -624,14 +640,6 @@ def _special(t: tuple) -> bool:
     return not t[1] and t[3] < 0
 
 
-def _ends(x) -> tuple[Fraction | None, Fraction | None]:
-    """Both endpoints of an enclosure exactly, None for an infinity or nan."""
-    return tuple(
-        None if _special(t) else endpoint_fraction(x, side)
-        for t, side in zip(x._mpi_, ("lower", "upper"))
-    )
-
-
 def _fraction_sized(x) -> bool:
     """True when both ends of an enclosure are finite and within
     2^+-_EXP_LIMIT, so their exact fractions are small enough to build;
@@ -639,28 +647,30 @@ def _fraction_sized(x) -> bool:
     return not any(_special(t) or abs(t[2] + t[3]) > _EXP_LIMIT for t in x._mpi_)
 
 
-def _floors(x) -> tuple[int | None, int | None]:
-    """The floors of both endpoints of an enclosure, None for an infinity or
-    nan; taken from the raw tuples, so a far tiny end costs no fraction."""
+def _floor(x) -> int | None:
+    """The floor of every point of an enclosure, None where its ends differ in
+    floor or one is an infinity or nan; taken from the raw tuples, so a far
+    tiny end costs no fraction."""
     from mpmath.libmp import round_floor, to_int
 
-    return tuple(None if _special(t) else to_int(t, round_floor) for t in x._mpi_)
+    low, high = (None if _special(t) else to_int(t, round_floor) for t in x._mpi_)
+    return low if low == high else None
 
 
-def _certify(node: Node, decide, settle=None, start: int = 64):
-    """Enclose ``node`` at doubling precision until ``decide(enclosure, iv)``
-    answers; where it cannot, ``settle(exact form, enclosure)`` may, and an
-    exact form that is a rational is enclosed in place of ``node``."""
+def _certify(node: Node, decide, settle=None):
+    """Enclose ``node`` from 64 bits, doubling to :data:`MAX_PRECISION`, until
+    ``decide(enclosure)`` answers; where it cannot, ``settle(exact form)`` may,
+    and an exact form that is a rational is enclosed in place of ``node``."""
     name = f"Y = {node.source}" if node.source is not None else "the expression"
-    prec = max(start, 64)
+    prec = 64
     while prec <= MAX_PRECISION:
         with interval_precision(prec) as iv:
             try:
                 x = _enclose(node, iv)
-                got = decide(x, iv)
+                got = decide(x)
                 if got is None and settle is not None:
                     form = _exact(node)
-                    got = settle(form, x)
+                    got = settle(form)
                     q = _rational(form)
                     if got is None and q is not None and node.op != "num":
                         # the value is the rational q: enclose q instead,
@@ -683,7 +693,7 @@ def bounds(node: Node) -> tuple[float, float]:
     An end beyond the float range, or unknown, reads as an infinity."""
     from mpmath.libmp import to_float
 
-    def decide(x, iv):
+    def decide(x):
         # to_float saturates an end beyond the float range to +-inf and is
         # within one unit in the last place otherwise, so one step outward
         # keeps each end on its side of the value
@@ -699,34 +709,27 @@ def bounds(node: Node) -> tuple[float, float]:
 def sign(node: Node) -> int:
     """-1, 0 or 1: the exact sign of the value."""
 
-    def decide(x, iv):
+    def decide(x):
         return 1 if x.a > 0 else -1 if x.b < 0 else 0 if x.a == x.b == 0 else None
 
-    return _certify(node, decide, lambda form, x: None if form else 0)
+    return _certify(node, decide, lambda form: None if form else 0)
 
 
 def floor(node: Node) -> int:
     """The exact floor of the value."""
 
-    def decide(x, iv):
-        low, high = _floors(x)
-        return low if low == high else None
-
-    def settle(form, x):
+    def settle(form):
         q = _rational(form)
         return None if q is None else math.floor(q)
 
-    return _certify(node, decide, settle)
+    return _certify(node, _floor, settle)
 
 
 def floor_exp(node: Node) -> int:
-    """The exact floor of ``e^value``; the caller bounds the value first."""
+    """The exact floor of ``e^value``; one of more than :data:`MAX_PRECISION`
+    bits ends in "cannot certify", as no enclosure can separate its floor."""
 
-    def decide(x, iv):
-        low, high = _floors(_iv_exp(iv, x))
-        return low if low == high else None
-
-    def settle(form, x):
+    def settle(form):
         # e^Y is the integer prod(b^k) when Y is a sum of k log b, k >= 0
         n = 1
         for m, k in form.items():
@@ -737,11 +740,7 @@ def floor_exp(node: Node) -> int:
             n *= m[0][0][1] ** int(k)
         return n
 
-    # e^Y has at least this many bits, so no lower precision can settle it
-    bits = max(bounds(node)[0], 0) / math.log(2)
-    if not bits < MAX_PRECISION:
-        raise ValueError(f"e^Y beyond {MAX_PRECISION} bits")
-    return _certify(node, decide, settle, start=64 + int(bits))
+    return _certify(node, lambda x: _floor(_iv_exp(x.ctx, x)), settle)
 
 
 def ceil_decimal(node: Node, digits: int) -> str:
@@ -753,13 +752,13 @@ def ceil_decimal(node: Node, digits: int) -> str:
         pad = digits - len(shown)
         return str(Decimal((sign, shown + (0,) * pad, exponent - pad)))
 
-    def decide(x, iv):
+    def decide(x):
         if not _fraction_sized(x):
             return None
-        low, high = (ceil(end) for end in _ends(x))
+        low, high = (ceil(endpoint_fraction(x, side)) for side in ("lower", "upper"))
         return low if low == high else None
 
-    def settle(form, x):
+    def settle(form):
         q = _rational(form)
         return None if q is None else ceil(q)
 

@@ -3,11 +3,11 @@
 Everything here is written in the most naive way that can possibly
 work: plain depth-first enumeration with no memoization, no quotient
 grouping, no transfer rules.  The only code shared with the fast
-kernels is the data types and the syllable decomposition (the oracle
-for word counting is the *enumeration*; the per-word weight uses the
-same decomposition the counters are defined through).  Slowness is the
-point: agreement between these and the kernels is the main evidence
-the kernels are right.
+kernels is the data types and the syllable pass (the oracle for word
+counting is the *enumeration*; the per-word weight reads its degrees with
+``syllable_degrees``, the pass that ``syllable_decompose`` and the
+counters are defined through).  Slowness is the point: agreement between
+these and the kernels is the main evidence the kernels are right.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from __future__ import annotations
 from typing import Iterator
 
 from .braid import BraidWord, CosetElement, evaluate
-from .words import FreeWord, syllable_decompose
+from .words import FreeWord, syllable_degrees
 
 _LETTERS = ((1, 1), (1, -1), (2, 1), (2, -1))
 
@@ -88,7 +88,7 @@ def tuple_product_histogram(max_x: int) -> dict[int, int]:
 def word_weight(w: FreeWord) -> int:
     """The exact weight prod(3 d_k) over the word's syllable degrees."""
     product = 1
-    for d in syllable_decompose(w).degrees():
+    for d in syllable_degrees(w):
         product *= 3 * d
     return product
 

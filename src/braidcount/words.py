@@ -65,10 +65,6 @@ class FreeWord:
     terms: tuple[tuple[int, int], ...] = ()
 
     @staticmethod
-    def identity() -> "FreeWord":
-        return FreeWord()
-
-    @staticmethod
     def from_terms(raw: Iterable[tuple[int, int]]) -> "FreeWord":
         return FreeWord(reduce_terms(raw))
 

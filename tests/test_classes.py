@@ -7,7 +7,7 @@ import pytest
 import sympy
 from hypothesis import given, strategies as st
 
-from braidcount import classes
+from braidcount import classes, exactlog
 from braidcount.braid import (
     CosetElement,
     conjugate,
@@ -31,6 +31,7 @@ from braidcount.classes import (
     rotation_conjugator,
     search_forbidden_conjugations,
 )
+from braidcount.oracle import brute_conjugator_search
 from braidcount.words import parse_word
 
 
@@ -131,6 +132,24 @@ class TestRotationConjugator:
         assert conjugate(g, x) == y
 
 
+class TestConjugacyAgainstOracle:
+    def test_conjugate_exactly_within_an_orbit(self):
+        # index 1: some braid of at most 6 letters conjugates f to g exactly
+        # when g lies in the rotation orbit of f
+        family = enumerate_family(1)
+        for f in family:
+            x = embed_pure(f.expand())
+            for g in family:
+                found = brute_conjugator_search(x, embed_pure(g.expand()), 6)
+                assert (found is not None) == (g in orbit_of(f)), (f, g)
+
+    def test_every_rotation_step_has_a_short_conjugator(self):
+        for w in enumerate_family(2):
+            x, y = embed_pure(w.expand()), embed_pure(w.rotate().expand())
+            g = brute_conjugator_search(x, y, 5)
+            assert g is not None and conjugate(evaluate(g), x) == y, w
+
+
 class TestReports:
     def test_lambda_anchor(self):
         rep = lower_bound_report("600*log(8)", LAMBDA_VARIANT)
@@ -190,6 +209,12 @@ class TestReports:
         rep = lower_bound_report("10**6*log(9) - 10**6*log(8)", LAMBDA_VARIANT)
         assert rep.index == 188 and rep.satisfied
         assert time.perf_counter() - start < 5.0
+
+    def test_node_y_is_named_by_its_text(self):
+        rep = lower_bound_report(exactlog.parse("600*log(8)"), LAMBDA_VARIANT)
+        assert rep.to_json()["Y"] == "600*log(8)"
+        with pytest.raises(ValueError, match=r"^Y = 10\*\*9 is out of range"):
+            lower_bound_report(exactlog.parse("10**9"), LAMBDA_VARIANT)
 
     def test_json_keys(self):
         rep = lower_bound_report("600*log(8)", LAMBDA_VARIANT)

@@ -539,6 +539,10 @@ class TestThresholds:
             threshold_from_y(y)
         assert time.perf_counter() - start < 1.0
 
+    def test_out_of_range_node_is_named_by_its_text(self):
+        with pytest.raises(ValueError, match=r"^Y = 8000 is out of range"):
+            threshold_from_y(exactlog.parse("8000"))
+
     def test_accepts_y_below_the_bit_limit(self):
         assert exactlog.MAX_THRESHOLD_Y > 3300 * math.log(8)
         assert threshold_from_y("3300*log(8)") == 8**3300

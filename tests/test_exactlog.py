@@ -5,6 +5,7 @@ import sys
 import time
 from fractions import Fraction
 
+import mpmath
 import pytest
 import sympy
 
@@ -127,6 +128,11 @@ class TestCertificates:
             assert floor_exp(parse(text)) == exp_floor
         assert time.perf_counter() - start < 1.0
 
+    def test_widened_exp_of_a_tiny_negative_value_stays_at_most_one(self):
+        # e^a <= 1 for a <= 0, as e^a >= 1 for a >= 0, survives the widening
+        # of the exp enclosure, which would put its upper end above 1
+        assert ceil_decimal(parse("exp(-exp(-E**40))"), 12) == "1.00000000000"
+
     def test_tiny_value_of_an_exponent_past_the_fraction_limit_is_positive(self):
         # -E**800000 has about 1.15*10^6 bits, past the 2^20 bits that are
         # turned into a fraction; e^a still gets a positive lower end
@@ -163,6 +169,24 @@ class TestCertificates:
             assert not exactlog._fraction_sized(iv.mpf([-far, 0]))
             assert not exactlog._fraction_sized(iv.mpf([1, far]))
 
+    def test_exp_enclosure_holds_where_mpmath_rounds_both_ends_down(self):
+        # at 256 bits mpmath's interval exp gives both ends of e^2101 as one
+        # number below the value, so its floor looked certified and was wrong
+        with exactlog.interval_precision(256) as iv:
+            raw = iv.exp(iv.mpf(2101))
+            widened = exactlog._iv_exp(iv, iv.mpf(2101))
+        with mpmath.workprec(4000):
+            value = mpmath.exp(2101)
+            assert mpmath.mpf(raw.b) < value
+            assert mpmath.mpf(widened.a) < value < mpmath.mpf(widened.b)
+            expected = int(mpmath.floor(value))
+        assert floor(parse("exp(2101)")) == floor_exp(parse("2101")) == expected
+
+    def test_floor_exp_past_the_precision_ceiling_is_refused(self):
+        # e^30000 has 43281 bits, more than a certificate's precision reaches
+        with pytest.raises(ValueError, match="cannot certify Y = 30000 within 32768 bits"):
+            floor_exp(parse("30000"))
+
     def test_unsettled_tie_is_refused_quickly(self):
         # (1 + pi)^2 stays one opaque atom, so log(4) in disguise never settles
         start = time.perf_counter()
@@ -179,6 +203,11 @@ class TestValues:
             exactlog.from_value(sympy.log(-1))
         with pytest.raises(ValueError, match="cannot parse"):
             exactlog.from_value(sympy.Symbol("x"))
+
+    def test_a_node_reads_as_its_source(self):
+        assert str(parse("600*log(8)")) == "600*log(8)"
+        assert str(exactlog.from_value(Fraction(1, 3))) == "1/3"
+        assert str(parse("log(8)") * 600) == "the expression"
 
     def test_non_finite_float(self):
         for y in (float("nan"), float("inf")):
