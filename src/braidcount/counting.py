@@ -43,7 +43,7 @@ from itertools import accumulate, repeat
 from math import factorial, isqrt
 from operator import add, mul, sub
 
-from .invariants import endpoint_fraction, interval_precision
+from .invariants import endpoint_fraction, interval_precision, outward
 
 FIRST = 0
 SECOND = 1
@@ -392,7 +392,7 @@ def bound_tuples_j(j: int, x: int) -> Fraction:
     with interval_precision() as iv:
         value = _iv_fraction(iv, scale / factorial(j - 1))
         if j > 1:
-            value *= iv.log(_iv_fraction(iv, scale)) ** (j - 1)
+            value *= outward(iv.log(_iv_fraction(iv, scale))) ** (j - 1)
     return endpoint_fraction(value, "upper")
 
 
@@ -402,8 +402,12 @@ def bound_tuples_total(x: int) -> Fraction:
         raise ValueError("threshold must be nonnegative")
     if x == 0:
         return Fraction(0)
+    if x == 3:
+        return Fraction(1)  # exact, where the widened exp below would not be
     with interval_precision() as iv:
-        value = (iv.mpf(x) / iv.mpf(3)) ** (iv.mpf(5) / iv.mpf(3))
+        # exp(5/3 log(x/3)) with mpmath's exp and log ends widened, as exactlog
+        # encloses a non-integer power
+        value = outward(iv.exp(iv.mpf(5) / 3 * outward(iv.log(iv.mpf(x) / 3))))
     return endpoint_fraction(value, "upper")
 
 

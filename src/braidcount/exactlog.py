@@ -34,7 +34,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt
 
-from .invariants import endpoint_fraction, interval_precision
+from .invariants import endpoint_fraction, interval_precision, outward
 
 #: A power with rational exponent in ``Y`` whose exact value would exceed
 #: this many bits (about 3000 digits) is refused when parsed; larger powers
@@ -532,16 +532,6 @@ def _exact(node: Node) -> dict:
 # --- enclosures ---------------------------------------------------------------
 
 
-def _outward(y):
-    # mpmath rounds exp and log once from a few guard bits, so an end can miss
-    # the value (both ends of e^2101 at 256 bits): widen by a relative 2^(4-prec)
-    from mpmath.libmp import mpi_mul
-
-    k = y.ctx.prec - 4
-    factor = (0, (1 << k) - 1, -k, k), (0, (1 << k) + 1, -k, k + 1)  # 1 -+ 2^-k
-    return y.ctx.make_mpf(mpi_mul(y._mpi_, factor, k + 4))
-
-
 def _iv_exp(iv, x):
     from mpmath.libmp import finf, fone, fzero, from_int, mpf_gt, mpf_lt, mpf_neg, mpf_sign
 
@@ -550,7 +540,7 @@ def _iv_exp(iv, x):
     tiny, huge = mpf_lt(a, mpf_neg(limit)), mpf_gt(b, limit)
     if tiny or huge:  # the ends are clamped to +-_EXP_LIMIT, and set below
         x = iv.mpf([min(max(x.a, -_EXP_LIMIT), _EXP_LIMIT), max(min(x.b, _EXP_LIMIT), -_EXP_LIMIT)])
-    low, high = _outward(iv.exp(x))._mpi_
+    low, high = outward(iv.exp(x))._mpi_
     # the widening keeps e^a >= 1 for a >= 0 and e^a <= 1 for a <= 0
     low = fone if mpf_sign(a) >= 0 and mpf_lt(low, fone) else low
     high = fone if mpf_sign(b) <= 0 and mpf_lt(fone, high) else high
@@ -625,7 +615,7 @@ def _enclose(node: Node, iv):
         return iv.mpf(0)
     if op == "sqrt":
         return iv.sqrt(x)
-    log = _outward(iv.log(x))
+    log = outward(iv.log(x))
     if op == "log":
         return log
     return _iv_exp(iv, (e if r is None else iv.mpf(r.numerator) / r.denominator) * log)

@@ -19,10 +19,11 @@ The bounds exposed here:
 The entropy of a conjugacy class equals pi/2 times its extremal
 length; :data:`ENTROPY_PER_EXTREMAL_LENGTH` records the conversion.
 
-Decimal rendering of interval endpoints is rigorous: evaluation uses
-interval arithmetic at a fixed 128 bits and the printed 12-digit
-decimals are rounded outward, floor on lower endpoints and ceiling on
-upper ones.
+Decimal rendering of interval endpoints is rigorous.  Each endpoint is
+computed alone, as one directed end at a fixed 128 bits: every step
+rounds toward its side, and mpmath's ``log`` and ``pi`` are widened by a
+relative ``2^-124``.  The printed 12-digit decimals are rounded outward,
+floor on lower endpoints and ceiling on upper ones.
 """
 
 from __future__ import annotations
@@ -37,15 +38,17 @@ from functools import total_ordering
 from . import braid, words
 
 DISPLAY_DIGITS = 12
+#: Working precision of the bound columns and analytic bounds: 128 bits keep
+#: 12 printed digits sharp.
+BITS = 128
 
 
 @contextmanager
-def interval_precision(bits: int = 128):
+def interval_precision(bits: int = BITS):
     """``mpmath.iv`` at ``bits``, restored on exit.
 
-    The default serves the bound columns and analytic bounds: outward
-    rounding makes every printed decimal a true bound, and 128 bits keep
-    its 12 digits sharp.
+    The default serves the analytic bounds: outward rounding makes every
+    printed decimal a true bound, and :data:`BITS` keeps its 12 digits sharp.
     """
     import mpmath  # loaded on first use: bounds and certificates need it, parsing not
 
@@ -54,6 +57,25 @@ def interval_precision(bits: int = 128):
         yield mpmath.iv
     finally:
         mpmath.iv.prec = old
+
+
+def widening(bits: int) -> tuple[tuple, tuple]:
+    """The raw mpmath numbers ``1 - 2^-bits`` and ``1 + 2^-bits``.
+
+    mpmath rounds ``exp``, ``log`` and ``pi`` once from a few guard bits, so
+    an end can miss the value (both ends of e^2101 at 256 bits); an end at
+    ``prec`` bits times the factor on its side, with ``bits = prec - 4``,
+    holds it.
+    """
+    return (0, (1 << bits) - 1, -bits, bits), (0, (1 << bits) + 1, -bits, bits + 1)
+
+
+def outward(y):
+    """An ``mpmath.iv`` interval widened by the :func:`widening` of its context."""
+    from mpmath.libmp import mpi_mul
+
+    k = y.ctx.prec - 4
+    return y.ctx.make_mpf(mpi_mul(y._mpi_, widening(k), k + 4))
 
 
 @total_ordering
@@ -230,6 +252,11 @@ def entropy_bounds(w: words.FreeWord) -> BoundInterval:
 
 # --- rigorous decimal rendering -------------------------------------------
 
+_CONTEXTS = {
+    "lower": Context(prec=DISPLAY_DIGITS, rounding=ROUND_FLOOR),
+    "upper": Context(prec=DISPLAY_DIGITS, rounding=ROUND_CEILING),
+}
+
 
 def endpoint_fraction(value, direction: str) -> Fraction:
     """The lower or upper endpoint of an ``mpmath.iv`` interval, exactly."""
@@ -239,24 +266,52 @@ def endpoint_fraction(value, direction: str) -> Fraction:
     return -out if sign else out
 
 
+def _directed_decimal(numerator: int, denominator: int, direction: str) -> str:
+    return str(_CONTEXTS[direction].divide(Decimal(numerator), Decimal(denominator)))
+
+
 def directed_fraction_decimal(value: Fraction, direction: str) -> str:
-    rounding = ROUND_FLOOR if direction == "lower" else ROUND_CEILING
-    ctx = Context(prec=DISPLAY_DIGITS, rounding=rounding)
-    return str(ctx.divide(Decimal(value.numerator), Decimal(value.denominator)))
+    return _directed_decimal(value.numerator, value.denominator, direction)
+
+
+def _scaled_log_end(scale: Scale, argument: int, direction: str) -> tuple:
+    """``scale * log(argument)`` rounded toward ``direction``: a raw mpmath
+    number at :data:`BITS` bits, below the value for ``"lower"`` and above it
+    for ``"upper"``; needs a positive ``scale.rational``."""
+    from mpmath.libmp import from_int, mpf_div, mpf_log, mpf_mul, mpf_pi, round_ceiling, round_floor
+
+    upper = direction == "upper"
+    rnd = round_ceiling if upper else round_floor
+    widen = widening(BITS - 4)
+    # the argument rounded first: its exact mantissa would make log slower
+    value = mpf_log(from_int(argument, BITS, rnd), BITS, rnd)
+    value = mpf_mul(value, widen[upper], BITS, rnd)
+    value = mpf_mul(value, from_int(scale.rational.numerator), BITS, rnd)
+    value = mpf_div(value, from_int(scale.rational.denominator), BITS, rnd)
+    if scale.pi_power:
+        # a product takes pi's end on the value's side, a quotient the other
+        pi_upper = upper == (scale.pi_power > 0)
+        pi_rnd = round_ceiling if pi_upper else round_floor
+        pi = mpf_mul(mpf_pi(BITS, pi_rnd), widen[pi_upper], BITS, pi_rnd)
+        step = mpf_mul if scale.pi_power > 0 else mpf_div
+        for _ in range(abs(scale.pi_power)):
+            value = step(value, pi, BITS, rnd)
+    return value
 
 
 def scaled_log_decimal(scale: Scale, log_arg: LogInteger, direction: str) -> str:
     """Render ``scale * log(argument)`` to 12 digits, rounded outward.
 
-    ``direction`` is ``"lower"`` (round down) or ``"upper"`` (round up);
-    the result is a true bound of the exact value in that direction.
+    ``direction`` is ``"lower"`` (round down) or ``"upper"`` (round up).
+    Only that end is computed, from one directed ``log`` widened by
+    :func:`widening`, so the result is a true bound of the exact value in
+    that direction.  The scale's rational must be positive.
     """
-    if direction not in ("lower", "upper"):
+    if direction not in _CONTEXTS:
         raise ValueError("direction must be 'lower' or 'upper'")
-    with interval_precision() as iv:
-        value = iv.log(iv.mpf(log_arg.argument))
-        value *= iv.mpf(scale.rational.numerator)
-        value /= iv.mpf(scale.rational.denominator)
-        if scale.pi_power:
-            value *= iv.pi ** scale.pi_power
-    return directed_fraction_decimal(endpoint_fraction(value, direction), direction)
+    if scale.rational <= 0:
+        raise ValueError("scale must be positive")
+    _, man, exp, _ = _scaled_log_end(scale, log_arg.argument, direction)  # >= 0
+    if exp >= 0:
+        return _directed_decimal(man << exp, 1, direction)
+    return _directed_decimal(man, 1 << -exp, direction)

@@ -30,6 +30,7 @@ from braidcount.counting import (
     max_tuple_length,
     threshold_from_y,
 )
+from braidcount.invariants import endpoint_fraction
 from braidcount.oracle import (
     brute_count_tuples,
     enumerate_reduced_words,
@@ -96,6 +97,12 @@ class TestTupleCounts:
         assert time.perf_counter() - start < 1.0
 
 
+def _fraction(value) -> Fraction:
+    """An mpmath number, exactly."""
+    man, exp = value.man_exp
+    return Fraction(man) * Fraction(2) ** exp
+
+
 class TestTupleBounds:
     def test_not_applicable_below_power(self):
         with pytest.raises(BoundNotApplicable):
@@ -113,6 +120,33 @@ class TestTupleBounds:
 
     def test_total_bound_at_three(self):
         assert bound_tuples_total(3) == 1
+
+    def test_upper_ends_lie_above_a_1000_bit_value(self):
+        # mpmath rounds log and exp once from a few guard bits, so each bound
+        # must also lie above the same product taken with mpmath's ends as
+        # they come, which the widening moves outward
+        rng = random.Random(2101)
+        xs = [rng.randrange(4, 10 ** rng.randint(1, 11)) for _ in range(24)] + [10**11]
+        for x in xs:
+            got = bound_tuples_total(x)
+            with mpmath.workprec(1000):
+                truth = (mpmath.mpf(x) / 3) ** (mpmath.mpf(5) / 3)
+            with exactlog.interval_precision() as iv:
+                raw = iv.exp(iv.mpf(5) / 3 * iv.log(iv.mpf(x) / 3))
+            assert got > _fraction(truth) and got > endpoint_fraction(raw, "upper"), x
+            for j in range(1, max_tuple_length(x) + 1):
+                got = bound_tuples_j(j, x)
+                scale = Fraction(2 ** (j - 1) * x, 3**j)
+                if j == 1:
+                    assert got >= scale
+                    continue
+                with mpmath.workprec(1000):
+                    ratio = mpmath.mpf(scale.numerator) / scale.denominator
+                    truth = ratio / math.factorial(j - 1) * mpmath.log(ratio) ** (j - 1)
+                with exactlog.interval_precision() as iv:
+                    ratio = iv.mpf(scale.numerator) / iv.mpf(scale.denominator)
+                    raw = ratio / math.factorial(j - 1) * iv.log(ratio) ** (j - 1)
+                assert got > _fraction(truth) and got > endpoint_fraction(raw, "upper"), (j, x)
 
     @given(st.integers(min_value=1, max_value=2000))
     def test_exact_below_bounds(self, x):

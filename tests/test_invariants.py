@@ -3,12 +3,13 @@
 import math
 import os
 import random
-from decimal import Decimal
+from decimal import ROUND_CEILING, ROUND_FLOOR, Context, Decimal
 from fractions import Fraction
 
 import mpmath
 import pytest
 from hypothesis import given, strategies as st
+from mpmath.libmp import from_int, mpf_log, mpf_pi, round_ceiling, round_floor
 
 from braidcount.braid import (
     HALF_TWIST,
@@ -19,6 +20,7 @@ from braidcount.braid import (
     pure_projection,
 )
 from braidcount.invariants import (
+    DISPLAY_DIGITS,
     ENTROPY_LOWER_SCALE,
     ENTROPY_PER_EXTREMAL_LENGTH,
     ENTROPY_UPPER_SCALE,
@@ -27,10 +29,13 @@ from braidcount.invariants import (
     BoundInterval,
     LogInteger,
     Scale,
+    _scaled_log_end,
     directed_fraction_decimal,
+    endpoint_fraction,
     entropy_bounds,
     extremal_length_bounds_braid,
     extremal_length_bounds_word,
+    interval_precision,
     lower_weight,
     scaled_log_decimal,
     upper_weight,
@@ -315,3 +320,78 @@ class TestDecimals:
         row = iv.to_json()
         assert Decimal(row["upper_log_arg"]) == Decimal(8**6000)
         assert Decimal(row["lower_log_arg"]) == Decimal(6**6000)
+
+
+# The interval decimal path, kept as the reference for the directed ends:
+# both ends of an unwidened ``mpmath.iv`` enclosure at 128 bits, one kept
+# as a fraction and divided out in a new context.
+
+
+def _reference_scaled_log_decimal(scale: Scale, argument: int, direction: str) -> str:
+    with interval_precision() as iv:
+        value = iv.log(iv.mpf(argument))
+        value *= iv.mpf(scale.rational.numerator)
+        value /= iv.mpf(scale.rational.denominator)
+        if scale.pi_power:
+            value *= iv.pi ** scale.pi_power
+    end = endpoint_fraction(value, direction)
+    rounding = ROUND_FLOOR if direction == "lower" else ROUND_CEILING
+    ctx = Context(prec=DISPLAY_DIGITS, rounding=rounding)
+    return str(ctx.divide(Decimal(end.numerator), Decimal(end.denominator)))
+
+
+def _raw_fraction(raw: tuple) -> Fraction:
+    """A raw mpmath number (sign, mantissa, exponent, bit count), exactly."""
+    sign, man, exp, _ = raw
+    out = Fraction(man) * Fraction(2) ** exp
+    return -out if sign else out
+
+
+SCALES = (EXTREMAL_LOWER_SCALE, EXTREMAL_UPPER_SCALE, ENTROPY_LOWER_SCALE, ENTROPY_UPPER_SCALE)
+#: seeded log arguments of up to 2300 digits, and those of the bound word
+#: a1^2 a2^2 repeated 3000 times, past the int-to-str limit
+_rng = random.Random(124)
+LOG_ARGUMENTS = [_rng.randrange(2, 10 ** _rng.randint(1, 2300)) for _ in range(4000)]
+LOG_ARGUMENTS += [8**6000, 6**6000]
+WIDENING = Fraction(1, 2**124)
+
+
+class TestDirectedEnds:
+    @pytest.mark.parametrize("direction", ["lower", "upper"])
+    @pytest.mark.parametrize("scale", SCALES, ids=str)
+    def test_decimals_match_the_interval_reference(self, scale, direction):
+        for argument in LOG_ARGUMENTS:
+            got = scaled_log_decimal(scale, LogInteger(argument), direction)
+            assert got == _reference_scaled_log_decimal(scale, argument, direction), argument
+
+    def test_end_is_widened_past_mpmath_and_close_to_the_value(self):
+        # mpmath's directed log has missed no value in millions of tries, so
+        # the end must also lie beyond the exact product of its directed log,
+        # the widening, the scale and the widened pi end: only the widening
+        # and rounding every step outward put it there
+        with mpmath.workprec(1000):
+            logs = [_raw_fraction(mpmath.log(argument)._mpf_) for argument in LOG_ARGUMENTS]
+            pi = _raw_fraction(mpmath.pi._mpf_)
+        for upper, direction, side, rnd in ((False, "lower", -1, round_floor), (True, "upper", 1, round_ceiling)):
+            for scale in SCALES:
+                # a product takes pi's end on the value's side, a quotient the other
+                pi_upper = upper == (scale.pi_power > 0)
+                pi_end = _raw_fraction(mpf_pi(128, round_ceiling if pi_upper else round_floor))
+                pi_end *= 1 + (WIDENING if pi_upper else -WIDENING)
+                chain_factor = (1 + side * WIDENING) * scale.rational * pi_end**scale.pi_power
+                value_factor = scale.rational * pi**scale.pi_power
+                for argument, log in zip(LOG_ARGUMENTS, logs):
+                    end = _raw_fraction(_scaled_log_end(scale, argument, direction))
+                    value = log * value_factor
+                    assert side * (end - value) > 0, (argument, scale, direction)
+                    assert abs(end - value) < value / 2**120, (argument, scale, direction)
+                    directed = _raw_fraction(mpf_log(from_int(argument, 128, rnd), 128, rnd))
+                    assert side * (end - directed * chain_factor) >= 0, (argument, scale, direction)
+
+    def test_log_of_one_is_zero(self):
+        for direction in ("lower", "upper"):
+            assert scaled_log_decimal(EXTREMAL_LOWER_SCALE, LogInteger(1), direction) == "0"
+
+    def test_rejects_a_nonpositive_scale(self):
+        with pytest.raises(ValueError, match="scale must be positive"):
+            scaled_log_decimal(Scale(Fraction(-1)), LogInteger(3), "lower")
