@@ -6,12 +6,13 @@ cyclic group of order 3, generated by the image ``t`` of
 ``sigma1 sigma2``.  A :class:`CosetElement` stores the unique
 alternating word over the two factors as a tuple of letters ``0`` (for
 ``a``), ``1`` (for ``t``) and ``2`` (for ``t^2``); canonical words
-never place two letters of the same factor side by side.
-Canonicalization pushes letters onto a stack and resolves ``a*a -> 1``
-and ``t^i * t^j -> t^(i+j mod 3)`` locally, so it is linear and tuple
-equality decides equality in the quotient; words of ``(generator,
-sign)`` letters become cosets in one such stack walk, and a product
-is the letters of the right factor pushed onto the left one.
+never place two letters of the same factor side by side, so tuple
+equality decides equality.  Two canonical words cancel (``a*a -> 1``) or
+merge (``t^i * t^j -> t^(i+j mod 3)``) only at their junction, so a
+product joins the right factor there and appends the rest.  Braid letters
+are read in blocks of four through a table, built at import, of the
+cosets of all words of at most four letters; each block is joined onto a
+stack, so the walk is linear.
 
 Generator images, pinned down by the relation tests:
 
@@ -53,7 +54,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from itertools import chain, islice, permutations
+from itertools import accumulate, chain, islice, permutations, product
 from typing import Iterable
 
 from .words import FreeWord, other_generator, token_exponent
@@ -122,15 +123,14 @@ _DELTA_TOKEN = re.compile(r"D(?:\^(?P<exp>-?\d+))?\Z")
 
 #: Most letters a parsed braid may expand to: ``|e|`` for each ``s`` token
 #: and ``3|e|`` for each ``D`` token.  At the ceiling on a 2-core x86 host,
-#: ``normalize "s1^1000000"`` took 1.0 s and 64 MB, and a text of 2000
-#: random ``s1``/``s2`` exponents from 1 to 999 (998 341 letters) 0.9 s and
+#: ``normalize "s1^1000000"`` took 0.45 s and 64-68 MB, and a text of 2000
+#: random ``s1``/``s2`` exponents from 1 to 999 (998 341 letters) 0.8 s and
 #: 75 MB.
 MAX_BRAID_LETTERS = 10**6
 
 
-def _token_letters(token: str, pos: int, room: int) -> tuple[tuple[int, int], ...]:
-    """The letters of one braid token, refused before they are built when
-    there are more than ``room`` of them."""
+def _token_run(token: str, pos: int = -1) -> tuple[tuple[tuple[int, int], ...], int]:
+    """A braid token's letters as ``(block, count)``, meaning ``block * count``."""
     match = _BRAID_TOKEN.match(token)
     delta = match is None
     if delta:
@@ -138,31 +138,41 @@ def _token_letters(token: str, pos: int, room: int) -> tuple[tuple[int, int], ..
         if match is None:
             raise BraidSyntaxError(f"bad braid token {token!r}", pos)
     exp = token_exponent(match, pos, BraidSyntaxError)
-    if not delta and match.group("shift") == "S":
-        exp = -exp
-    if (3 if delta else 1) * abs(exp) > room:
-        raise BraidSyntaxError(f"more than {MAX_BRAID_LETTERS} letters", pos)
     if delta:
-        return half_twist_word(exp).letters
-    return _sigma_letters(int(match.group("gen")), exp)
+        return half_twist_word(1 if exp > 0 else -1).letters, abs(exp)
+    if match.group("shift") == "S":
+        exp = -exp
+    return _sigma_letters(int(match.group("gen")), 1 if exp > 0 else -1), abs(exp)
+
+
+def _refuse_overflow(sizes: dict[str, int], tokens: Iterable[str]) -> None:
+    """Raise at the first of ``tokens`` past :data:`MAX_BRAID_LETTERS` letters."""
+    for pos, total in enumerate(accumulate(map(sizes.__getitem__, tokens))):
+        if total > MAX_BRAID_LETTERS:
+            raise BraidSyntaxError(f"more than {MAX_BRAID_LETTERS} letters", pos)
 
 
 def parse_braid(text: str) -> BraidWord:
     """Parse braid text syntax; raises :class:`BraidSyntaxError` on bad tokens
     and on words of more than :data:`MAX_BRAID_LETTERS` letters."""
-    # a text repeats few distinct tokens: decode each once for this call
-    runs: dict[str, tuple[tuple[int, int], ...]] = {}
-    order: list[tuple[tuple[int, int], ...]] = []
-    size = 0
-    for pos, token in enumerate(text.split()):
-        room = MAX_BRAID_LETTERS - size
-        run = runs.get(token)
-        if run is None or len(run) > room:
-            # a known run that no longer fits is decoded again, which raises
-            run = runs[token] = _token_letters(token, pos, room)
-        order.append(run)
-        size += len(run)
-    return BraidWord(tuple(chain.from_iterable(order)))
+    # a text repeats few distinct tokens: decode each once, in order of first
+    # appearance, and size the word before any run is built
+    tokens = text.split()
+    decoded: dict[str, tuple] = {}
+    sizes: dict[str, int] = {}
+    for token in dict.fromkeys(tokens):
+        try:
+            block, count = decoded[token] = _token_run(token)
+        except BraidSyntaxError:  # raised again at its position, unless an overflow comes first
+            pos = tokens.index(token)
+            _refuse_overflow(sizes, islice(tokens, pos))
+            _token_run(token, pos)
+        sizes[token] = len(block) * count
+    if sum(map(sizes.__getitem__, tokens)) > MAX_BRAID_LETTERS:
+        _refuse_overflow(sizes, tokens)
+    # spelled with the key objects of _SIGMA_LETTERS, which _BLOCKS compares by identity
+    runs = {t: tuple(map(_LETTER.__getitem__, b)) * n for t, (b, n) in decoded.items()}
+    return BraidWord(tuple(chain.from_iterable(map(runs.__getitem__, tokens))))
 
 
 def braid_to_text(b: BraidWord) -> str:
@@ -187,24 +197,24 @@ _INVERSE_LETTER = (A_LETTER, TT_LETTER, T_LETTER)
 _LETTER_NAMES = ("a", "t", "t2")
 
 
-def _push(stack: list, letters: Iterable[int]) -> None:
-    """Push coset letters onto ``stack``, a canonical word above a ``None``
-    sentinel, resolving ``a*a -> 1`` and ``t^i * t^j -> t^(i+j mod 3)``."""
-    append, pop = stack.append, stack.pop
-    for letter in letters:
+def _join(stack: list, word: tuple[int, ...]) -> None:
+    """Append the canonical ``word`` to ``stack``, a canonical word above a
+    ``None`` sentinel: letters cancel (``a*a -> 1``) or merge (``t^i * t^j ->
+    t^(i+j mod 3)``) only until the junction settles, then the rest goes on."""
+    i = 0
+    for letter in word:
         top = stack[-1]
-        if letter:  # a power of t; A_LETTER is 0 and the sentinel is falsy
-            if top:
-                power = (top + letter) % 3
-                if power:
-                    stack[-1] = power
-                else:
-                    pop()
-                continue
-        elif top == A_LETTER:
-            pop()
-            continue
-        append(letter)
+        if letter and top:  # two powers of t; A_LETTER is 0 and the sentinel is falsy
+            power = (top + letter) % 3
+            if power:
+                stack[-1] = power
+                i += 1
+                break
+        elif letter or top != A_LETTER:
+            break
+        stack.pop()
+        i += 1
+    stack.extend(word[i:] if i else word)  # most junctions take no letter
 
 
 @dataclass(frozen=True)
@@ -215,7 +225,7 @@ class CosetElement:
 
     def __mul__(self, other: "CosetElement") -> "CosetElement":
         stack = [None, *self.letters]
-        _push(stack, other.letters)
+        _join(stack, other.letters)
         return CosetElement(tuple(islice(stack, 1, None)))
 
     def inverse(self) -> "CosetElement":
@@ -240,16 +250,38 @@ _SIGMA_LETTERS = {
     (2, 1): (A_LETTER, TT_LETTER),
     (2, -1): (T_LETTER, A_LETTER),
 }
+_LETTER = {letter: letter for letter in _SIGMA_LETTERS}  # one shared object per letter
+
+
+_BLOCK = 4  # braid letters per lookup in _BLOCKS
+
+
+def _block_table() -> dict[tuple[tuple[int, int], ...], tuple[int, ...]]:
+    """The canonical coset of every word of at most :data:`_BLOCK` letters."""
+    table = {(): ()}
+    for size in range(1, _BLOCK + 1):
+        for word in product(_SIGMA_LETTERS, repeat=size):  # after all its prefixes
+            stack = [None, *table[word[:-1]]]
+            _join(stack, _SIGMA_LETTERS[word[-1]])
+            table[word] = tuple(stack[1:])
+    return table
+
+
+_BLOCKS = _block_table()
 
 
 def _coset(letters: Iterable[tuple[int, int]]) -> CosetElement:
-    """The canonical coset of ``(generator, sign)`` letters, in one stack walk;
-    any other letter raises ValueError."""
+    """The canonical coset of ``(generator, sign)`` letters, joined
+    :data:`_BLOCK` at a time; any other letter raises ValueError."""
+    letters = tuple(letters)  # a tuple is not copied
+    tail = letters[len(letters) - len(letters) % _BLOCK:]
     stack = [None]
     try:
-        _push(stack, chain.from_iterable(map(_SIGMA_LETTERS.__getitem__, letters)))
+        for word in map(_BLOCKS.__getitem__, chain(zip(*[iter(letters)] * _BLOCK), (tail,))):
+            _join(stack, word)
     except KeyError as missing:
-        raise ValueError(f"bad braid letter {missing.args[0]}") from None
+        bad = next(letter for letter in missing.args[0] if letter not in _SIGMA_LETTERS)
+        raise ValueError(f"bad braid letter {bad}") from None
     return CosetElement(tuple(islice(stack, 1, None)))
 
 

@@ -30,6 +30,7 @@ import csv
 import io
 import json
 import math
+import os
 import sys
 from fractions import Fraction
 
@@ -355,7 +356,13 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     rows, passed = result if isinstance(result, tuple) else (result, True)
-    _emit(rows, args.format)
+    try:
+        _emit(rows, args.format)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader is gone; send what is still buffered to devnull, so the
+        # flush at shutdown raises nothing either
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return 0 if passed else 1
 
 

@@ -396,14 +396,25 @@ def bound_tuples_j(j: int, x: int) -> Fraction:
     return endpoint_fraction(value, "upper")
 
 
+def _cube_root(n: int) -> int:
+    """``floor(n^(1/3))`` for ``n >= 1``, by Newton's method from above."""
+    c = 1 << -(-n.bit_length() // 3)
+    while (d := (2 * c + n // (c * c)) // 3) < c:
+        c = d
+    return c
+
+
 def bound_tuples_total(x: int) -> Fraction:
-    """Round-up value of (x/3)^(5/3), the any-length tuple bound."""
+    """Round-up value of (x/3)^(5/3), the any-length tuple bound; exactly
+    ``c^5`` at ``x = 3 c^3``."""
     if x < 0:
         raise ValueError("threshold must be nonnegative")
     if x == 0:
         return Fraction(0)
-    if x == 3:
-        return Fraction(1)  # exact, where the widened exp below would not be
+    if x % 3 == 0:
+        c = _cube_root(x // 3)
+        if c**3 * 3 == x:
+            return Fraction(c**5)  # exact, where the widened exp below would not be
     with interval_precision() as iv:
         # exp(5/3 log(x/3)) with mpmath's exp and log ends widened, as exactlog
         # encloses a non-integer power

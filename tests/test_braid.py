@@ -1,8 +1,10 @@
 """Braid words modulo the center: coset algebra, normal form, projection."""
 
 import random
+import re
 import sys
 import time
+import tracemalloc
 from functools import reduce
 from itertools import product
 
@@ -126,6 +128,52 @@ def push_one_at_a_time(x: CosetElement, y: CosetElement) -> CosetElement:
         else:
             stack.append(letter)
     return CosetElement(tuple(stack))
+
+
+#: The generator images of the module docstring, as coset letters.
+IMAGES = {(1, 1): (2, 0), (1, -1): (0, 1), (2, 1): (0, 2), (2, -1): (1, 0)}
+
+
+def reference_push(stack: list, letters) -> None:
+    """The one-letter-at-a-time stack walk that the block walk replaced."""
+    append, pop = stack.append, stack.pop
+    for letter in letters:
+        top = stack[-1]
+        if letter:  # a power of t; a is 0 and the sentinel is falsy
+            if top:
+                power = (top + letter) % 3
+                if power:
+                    stack[-1] = power
+                else:
+                    pop()
+                continue
+        elif top == 0:
+            pop()
+            continue
+        append(letter)
+
+
+def reference_evaluate(letters) -> CosetElement:
+    """The coset of braid letters, pushed two coset letters per braid letter."""
+    stack = [None]
+    for letter in letters:
+        reference_push(stack, IMAGES[letter])
+    return CosetElement(tuple(stack[1:]))
+
+
+def reference_refusal(tokens, ceiling: int) -> tuple[str, int] | None:
+    """The first refusal of the parser that sized each token as it came:
+    ``("bad", pos)`` for a token that does not decode, ``("over", pos)`` where
+    the running size passes ``ceiling``, or None."""
+    size = 0
+    for pos, token in enumerate(tokens):
+        match = re.fullmatch(r"([sS][12]|D)(?:\^(-?\d+))?", token)
+        if match is None:
+            return ("bad", pos)
+        size += (3 if match[1] == "D" else 1) * abs(int(match[2] or 1))
+        if size > ceiling:
+            return ("over", pos)
+    return None
 
 
 def reference_normal_forms(x: CosetElement) -> list[NormalForm]:
@@ -270,6 +318,73 @@ class TestParsing:
         assert evaluate(half_twist_word(1)) == HALF_TWIST
 
 
+    @pytest.mark.parametrize(
+        "text, refusal",
+        [
+            ("s1^4 q2 s1^7", "bad braid token 'q2' (at token 1)"),
+            ("s1^10 q2", "bad braid token 'q2' (at token 1)"),
+            ("s1^4 s1^7 q2", "more than 10 letters (at token 1)"),
+            ("s1^10 s2 q2 s2", "more than 10 letters (at token 1)"),
+            ("q2 s1^11", "bad braid token 'q2' (at token 0)"),
+            ("s1 s1 D^3 q2 s1 q2", "more than 10 letters (at token 2)"),
+            ("s1 q2 D^3 q2", "bad braid token 'q2' (at token 1)"),
+        ],
+    )
+    def test_bad_token_against_overflow(self, monkeypatch, text, refusal):
+        # a bad token before the overflow raises at its own position; one
+        # after it loses to the overflow
+        monkeypatch.setattr(braid, "MAX_BRAID_LETTERS", 10)
+        with pytest.raises(BraidSyntaxError) as err:
+            parse_braid(text)
+        assert str(err.value) == refusal
+
+    def test_refusals_match_sizing_token_by_token(self, monkeypatch):
+        monkeypatch.setattr(braid, "MAX_BRAID_LETTERS", 40)
+        rng = random.Random(1309)
+        seen = set()
+        for _ in range(600):
+            tokens = [token_text(*t) for t in random_tokens(rng, rng.randint(0, 30))]
+            tokens = [t.replace("^-5", "^-15") for t in tokens]
+            for _ in range(rng.randint(0, 2)):
+                tokens.insert(rng.randint(0, len(tokens)), rng.choice(("s3", "d", "D1", "S1^x")))
+            refusal = reference_refusal(tokens, 40)
+            seen.add(refusal and refusal[0])
+            if refusal is None:
+                assert len(parse_braid(" ".join(tokens))) <= 40
+                continue
+            with pytest.raises(BraidSyntaxError) as err:
+                parse_braid(" ".join(tokens))
+            assert err.value.position == refusal[1]
+            assert str(err.value).startswith(
+                "bad braid token" if refusal[0] == "bad" else "more than 40 letters"
+            )
+        assert seen == {None, "bad", "over"}
+
+    def test_exponent_digit_limit_against_overflow(self, monkeypatch):
+        monkeypatch.setattr(braid, "MAX_BRAID_LETTERS", 10)
+        limit = sys.get_int_max_str_digits()
+        huge = "s1^" + "9" * (limit + 1)
+        with pytest.raises(BraidSyntaxError) as err:
+            parse_braid(f"s1^10 {huge} s2")
+        assert str(err.value) == f"exponent has more than {limit} digits (at token 1)"
+        with pytest.raises(BraidSyntaxError) as err:
+            parse_braid(f"s1^10 s2 {huge}")
+        assert str(err.value) == "more than 10 letters (at token 1)"
+
+    def test_sized_before_any_run_is_built(self):
+        # each token fits on its own; built, the first two would take 16 MB
+        text = " ".join(f"s1^{999000 + i}" for i in range(300))
+        tracemalloc.start()
+        try:
+            with pytest.raises(BraidSyntaxError) as err:
+                parse_braid(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(err.value) == "more than 1000000 letters (at token 1)"
+        assert peak < 10 * 2**20
+
+
 class TestCosetAlgebra:
     def test_defining_relations(self):
         assert coset("s1 s2 s1") == coset("s2 s1 s2")
@@ -334,6 +449,54 @@ class TestCosetAlgebra:
         with pytest.raises(ValueError) as raised:
             call()
         assert str(raised.value) == f"bad braid letter {letter}"
+
+    def test_block_walk_matches_one_letter_walk(self):
+        # every length from 0 to 13 covers each remainder modulo the block size
+        rng = random.Random(1310)
+        letters = tuple(IMAGES)
+        for n in range(14):
+            for _ in range(200):
+                word = tuple(rng.choice(letters) for _ in range(n))
+                assert evaluate(BraidWord(word)) == reference_evaluate(word), word
+
+    def test_block_table_matches_one_letter_walk(self):
+        assert len(braid._BLOCKS) == 341
+        for word, coset in braid._BLOCKS.items():
+            assert CosetElement(coset) == reference_evaluate(word), word
+
+    def test_blocks_cancel_across_block_boundaries(self):
+        rng = random.Random(1311)
+        for k in range(1, 40):
+            if k % 4 == 0:
+                continue
+            for gen in (1, 2):
+                b = sigma_word(gen, k) * sigma_word(gen, -k)
+                assert evaluate(b) == IDENTITY == reference_evaluate(b.letters)
+                b = sigma_word(gen, k) * sigma_word(3 - gen, 1) * sigma_word(gen, -k)
+                assert evaluate(b) == reference_evaluate(b.letters)
+            x = BraidWord(tuple(rng.choice(tuple(IMAGES)) for _ in range(k)))
+            for b in (x * x.inverse(), x * x * x.inverse(), sigma_word(1, 1) * x * x.inverse()):
+                assert evaluate(b) == reference_evaluate(b.letters), b
+
+    def test_half_twists_among_sigma_runs(self):
+        rng = random.Random(1312)
+        for _ in range(400):
+            parts = []
+            for _ in range(rng.randint(1, 8)):
+                if rng.random() < 0.4:
+                    parts.append(f"D^{rng.randint(-7, 7)}")
+                else:
+                    parts.append(f"{rng.choice('sS')}{rng.randint(1, 2)}^{rng.randint(-9, 9)}")
+            b = parse_braid(" ".join(parts))
+            assert evaluate(b) == reference_evaluate(b.letters), parts
+
+    @pytest.mark.parametrize("head", range(9))
+    def test_malformed_letter_inside_a_block(self, head):
+        # the first bad letter is named, wherever it falls in its block
+        word = ((1, 1),) * head + ((2, 0),) + ((1, -1), (3, 1)) + ((2, -1),) * 5
+        with pytest.raises(ValueError) as raised:
+            evaluate(BraidWord(word))
+        assert str(raised.value) == "bad braid letter (2, 0)"
 
     def test_sigma_power_matches_iteration(self):
         for gen in (1, 2):

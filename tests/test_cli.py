@@ -4,8 +4,11 @@ import csv
 import inspect
 import io
 import json
+import os
+import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -16,6 +19,8 @@ from braidcount.cli import MAX_BOUNDED_WORDS_X, MAX_X, main
 #: exactly 0, but exp(-2**23) lies beyond what an enclosure of exp resolves,
 #: so the enclosure of a Y that adds to it is millions wide
 LOOSE = "log(exp(-2**23)) + 2**23"
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run(capsys, *argv):
@@ -227,6 +232,10 @@ class TestCount:
             "bound": "6.24025146916",
             "satisfied": True,
         }]
+
+    @pytest.mark.parametrize("x, bound", [(24, "32"), (81, "243"), (25, "34.2529454769")])
+    def test_tuples_bound_exact_at_cube_thresholds(self, capsys, x, bound):
+        assert run_json(capsys, "count", "tuples", "--X", str(x))[0]["bound"] == bound
 
     def test_tuples_fixed_length(self, capsys):
         rows = run_json(capsys, "count", "tuples", "--X", "9", "--j", "1")
@@ -607,3 +616,43 @@ class TestVerify:
             "--max-x", "60", "--max-len", "4", "--pairs", "2", "--conj-len", "1",
         )
         assert {r["suite"] for r in rows} == {"words", "braid", "counting", "classes"}
+
+
+class TestClosedStdout:
+    """A reader that is gone before the command writes leaves no traceback."""
+
+    @pytest.mark.parametrize("argv", [
+        ("normalize", "s1 s2"),
+        ("count", "tuples", "--X", "24", "--format", "csv"),
+        ("verify", "--suite", "words", "--format", "plain"),
+    ])
+    def test_child_with_closed_stdout_pipe_is_quiet(self, argv):
+        read, write = os.pipe()
+        os.close(read)  # every write to the pipe now fails with EPIPE
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "braidcount.cli", *argv],
+                stdout=write, stderr=subprocess.PIPE, timeout=60,
+                env={**os.environ, "PYTHONPATH": str(SRC)},
+            )
+        finally:
+            os.close(write)
+        assert proc.stderr == b""
+        assert proc.returncode == 0
+
+    @pytest.mark.parametrize("passed, code", [(True, 0), (False, 1)])
+    def test_exit_code_is_the_commands(self, monkeypatch, passed, code):
+        read, write = os.pipe()
+        os.close(read)
+        closed = open(write, "w")
+        monkeypatch.setattr(
+            verify, "run_suites",
+            lambda *a, **k: [verify.CheckResult("words", "stub", passed)],
+        )
+        monkeypatch.setattr(sys, "stdout", closed)
+        try:
+            assert main(["verify", "--suite", "words"]) == code
+            closed.write("x" * 100000)
+            closed.flush()  # stdout's descriptor now leads to devnull
+        finally:
+            closed.close()

@@ -121,6 +121,27 @@ class TestTupleBounds:
     def test_total_bound_at_three(self):
         assert bound_tuples_total(3) == 1
 
+    def test_total_bound_exact_at_cube_thresholds(self):
+        # (3 c^3 / 3)^(5/3) = c^5, which the widened exp would round up
+        assert (bound_tuples_total(3), bound_tuples_total(24), bound_tuples_total(81)) == (1, 32, 243)
+        for c in [*range(1, 60), 10**4, 3**40, 2**200 + 1]:
+            assert bound_tuples_total(3 * c**3) == c**5, c
+
+    def test_total_bound_beside_cube_thresholds(self):
+        # one above or below 3 c^3 the widened enclosure still lies above
+        for c in [*range(1, 30), 10**3, 4641, 10**5]:
+            for x in (3 * c**3 - 1, 3 * c**3 + 1):
+                got = bound_tuples_total(x)
+                with mpmath.workprec(1000):
+                    truth = (mpmath.mpf(x) / 3) ** (mpmath.mpf(5) / 3)
+                assert got > _fraction(truth), x
+                assert (got < c**5) == (x < 3 * c**3), x
+
+    def test_cube_root(self):
+        for n in [*range(1, 3000), 10**30 - 1, 10**30, 10**30 + 1, 2**3001]:
+            c = counting._cube_root(n)
+            assert c**3 <= n < (c + 1) ** 3, n
+
     def test_upper_ends_lie_above_a_1000_bit_value(self):
         # mpmath rounds log and exp once from a few guard bits, so each bound
         # must also lie above the same product taken with mpmath's ends as
