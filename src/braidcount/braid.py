@@ -226,7 +226,8 @@ class CosetElement:
     def __mul__(self, other: "CosetElement") -> "CosetElement":
         stack = [None, *self.letters]
         _join(stack, other.letters)
-        return CosetElement(tuple(islice(stack, 1, None)))
+        del stack[0]
+        return CosetElement(tuple(stack))
 
     def inverse(self) -> "CosetElement":
         return CosetElement(tuple(_INVERSE_LETTER[l] for l in reversed(self.letters)))
@@ -282,7 +283,8 @@ def _coset(letters: Iterable[tuple[int, int]]) -> CosetElement:
     except KeyError as missing:
         bad = next(letter for letter in missing.args[0] if letter not in _SIGMA_LETTERS)
         raise ValueError(f"bad braid letter {bad}") from None
-    return CosetElement(tuple(islice(stack, 1, None)))
+    del stack[0]
+    return CosetElement(tuple(stack))
 
 
 def evaluate(b: BraidWord) -> CosetElement:

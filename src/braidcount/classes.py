@@ -44,7 +44,6 @@ from .braid import (
     swap_generators,
     unembed,
 )
-from .invariants import DISPLAY_DIGITS
 from .words import FreeWord
 
 ENUMERATION_LIMIT = 10  # 2^(2j) direct orbit walk stays desk-scale up to here
@@ -178,6 +177,7 @@ def lower_bound_report(y, variant: str) -> LowerBoundReport:
     :data:`MAX_REPORT_INDEX`.
     """
     from . import exactlog  # loaded on first use: only the reports need it
+    from .invariants import DISPLAY_DIGITS
 
     y_text = str(y)
     expr = exactlog.from_value(y)

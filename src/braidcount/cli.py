@@ -18,23 +18,28 @@ verify                run the internal check suites
 Output formats: ``json`` (default), ``csv`` with columns exactly the
 json keys, and ``plain``.  Exit codes: 0 on success, 1 when ``verify``
 finds a failing check, 2 on unusable input (a ``verify --suite`` name
-too, refused by :func:`verify.run_suites`).  Bound columns are computed
-at a fixed 128 bits and rounded outward.  ``--format`` may follow any
-command word.
+too, refused by :func:`verify.run_suites`).  Bound columns are exact
+integer arithmetic rounded outward to 12 digits, so ``bounds`` and
+``count --X`` load no ``mpmath``; only a ``--Y`` certificate does.
+``--format`` may follow any command word.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import json
 import math
 import os
 import sys
+from decimal import ROUND_CEILING, Context, Decimal
 from fractions import Fraction
 
 from . import braid, classes, counting, invariants, verify, words
+
+
+#: The 12 digits of ``invariants.DISPLAY_DIGITS``, rounded up.
+_ROUND_UP = Context(prec=12, rounding=ROUND_CEILING)
 
 
 class InputError(ValueError):
@@ -47,6 +52,8 @@ def _emit(rows: list[dict], fmt: str) -> None:
     elif fmt == "csv":
         if not rows:
             return
+        import csv  # only this format needs it
+
         buf = io.StringIO()
         writer = csv.DictWriter(buf, fieldnames=list(rows[0].keys()))
         writer.writeheader()
@@ -59,8 +66,9 @@ def _emit(rows: list[dict], fmt: str) -> None:
 
 
 def _fraction_decimal(value: Fraction) -> str:
-    """Round-up decimal rendering shared by all bound columns."""
-    return invariants.directed_fraction_decimal(value, "upper")
+    """Round-up 12-digit decimal shared by the bound columns of ``count``,
+    rendered here so that a count executes no :mod:`invariants`."""
+    return str(_ROUND_UP.divide(Decimal(value.numerator), Decimal(value.denominator)))
 
 
 def _parse_word_arg(text: str) -> words.FreeWord:

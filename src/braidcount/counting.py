@@ -29,9 +29,12 @@ divisor function ``D_j(X // 3^j)`` (Titchmarsh, *The Theory of the
 Riemann Zeta-Function*, ch. 12), a recursion on ``j`` over the quotients
 of ``X // 3^j``.
 Nothing is kept between calls.  The analytic companions
-(``bound_tuples_j``, ``bound_tuples_total``, ``bound_words``) are
-evaluated with interval arithmetic and rounded up, so a reported
-violation of ``exact <= bound`` is always genuine.
+(``bound_tuples_j``, ``bound_tuples_total``, ``bound_words``) are exact
+rationals at or above their value, computed in integers: ``bound_words``
+exactly, ``bound_tuples_total`` by an integer cube root and
+``bound_tuples_j`` from the fixed-point ``log`` of
+:func:`braidcount.invariants.log_bounds`, so a reported violation of
+``exact <= bound`` is always genuine.
 """
 
 from __future__ import annotations
@@ -42,8 +45,6 @@ from fractions import Fraction
 from itertools import accumulate, repeat
 from math import factorial, isqrt
 from operator import add, mul, sub
-
-from .invariants import endpoint_fraction, interval_precision, outward
 
 FIRST = 0
 SECOND = 1
@@ -374,10 +375,6 @@ def count_words_bounded(x: int, max_degree: int) -> int:
 # --- analytic bounds --------------------------------------------------------
 
 
-def _iv_fraction(ctx, value: Fraction):
-    return ctx.mpf(value.numerator) / ctx.mpf(value.denominator)
-
-
 def bound_tuples_j(j: int, x: int) -> Fraction:
     """Round-up value of the length-j tuple bound, valid for x >= 3^j.
 
@@ -389,11 +386,16 @@ def bound_tuples_j(j: int, x: int) -> Fraction:
     if j > max_tuple_length(x):  # before 3^j, which a huge j makes costly
         raise BoundNotApplicable(f"bound needs x >= 3^{j}")
     scale = Fraction(2 ** (j - 1) * x, 3 ** j)
-    with interval_precision() as iv:
-        value = _iv_fraction(iv, scale / factorial(j - 1))
-        if j > 1:
-            value *= outward(iv.log(_iv_fraction(iv, scale))) ** (j - 1)
-    return endpoint_fraction(value, "upper")
+    if j == 1:
+        return scale
+    from .invariants import LOG_BITS, log_bounds
+
+    # 2^LOG_BITS log(scale) from above, and its power rounded up at every step
+    log = log_bounds(scale.numerator)[1] - log_bounds(scale.denominator)[0]
+    power = 1 << LOG_BITS
+    for _ in range(j - 1):
+        power = -(-power * log >> LOG_BITS)
+    return Fraction(scale.numerator * power, scale.denominator * factorial(j - 1) << LOG_BITS)
 
 
 def _cube_root(n: int) -> int:
@@ -404,22 +406,23 @@ def _cube_root(n: int) -> int:
     return c
 
 
+#: Fraction bits of :func:`bound_tuples_total`.
+_TOTAL_BITS = 128
+
+
 def bound_tuples_total(x: int) -> Fraction:
-    """Round-up value of (x/3)^(5/3), the any-length tuple bound; exactly
-    ``c^5`` at ``x = 3 c^3``."""
+    """Round-up value of (x/3)^(5/3), the any-length tuple bound, as
+    ``N / 2^128`` with the least ``N`` such that ``243 N^3 >= x^5 2^384``;
+    exactly ``c^5`` at ``x = 3 c^3``."""
     if x < 0:
         raise ValueError("threshold must be nonnegative")
     if x == 0:
         return Fraction(0)
-    if x % 3 == 0:
-        c = _cube_root(x // 3)
-        if c**3 * 3 == x:
-            return Fraction(c**5)  # exact, where the widened exp below would not be
-    with interval_precision() as iv:
-        # exp(5/3 log(x/3)) with mpmath's exp and log ends widened, as exactlog
-        # encloses a non-integer power
-        value = outward(iv.exp(iv.mpf(5) / 3 * outward(iv.log(iv.mpf(x) / 3))))
-    return endpoint_fraction(value, "upper")
+    cube = x**5 << 3 * _TOTAL_BITS
+    n = _cube_root(cube // 243)  # floor((x^5 2^384 / 243)^(1/3))
+    if 243 * n**3 < cube:
+        n += 1
+    return Fraction(n, 1 << _TOTAL_BITS)
 
 
 @dataclass(frozen=True)

@@ -29,12 +29,11 @@ from __future__ import annotations
 
 import ast
 import math
+from contextlib import contextmanager
 from decimal import ROUND_CEILING, Context, Decimal
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt
-
-from .invariants import endpoint_fraction, interval_precision, outward
 
 #: A power with rational exponent in ``Y`` whose exact value would exceed
 #: this many bits (about 3000 digits) is refused when parsed; larger powers
@@ -530,6 +529,44 @@ def _exact(node: Node) -> dict:
 
 
 # --- enclosures ---------------------------------------------------------------
+
+
+@contextmanager
+def interval_precision(bits: int):
+    """``mpmath.iv`` at ``bits``, restored on exit."""
+    import mpmath  # loaded on first use: only certificates need it
+
+    old, mpmath.iv.prec = mpmath.iv.prec, bits
+    try:
+        yield mpmath.iv
+    finally:
+        mpmath.iv.prec = old
+
+
+def widening(bits: int) -> tuple[tuple, tuple]:
+    """The raw mpmath numbers ``1 - 2^-bits`` and ``1 + 2^-bits``.
+
+    mpmath rounds ``exp`` and ``log`` once from a few guard bits, so an end
+    can miss the value (both ends of e^2101 at 256 bits); an end at ``prec``
+    bits times the factor on its side, with ``bits = prec - 4``, holds it.
+    """
+    return (0, (1 << bits) - 1, -bits, bits), (0, (1 << bits) + 1, -bits, bits + 1)
+
+
+def outward(y):
+    """An ``mpmath.iv`` interval widened by the :func:`widening` of its context."""
+    from mpmath.libmp import mpi_mul
+
+    k = y.ctx.prec - 4
+    return y.ctx.make_mpf(mpi_mul(y._mpi_, widening(k), k + 4))
+
+
+def endpoint_fraction(value, direction: str) -> Fraction:
+    """The lower or upper endpoint of an ``mpmath.iv`` interval, exactly."""
+    # raw libmp tuple (sign, mantissa, exponent, bitcount): a binary rational
+    sign, man, exp, _ = value._mpi_[0 if direction == "lower" else 1]
+    out = Fraction(int(man)) * Fraction(2) ** int(exp)
+    return -out if sign else out
 
 
 def _iv_exp(iv, x):

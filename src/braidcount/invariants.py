@@ -19,63 +19,35 @@ The bounds exposed here:
 The entropy of a conjugacy class equals pi/2 times its extremal
 length; :data:`ENTROPY_PER_EXTREMAL_LENGTH` records the conversion.
 
-Decimal rendering of interval endpoints is rigorous.  Each endpoint is
-computed alone, as one directed end at a fixed 128 bits: every step
-rounds toward its side, and mpmath's ``log`` and ``pi`` are widened by a
-relative ``2^-124``.  The printed 12-digit decimals are rounded outward,
-floor on lower endpoints and ceiling on upper ones.
+Decimal rendering of interval endpoints is rigorous and uses integer
+arithmetic only.  :func:`log_bounds` encloses ``2^160 log a`` between two
+integers, by argument reduction with square roots and an ``atanh`` series
+(Brent, "Fast multiple-precision evaluation of elementary functions",
+J. ACM 23, 1976), with ``ln 2`` and ``pi`` summed once by integer series.
+Each endpoint is computed alone: the log end on its side times the
+scale's rational and ``pi``'s end that keeps it there is an exact
+fraction, which the printed 12-digit decimal rounds outward, floor on
+lower endpoints and ceiling on upper ones.
 """
 
 from __future__ import annotations
 
 import math
-from contextlib import contextmanager
 from dataclasses import dataclass
 from decimal import Context, Decimal, ROUND_CEILING, ROUND_FLOOR
 from fractions import Fraction
-from functools import total_ordering
+from functools import cache, total_ordering
+from math import isqrt
 
 from . import braid, words
 
 DISPLAY_DIGITS = 12
-#: Working precision of the bound columns and analytic bounds: 128 bits keep
-#: 12 printed digits sharp.
-BITS = 128
-
-
-@contextmanager
-def interval_precision(bits: int = BITS):
-    """``mpmath.iv`` at ``bits``, restored on exit.
-
-    The default serves the analytic bounds: outward rounding makes every
-    printed decimal a true bound, and :data:`BITS` keeps its 12 digits sharp.
-    """
-    import mpmath  # loaded on first use: bounds and certificates need it, parsing not
-
-    old, mpmath.iv.prec = mpmath.iv.prec, bits
-    try:
-        yield mpmath.iv
-    finally:
-        mpmath.iv.prec = old
-
-
-def widening(bits: int) -> tuple[tuple, tuple]:
-    """The raw mpmath numbers ``1 - 2^-bits`` and ``1 + 2^-bits``.
-
-    mpmath rounds ``exp``, ``log`` and ``pi`` once from a few guard bits, so
-    an end can miss the value (both ends of e^2101 at 256 bits); an end at
-    ``prec`` bits times the factor on its side, with ``bits = prec - 4``,
-    holds it.
-    """
-    return (0, (1 << bits) - 1, -bits, bits), (0, (1 << bits) + 1, -bits, bits + 1)
-
-
-def outward(y):
-    """An ``mpmath.iv`` interval widened by the :func:`widening` of its context."""
-    from mpmath.libmp import mpi_mul
-
-    k = y.ctx.prec - 4
-    return y.ctx.make_mpf(mpi_mul(y._mpi_, widening(k), k + 4))
+#: Fraction bits of the fixed-point logarithm :func:`log_bounds`: its ends lie
+#: within ``2^-147 log a`` of the value, so 12 printed digits stay sharp.
+LOG_BITS = 160
+_ONE = 1 << LOG_BITS
+#: Square roots taken before the ``atanh`` series of :func:`log_bounds`.
+_ROOTS = 4
 
 
 @total_ordering
@@ -258,60 +230,111 @@ _CONTEXTS = {
 }
 
 
-def endpoint_fraction(value, direction: str) -> Fraction:
-    """The lower or upper endpoint of an ``mpmath.iv`` interval, exactly."""
-    # raw libmp tuple (sign, mantissa, exponent, bitcount): a binary rational
-    sign, man, exp, _ = value._mpi_[0 if direction == "lower" else 1]
-    out = Fraction(int(man)) * Fraction(2) ** int(exp)
-    return -out if sign else out
-
-
 def _directed_decimal(numerator: int, denominator: int, direction: str) -> str:
     return str(_CONTEXTS[direction].divide(Decimal(numerator), Decimal(denominator)))
 
 
-def directed_fraction_decimal(value: Fraction, direction: str) -> str:
-    return _directed_decimal(value.numerator, value.denominator, direction)
+@cache
+def _constants() -> tuple[tuple[int, int], tuple[int, int]]:
+    """``ln 2`` and ``pi`` as integer pairs ``lo <= 2^LOG_BITS * value <= hi``."""
+    # P is LOG_BITS and an ulp is 2^-P.  ln 2 = 2 atanh(1/3) =
+    # 2 sum 3^-(2i+1) / (2i+1).  Each power floor(2^P / 3^(2i+1)) is exact,
+    # as a floor divided by 9 and floored is the floor of the quotient;
+    # flooring each term again leaves it less than 2 ulp short, and the tail
+    # after the first zero power is below 9/8 ulp
+    power, total, i = _ONE // 3, 0, 0
+    while power:
+        total += power // (2 * i + 1)
+        power //= 9
+        i += 1
+    ln2 = (2 * total, 2 * (total + 2 * i + 2))
+    # pi = 2 sum t_k with t_0 = 1 and t_(k+1) = t_k (k+1) / (2k+3) (Euler):
+    # positive terms, each at most half the one before.  Flooring each step
+    # of t_k 2^P leaves it e_k ulp short with e_(k+1) < e_k / 2 + 1, so
+    # e_k < 2, and the tail after the first zero term is below 4 ulp
+    power, total, k = _ONE, 0, 0
+    while power:
+        total += power
+        power = power * (k + 1) // (2 * k + 3)
+        k += 1
+    return ln2, (2 * total, 2 * (total + 2 * k + 4))
 
 
-def _scaled_log_end(scale: Scale, argument: int, direction: str) -> tuple:
-    """``scale * log(argument)`` rounded toward ``direction``: a raw mpmath
-    number at :data:`BITS` bits, below the value for ``"lower"`` and above it
-    for ``"upper"``; needs a positive ``scale.rational``."""
-    from mpmath.libmp import from_int, mpf_div, mpf_log, mpf_mul, mpf_pi, round_ceiling, round_floor
+def log_bounds(a: int) -> tuple[int, int]:
+    """Integers ``lo <= 2^LOG_BITS * ln(a) <= hi`` for an integer ``a >= 1``.
 
+    Fixed-point integer arithmetic: the top bits of ``a``, square roots to
+    bring them near 1, and an ``atanh`` series; ``hi - lo`` is below
+    ``2^11 (1 + log2 a)``.
+    """
+    if a == 1:
+        return 0, 0
+    # P is LOG_BITS, an ulp is 2^-P and r is _ROOTS.  With k + 1 the bit
+    # length of a, a = (m + rho) 2^(k - P) with 2^P <= m < 2^(P+1) and
+    # 0 <= rho < 1, so ln a = k ln 2 + ln(z_0) + ln(1 + rho / m) with
+    # z_0 = m / 2^P in [1, 2), and the last term lies in [0, 1 ulp)
+    k = a.bit_length() - 1
+    z = a >> (k - LOG_BITS) if k >= LOG_BITS else a << (LOG_BITS - k)
+    # z_(j+1) = sqrt(z_j): each isqrt floors, and sqrt is 1/2-Lipschitz on
+    # [1, oo), so the computed Z / 2^P lies in (z_r - 2 ulp, z_r]; ln is
+    # 1-Lipschitz there, so ln(Z / 2^P) is less than 2 ulp short of
+    # ln(z_r) = ln(z_0) / 2^r
+    for _ in range(_ROOTS):
+        z = isqrt(z << LOG_BITS)
+    # ln(Z / 2^P) = 2 atanh(t) with t = (Z - 2^P) / (Z + 2^P) < 1/3.  t
+    # floored is less than 1 ulp short, and atanh(t) less than 2 ulp, as
+    # atanh' <= 2 there.  The floored powers of t are e_j ulp short with
+    # e_(j+1) < e_j / 4 + 3/2, so e_j < 2; each term floors once more and is
+    # less than 3 ulp short, and the tail after the first zero power is
+    # below 3 ulp.  So total is at most atanh(t) and less than 3i + 5 ulp
+    # below it, over its i terms
+    t = ((z - _ONE) << LOG_BITS) // (z + _ONE)
+    t2 = t * t >> LOG_BITS
+    total, power, i = 0, t, 0
+    while power:
+        total += power // (2 * i + 1)
+        power = power * t2 >> LOG_BITS
+        i += 1
+    # so ln(z_0) lies in [2^(r+1) total, 2^(r+1) (total + 3i + 6)) ulp, and
+    # rho adds less than 1 ulp
+    (ln2_lo, ln2_hi), _ = _constants()
+    return (
+        k * ln2_lo + (total << (_ROOTS + 1)),
+        k * ln2_hi + ((total + 3 * i + 6) << (_ROOTS + 1)) + 1,
+    )
+
+
+def _scaled_log_end(scale: Scale, argument: int, direction: str) -> tuple[int, int]:
+    """``scale * log(argument)`` rounded toward ``direction``, as an exact
+    fraction ``(numerator, denominator)``: below the value for ``"lower"`` and
+    above it for ``"upper"``; needs a positive ``scale.rational``."""
     upper = direction == "upper"
-    rnd = round_ceiling if upper else round_floor
-    widen = widening(BITS - 4)
-    # the argument rounded first: its exact mantissa would make log slower
-    value = mpf_log(from_int(argument, BITS, rnd), BITS, rnd)
-    value = mpf_mul(value, widen[upper], BITS, rnd)
-    value = mpf_mul(value, from_int(scale.rational.numerator), BITS, rnd)
-    value = mpf_div(value, from_int(scale.rational.denominator), BITS, rnd)
-    if scale.pi_power:
+    numerator = log_bounds(argument)[upper] * scale.rational.numerator
+    denominator = scale.rational.denominator << LOG_BITS
+    k = scale.pi_power
+    if k:
         # a product takes pi's end on the value's side, a quotient the other
-        pi_upper = upper == (scale.pi_power > 0)
-        pi_rnd = round_ceiling if pi_upper else round_floor
-        pi = mpf_mul(mpf_pi(BITS, pi_rnd), widen[pi_upper], BITS, pi_rnd)
-        step = mpf_mul if scale.pi_power > 0 else mpf_div
-        for _ in range(abs(scale.pi_power)):
-            value = step(value, pi, BITS, rnd)
-    return value
+        pi = _constants()[1][upper == (k > 0)] ** abs(k)
+        if k > 0:
+            numerator *= pi
+            denominator <<= LOG_BITS * k
+        else:
+            numerator <<= LOG_BITS * -k
+            denominator *= pi
+    return numerator, denominator
 
 
 def scaled_log_decimal(scale: Scale, log_arg: LogInteger, direction: str) -> str:
     """Render ``scale * log(argument)`` to 12 digits, rounded outward.
 
     ``direction`` is ``"lower"`` (round down) or ``"upper"`` (round up).
-    Only that end is computed, from one directed ``log`` widened by
-    :func:`widening`, so the result is a true bound of the exact value in
-    that direction.  The scale's rational must be positive.
+    Only that end is computed, from the end of :func:`log_bounds` on its
+    side and ``pi``'s end that keeps it there, so the result is a true bound
+    of the exact value in that direction.  The scale's rational must be
+    positive.
     """
     if direction not in _CONTEXTS:
         raise ValueError("direction must be 'lower' or 'upper'")
     if scale.rational <= 0:
         raise ValueError("scale must be positive")
-    _, man, exp, _ = _scaled_log_end(scale, log_arg.argument, direction)  # >= 0
-    if exp >= 0:
-        return _directed_decimal(man << exp, 1, direction)
-    return _directed_decimal(man, 1 << -exp, direction)
+    return _directed_decimal(*_scaled_log_end(scale, log_arg.argument, direction), direction)

@@ -30,7 +30,6 @@ from braidcount.counting import (
     max_tuple_length,
     threshold_from_y,
 )
-from braidcount.invariants import endpoint_fraction
 from braidcount.oracle import (
     brute_count_tuples,
     enumerate_reduced_words,
@@ -143,31 +142,33 @@ class TestTupleBounds:
             assert c**3 <= n < (c + 1) ** 3, n
 
     def test_upper_ends_lie_above_a_1000_bit_value(self):
-        # mpmath rounds log and exp once from a few guard bits, so each bound
-        # must also lie above the same product taken with mpmath's ends as
-        # they come, which the widening moves outward
+        # each bound lies above the value, the any-length one exactly
+        # (N / 2^s)^3 >= (x / 3)^5, and within a relative 2^-120 of it
         rng = random.Random(2101)
         xs = [rng.randrange(4, 10 ** rng.randint(1, 11)) for _ in range(24)] + [10**11]
+        tight = 1 + Fraction(1, 2**120)
         for x in xs:
             got = bound_tuples_total(x)
             with mpmath.workprec(1000):
-                truth = (mpmath.mpf(x) / 3) ** (mpmath.mpf(5) / 3)
-            with exactlog.interval_precision() as iv:
-                raw = iv.exp(iv.mpf(5) / 3 * iv.log(iv.mpf(x) / 3))
-            assert got > _fraction(truth) and got > endpoint_fraction(raw, "upper"), x
+                truth = _fraction((mpmath.mpf(x) / 3) ** (mpmath.mpf(5) / 3))
+            assert got**3 >= Fraction(x, 3) ** 5 and got < truth * tight, x
             for j in range(1, max_tuple_length(x) + 1):
                 got = bound_tuples_j(j, x)
                 scale = Fraction(2 ** (j - 1) * x, 3**j)
                 if j == 1:
-                    assert got >= scale
+                    assert got == scale
                     continue
                 with mpmath.workprec(1000):
                     ratio = mpmath.mpf(scale.numerator) / scale.denominator
-                    truth = ratio / math.factorial(j - 1) * mpmath.log(ratio) ** (j - 1)
-                with exactlog.interval_precision() as iv:
-                    ratio = iv.mpf(scale.numerator) / iv.mpf(scale.denominator)
-                    raw = ratio / math.factorial(j - 1) * iv.log(ratio) ** (j - 1)
-                assert got > _fraction(truth) and got > endpoint_fraction(raw, "upper"), (j, x)
+                    truth = _fraction(ratio / math.factorial(j - 1) * mpmath.log(ratio) ** (j - 1))
+                assert truth < got < truth * tight, (j, x)
+
+    def test_total_bound_cubed_covers_every_small_threshold(self):
+        # the least N / 2^s whose cube reaches (x / 3)^5, and nothing below it
+        unit = Fraction(1, 2**counting._TOTAL_BITS)
+        for x in range(0, 3000):
+            got = bound_tuples_total(x)
+            assert got**3 >= Fraction(x, 3) ** 5 > (got - unit) ** 3, x
 
     @given(st.integers(min_value=1, max_value=2000))
     def test_exact_below_bounds(self, x):

@@ -1,12 +1,14 @@
 """Which packages and submodules a command loads, checked in fresh interpreters.
 
-``sympy`` costs about 0.3 s to import and ``mpmath`` about 0.03 s, so
+``sympy`` costs about 0.3 s to import and ``mpmath`` about 0.02 s, so
 only the commands that need them may load them: no command loads
-``sympy``, and ``mpmath`` serves the bound columns and the certificates
-of a ``Y`` expression.  The package's own submodules are registered
-lazily, and a command executes only those it uses.
+``sympy``, and ``mpmath`` serves only the certificates of a ``Y``
+expression in ``exactlog``; the bound columns are integer arithmetic.
+The package's own submodules are registered lazily, and a command
+executes only those it uses.
 """
 
+import ast
 import json
 import os
 import subprocess
@@ -61,10 +63,12 @@ def test_commands_without_bounds_or_y_load_neither(argv):
 
 @pytest.mark.parametrize("argv", [
     ["bounds", "--word", "a1^2 a2^2"],
+    ["bounds", "--braid", "s1^2 s2^-3 s1"],
     ["count", "tuples", "--X", "1000"],
+    ["count", "tuples", "--X", "1000", "--j", "3"],
 ])
-def test_bound_columns_load_mpmath_only(argv):
-    assert loaded(argv) == (0, {"sympy": False, "mpmath": True})
+def test_bound_columns_load_neither(argv):
+    assert loaded(argv) == (0, {"sympy": False, "mpmath": False})
 
 
 @pytest.mark.parametrize("argv", [
@@ -73,6 +77,18 @@ def test_bound_columns_load_mpmath_only(argv):
 ])
 def test_y_commands_load_mpmath_only(argv):
     assert loaded(argv) == (0, {"sympy": False, "mpmath": True})
+
+
+def test_only_exactlog_imports_mpmath():
+    for path in sorted((SRC / "braidcount").glob("*.py")):
+        imported = set()
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                imported.add(node.module)
+        uses = any(name.split(".")[0] == "mpmath" for name in imported)
+        assert uses == (path.stem == "exactlog"), path.name
 
 
 def test_only_y_loads_exact_forms():
@@ -179,6 +195,17 @@ def test_word_commands_execute_no_counting_module(argv):
     _, ran = executed(argv)
     assert "words" in ran
     assert not ran & {"counting", "classes"}
+
+
+@pytest.mark.parametrize("argv", [
+    ["count", "classes", "--pairs", "3"],
+    ["count", "words", "--X", "1000"],
+    ["count", "tuples", "--X", "1000"],
+])
+def test_counts_without_a_log_execute_no_invariants(argv):
+    # their bound columns are exact fractions, rendered by cli itself
+    _, ran = executed(argv)
+    assert "invariants" not in ran
 
 
 def test_report_executes_no_counting_module():

@@ -9,7 +9,6 @@ from fractions import Fraction
 import mpmath
 import pytest
 from hypothesis import given, strategies as st
-from mpmath.libmp import from_int, mpf_log, mpf_pi, round_ceiling, round_floor
 
 from braidcount.braid import (
     HALF_TWIST,
@@ -26,20 +25,22 @@ from braidcount.invariants import (
     ENTROPY_UPPER_SCALE,
     EXTREMAL_LOWER_SCALE,
     EXTREMAL_UPPER_SCALE,
+    LOG_BITS,
     BoundInterval,
     LogInteger,
     Scale,
+    _constants,
+    _directed_decimal,
     _scaled_log_end,
-    directed_fraction_decimal,
-    endpoint_fraction,
     entropy_bounds,
     extremal_length_bounds_braid,
     extremal_length_bounds_word,
-    interval_precision,
+    log_bounds,
     lower_weight,
     scaled_log_decimal,
     upper_weight,
 )
+from braidcount.exactlog import endpoint_fraction, interval_precision
 from braidcount.words import FreeWord, cyclic_reduce, parse_word, syllable_decompose
 
 degree_lists = st.lists(st.integers(min_value=1, max_value=9), min_size=1, max_size=6)
@@ -284,10 +285,10 @@ class TestEntropy:
 class TestDecimals:
     def test_directed_rounding(self):
         third = Fraction(1, 3)
-        lo = directed_fraction_decimal(third, "lower")
-        hi = directed_fraction_decimal(third, "upper")
+        lo = _directed_decimal(1, 3, "lower")
+        hi = _directed_decimal(1, 3, "upper")
         assert Fraction(lo) < third < Fraction(hi)
-        assert directed_fraction_decimal(Fraction(27, 2), "upper") == "13.5"
+        assert _directed_decimal(27, 2, "upper") == "13.5"
 
     @given(st.integers(min_value=2, max_value=10**6))
     def test_enclosure(self, arg):
@@ -328,7 +329,7 @@ class TestDecimals:
 
 
 def _reference_scaled_log_decimal(scale: Scale, argument: int, direction: str) -> str:
-    with interval_precision() as iv:
+    with interval_precision(128) as iv:
         value = iv.log(iv.mpf(argument))
         value *= iv.mpf(scale.rational.numerator)
         value /= iv.mpf(scale.rational.denominator)
@@ -353,7 +354,6 @@ SCALES = (EXTREMAL_LOWER_SCALE, EXTREMAL_UPPER_SCALE, ENTROPY_LOWER_SCALE, ENTRO
 _rng = random.Random(124)
 LOG_ARGUMENTS = [_rng.randrange(2, 10 ** _rng.randint(1, 2300)) for _ in range(4000)]
 LOG_ARGUMENTS += [8**6000, 6**6000]
-WIDENING = Fraction(1, 2**124)
 
 
 class TestDirectedEnds:
@@ -364,29 +364,23 @@ class TestDirectedEnds:
             got = scaled_log_decimal(scale, LogInteger(argument), direction)
             assert got == _reference_scaled_log_decimal(scale, argument, direction), argument
 
-    def test_end_is_widened_past_mpmath_and_close_to_the_value(self):
-        # mpmath's directed log has missed no value in millions of tries, so
-        # the end must also lie beyond the exact product of its directed log,
-        # the widening, the scale and the widened pi end: only the widening
-        # and rounding every step outward put it there
+    def test_end_lies_on_its_side_and_close_to_the_value(self):
+        # each end lies beyond a 1000-bit value on its own side, within
+        # 2^-120 of it, and the kernel's integer ends hold the 1000-bit log
         with mpmath.workprec(1000):
             logs = [_raw_fraction(mpmath.log(argument)._mpf_) for argument in LOG_ARGUMENTS]
             pi = _raw_fraction(mpmath.pi._mpf_)
-        for upper, direction, side, rnd in ((False, "lower", -1, round_floor), (True, "upper", 1, round_ceiling)):
+        for argument, log in zip(LOG_ARGUMENTS, logs):
+            lo, hi = log_bounds(argument)
+            assert lo <= log * 2**LOG_BITS <= hi, argument
+        for direction, side in (("lower", -1), ("upper", 1)):
             for scale in SCALES:
-                # a product takes pi's end on the value's side, a quotient the other
-                pi_upper = upper == (scale.pi_power > 0)
-                pi_end = _raw_fraction(mpf_pi(128, round_ceiling if pi_upper else round_floor))
-                pi_end *= 1 + (WIDENING if pi_upper else -WIDENING)
-                chain_factor = (1 + side * WIDENING) * scale.rational * pi_end**scale.pi_power
                 value_factor = scale.rational * pi**scale.pi_power
                 for argument, log in zip(LOG_ARGUMENTS, logs):
-                    end = _raw_fraction(_scaled_log_end(scale, argument, direction))
+                    end = Fraction(*_scaled_log_end(scale, argument, direction))
                     value = log * value_factor
                     assert side * (end - value) > 0, (argument, scale, direction)
                     assert abs(end - value) < value / 2**120, (argument, scale, direction)
-                    directed = _raw_fraction(mpf_log(from_int(argument, 128, rnd), 128, rnd))
-                    assert side * (end - directed * chain_factor) >= 0, (argument, scale, direction)
 
     def test_log_of_one_is_zero(self):
         for direction in ("lower", "upper"):
@@ -395,3 +389,45 @@ class TestDirectedEnds:
     def test_rejects_a_nonpositive_scale(self):
         with pytest.raises(ValueError, match="scale must be positive"):
             scaled_log_decimal(Scale(Fraction(-1)), LogInteger(3), "lower")
+
+
+def _log_1000(argument: int) -> Fraction:
+    """``2^LOG_BITS * ln(argument)`` to 1000 bits, exactly as a fraction."""
+    with mpmath.workprec(1000):
+        return _raw_fraction(mpmath.log(argument)._mpf_) * 2**LOG_BITS
+
+
+#: edge cases of the kernel: the smallest arguments, powers of two and their
+#: neighbours, where the reduction to the top bits is exact or just not, and
+#: arguments of 10^4 bits
+KERNEL_EDGES = [2, 3, 4, 5, 7, 8, 9, 1023, 1025]
+KERNEL_EDGES += [2**k + d for k in (10, 63, 64, 159, 160, 161, 162, 1000) for d in (-1, 0, 1)]
+KERNEL_EDGES += [2**10000 - 1, 2**10000 + 1, 3**6309, 10**3010 + 7]
+
+
+class TestLogKernel:
+    @pytest.mark.parametrize("argument", KERNEL_EDGES)
+    def test_ends_hold_the_log_at_edge_arguments(self, argument):
+        lo, hi = log_bounds(argument)
+        assert lo <= _log_1000(argument) <= hi
+        assert hi - lo < 2**11 * argument.bit_length()
+
+    def test_ends_hold_the_log_at_seeded_arguments(self):
+        rng = random.Random(2376)
+        arguments = [rng.randrange(2, 2 ** rng.randint(2, 400)) for _ in range(1500)]
+        arguments += [rng.randrange(2, 2 ** rng.randint(400, 15000)) for _ in range(100)]
+        for argument in arguments:
+            lo, hi = log_bounds(argument)
+            assert lo <= _log_1000(argument) <= hi, argument
+            assert hi - lo < 2**11 * argument.bit_length(), argument
+
+    def test_log_of_one_is_exactly_zero(self):
+        assert log_bounds(1) == (0, 0)
+
+    def test_constants_hold_ln2_and_pi(self):
+        (ln2_lo, ln2_hi), (pi_lo, pi_hi) = _constants()
+        with mpmath.workprec(1000):
+            ln2 = _raw_fraction(mpmath.ln2._mpf_) * 2**LOG_BITS
+            pi = _raw_fraction(mpmath.pi._mpf_) * 2**LOG_BITS
+        assert ln2_lo <= ln2 <= ln2_hi and ln2_hi - ln2_lo < 2**10
+        assert pi_lo <= pi <= pi_hi and pi_hi - pi_lo < 2**10
