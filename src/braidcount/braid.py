@@ -53,10 +53,10 @@ half twist (``D^-2`` allowed); the empty string is the identity braid.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from itertools import accumulate, chain, islice, permutations, product
 from typing import Iterable
 
+from ._record import Record
 from .words import FreeWord, other_generator, token_exponent
 
 A_LETTER = 0
@@ -72,11 +72,13 @@ class BraidSyntaxError(ValueError):
         self.position = position
 
 
-@dataclass(frozen=True)
-class BraidWord:
+class BraidWord(Record):
     """A word in the braid generators, one ``(generator, sign)`` letter each."""
 
-    letters: tuple[tuple[int, int], ...] = ()
+    __slots__ = ("letters",)
+
+    def __init__(self, letters: tuple[tuple[int, int], ...] = ()):
+        object.__setattr__(self, "letters", letters)
 
     @staticmethod
     def from_letters(raw: Iterable[tuple[int, int]]) -> "BraidWord":
@@ -217,11 +219,13 @@ def _join(stack: list, word: tuple[int, ...]) -> None:
     stack.extend(word[i:] if i else word)  # most junctions take no letter
 
 
-@dataclass(frozen=True)
-class CosetElement:
+class CosetElement(Record):
     """Canonical alternating word over the two free-product factors."""
 
-    letters: tuple[int, ...] = ()
+    __slots__ = ("letters",)
+
+    def __init__(self, letters: tuple[int, ...] = ()):
+        object.__setattr__(self, "letters", letters)
 
     def __mul__(self, other: "CosetElement") -> "CosetElement":
         stack = [None, *self.letters]
@@ -415,8 +419,7 @@ POWER_OF_DELTA = "power_of_delta"
 GENERAL = "general"
 
 
-@dataclass(frozen=True)
-class NormalForm:
+class NormalForm(Record):
     """The unique factorization ``sigma_j^k b1 delta^ell`` of a coset.
 
     ``kind`` is :data:`POWER_OF_DELTA` (then only ``ell`` is meaningful) or
@@ -425,11 +428,16 @@ class NormalForm:
     ``ell`` in {0, 1}).
     """
 
-    kind: str
-    j: int = 0
-    k: int = 0
-    b1: FreeWord = FreeWord()
-    ell: int = 0
+    __slots__ = ("kind", "j", "k", "b1", "ell")
+
+    def __init__(
+        self, kind: str, j: int = 0, k: int = 0, b1: FreeWord = FreeWord(), ell: int = 0
+    ):
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "j", j)
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "b1", b1)
+        object.__setattr__(self, "ell", ell)
 
     @staticmethod
     def power_of_delta(ell: int) -> "NormalForm":

@@ -28,11 +28,11 @@ evidence, not proof.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
 from math import gcd
 from typing import Iterator
 
+from ._record import Record
 from .braid import (
     BraidWord,
     CosetElement,
@@ -55,17 +55,17 @@ ENUMERATION_LIMIT = 10  # 2^(2j) direct orbit walk stays desk-scale up to here
 MAX_REPORT_INDEX = 7000
 
 
-@dataclass(frozen=True)
-class FamilyWord:
+class FamilyWord(Record):
     """A sign vector in {+1, -1}^(2j) naming one alternating-form word."""
 
-    signs: tuple[int, ...]
+    __slots__ = ("signs",)
 
-    def __post_init__(self):
-        if len(self.signs) < 2 or len(self.signs) % 2:
+    def __init__(self, signs: tuple[int, ...]):
+        if len(signs) < 2 or len(signs) % 2:
             raise ValueError("sign vector length must be even and at least 2")
-        if any(s not in (1, -1) for s in self.signs):
+        if any(s not in (1, -1) for s in signs):
             raise ValueError("signs must be +1 or -1")
+        object.__setattr__(self, "signs", signs)
 
     @property
     def pairs(self) -> int:
@@ -142,17 +142,30 @@ LAMBDA_VARIANT = "lambda"
 ENTROPY_VARIANT = "entropy"
 
 
-@dataclass(frozen=True)
-class LowerBoundReport:
+class LowerBoundReport(Record):
     """Family-versus-floor comparison at budget Y, all checks exact."""
 
-    variant: str
-    y_text: str
-    index: int
-    family_size: int
-    class_count: int | None
-    paper_bound: str
-    satisfied: bool
+    __slots__ = (
+        "variant", "y_text", "index", "family_size", "class_count", "paper_bound", "satisfied"
+    )
+
+    def __init__(
+        self,
+        variant: str,
+        y_text: str,
+        index: int,
+        family_size: int,
+        class_count: int | None,
+        paper_bound: str,
+        satisfied: bool,
+    ):
+        object.__setattr__(self, "variant", variant)
+        object.__setattr__(self, "y_text", y_text)
+        object.__setattr__(self, "index", index)
+        object.__setattr__(self, "family_size", family_size)
+        object.__setattr__(self, "class_count", class_count)
+        object.__setattr__(self, "paper_bound", paper_bound)
+        object.__setattr__(self, "satisfied", satisfied)
 
     def to_json(self) -> dict:
         return {
@@ -253,13 +266,15 @@ def _pure_words_up_to_degree(max_degree: int) -> Iterator[FreeWord]:
     yield from extend([], max_degree)
 
 
-@dataclass(frozen=True)
-class ForbiddenConjugation:
+class ForbiddenConjugation(Record):
     """A would-be counterexample: source conjugated into the alternating form."""
 
-    source: FreeWord
-    target: FreeWord
-    conjugator: BraidWord
+    __slots__ = ("source", "target", "conjugator")
+
+    def __init__(self, source: FreeWord, target: FreeWord, conjugator: BraidWord):
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "target", target)
+        object.__setattr__(self, "conjugator", conjugator)
 
     def to_json(self) -> dict:
         return {

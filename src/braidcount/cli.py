@@ -32,14 +32,8 @@ import json
 import math
 import os
 import sys
-from decimal import ROUND_CEILING, Context, Decimal
-from fractions import Fraction
 
 from . import braid, classes, counting, invariants, verify, words
-
-
-#: The 12 digits of ``invariants.DISPLAY_DIGITS``, rounded up.
-_ROUND_UP = Context(prec=12, rounding=ROUND_CEILING)
 
 
 class InputError(ValueError):
@@ -65,10 +59,15 @@ def _emit(rows: list[dict], fmt: str) -> None:
             print("  ".join(f"{k}={v}" for k, v in row.items()))
 
 
-def _fraction_decimal(value: Fraction) -> str:
-    """Round-up 12-digit decimal shared by the bound columns of ``count``,
-    rendered here so that a count executes no :mod:`invariants`."""
-    return str(_ROUND_UP.divide(Decimal(value.numerator), Decimal(value.denominator)))
+def _fraction_decimal(value) -> str:
+    """Round-up 12-digit decimal of a fraction, shared by the bound columns
+    of ``count``, rendered here so that a count executes no :mod:`invariants`."""
+    # only these columns need decimal: the other commands never load it
+    from decimal import ROUND_CEILING, Context, Decimal
+
+    # the 12 digits of invariants.DISPLAY_DIGITS, rounded up
+    round_up = Context(prec=12, rounding=ROUND_CEILING)
+    return str(round_up.divide(Decimal(value.numerator), Decimal(value.denominator)))
 
 
 def _parse_word_arg(text: str) -> words.FreeWord:
@@ -250,6 +249,8 @@ def cmd_count_classes(args) -> list[dict]:
     j = args.pairs
     if not 1 <= j <= classes.MAX_REPORT_INDEX:
         raise InputError(f"count classes requires --pairs from 1 to {classes.MAX_REPORT_INDEX}")
+    from fractions import Fraction  # loaded on first use, like decimal above
+
     exact = classes.class_count(j)
     bound = Fraction(4**j, 2 * j)
     return [{

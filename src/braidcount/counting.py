@@ -40,11 +40,12 @@ exactly, ``bound_tuples_total`` by an integer cube root and
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, repeat
 from math import factorial, isqrt
 from operator import add, mul, sub
+
+from ._record import Record
 
 FIRST = 0
 SECOND = 1
@@ -425,13 +426,15 @@ def bound_tuples_total(x: int) -> Fraction:
     return Fraction(n, 1 << _TOTAL_BITS)
 
 
-@dataclass(frozen=True)
-class WordBoundChain:
+class WordBoundChain(Record):
     """The two word-count majorants: X^3/2 and 2*4^j0*count_tuples(X)."""
 
-    cube_half: Fraction
-    chain_index: int
-    chain_value: int
+    __slots__ = ("cube_half", "chain_index", "chain_value")
+
+    def __init__(self, cube_half: Fraction, chain_index: int, chain_value: int):
+        object.__setattr__(self, "cube_half", cube_half)
+        object.__setattr__(self, "chain_index", chain_index)
+        object.__setattr__(self, "chain_value", chain_value)
 
 
 def bound_words(x: int) -> WordBoundChain:

@@ -33,13 +33,13 @@ lower endpoints and ceiling on upper ones.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from decimal import Context, Decimal, ROUND_CEILING, ROUND_FLOOR
 from fractions import Fraction
 from functools import cache, total_ordering
 from math import isqrt
 
 from . import braid, words
+from ._record import Record
 
 DISPLAY_DIGITS = 12
 #: Fraction bits of the fixed-point logarithm :func:`log_bounds`: its ends lie
@@ -51,15 +51,15 @@ _ROOTS = 4
 
 
 @total_ordering
-@dataclass(frozen=True)
-class LogInteger:
+class LogInteger(Record):
     """The exact value ``log(argument)`` for an integer argument >= 1."""
 
-    argument: int = 1
+    __slots__ = ("argument",)
 
-    def __post_init__(self):
-        if self.argument < 1:
+    def __init__(self, argument: int = 1):
+        if argument < 1:
             raise ValueError("argument must be a positive integer")
+        object.__setattr__(self, "argument", argument)
 
     def __mul__(self, count: int) -> "LogInteger":
         # scaling: n * log P = log(P**n)
@@ -84,12 +84,14 @@ class LogInteger:
         return f"log({self.argument})"
 
 
-@dataclass(frozen=True)
-class Scale:
+class Scale(Record):
     """An exact constant ``rational * pi**pi_power`` multiplying a log value."""
 
-    rational: Fraction
-    pi_power: int = 0
+    __slots__ = ("rational", "pi_power")
+
+    def __init__(self, rational: Fraction, pi_power: int = 0):
+        object.__setattr__(self, "rational", rational)
+        object.__setattr__(self, "pi_power", pi_power)
 
     def __str__(self) -> str:
         body = str(self.rational)
@@ -118,17 +120,25 @@ def upper_weight(w: words.FreeWord) -> LogInteger:
     return LogInteger(math.prod(4 * d for d in words.syllable_degrees(w)))
 
 
-@dataclass(frozen=True)
-class BoundInterval:
+class BoundInterval(Record):
     """A two-sided enclosure ``[lower_scale*log(P-), upper_scale*log(P+)]``.
 
     It pins the invariant to exactly zero when both log arguments are 1.
     """
 
-    lower_log_arg: LogInteger
-    upper_log_arg: LogInteger
-    lower_scale: Scale
-    upper_scale: Scale
+    __slots__ = ("lower_log_arg", "upper_log_arg", "lower_scale", "upper_scale")
+
+    def __init__(
+        self,
+        lower_log_arg: LogInteger,
+        upper_log_arg: LogInteger,
+        lower_scale: Scale,
+        upper_scale: Scale,
+    ):
+        object.__setattr__(self, "lower_log_arg", lower_log_arg)
+        object.__setattr__(self, "upper_log_arg", upper_log_arg)
+        object.__setattr__(self, "lower_scale", lower_scale)
+        object.__setattr__(self, "upper_scale", upper_scale)
 
     @property
     def exact_zero(self) -> bool:

@@ -10,18 +10,20 @@ trade time for coverage.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from itertools import product
 
 from . import braid, classes, counting, invariants, oracle, words
+from ._record import Record
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    suite: str
-    check: str
-    passed: bool
-    detail: str = ""
+class CheckResult(Record):
+    __slots__ = ("suite", "check", "passed", "detail")
+
+    def __init__(self, suite: str, check: str, passed: bool, detail: str = ""):
+        object.__setattr__(self, "suite", suite)
+        object.__setattr__(self, "check", check)
+        object.__setattr__(self, "passed", passed)
+        object.__setattr__(self, "detail", detail)
 
     def to_json(self) -> dict:
         return {

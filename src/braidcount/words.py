@@ -22,8 +22,9 @@ from __future__ import annotations
 
 import re
 import sys
-from dataclasses import dataclass
 from typing import Iterable, Iterator
+
+from ._record import Record
 
 GENERATORS = (1, 2)
 
@@ -58,11 +59,13 @@ def reduce_terms(raw: Iterable[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
     return tuple(stack)
 
 
-@dataclass(frozen=True)
-class FreeWord:
+class FreeWord(Record):
     """A reduced word in the free group on generators 1 and 2."""
 
-    terms: tuple[tuple[int, int], ...] = ()
+    __slots__ = ("terms",)
+
+    def __init__(self, terms: tuple[tuple[int, int], ...] = ()):
+        object.__setattr__(self, "terms", terms)
 
     @staticmethod
     def from_terms(raw: Iterable[tuple[int, int]]) -> "FreeWord":
@@ -137,22 +140,22 @@ FIRST_KIND = "first"
 SECOND_KIND = "second"
 
 
-@dataclass(frozen=True)
-class Syllable:
+class Syllable(Record):
     """One syllable: kind, degree, common sign, and starting generator."""
 
-    kind: str
-    degree: int
-    sign: int
-    start: int
+    __slots__ = ("kind", "degree", "sign", "start")
 
-    def __post_init__(self) -> None:
-        if self.kind not in (FIRST_KIND, SECOND_KIND):
-            raise ValueError(f"unknown syllable kind {self.kind!r}")
-        if self.kind == FIRST_KIND and self.degree < 2:
+    def __init__(self, kind: str, degree: int, sign: int, start: int):
+        if kind not in (FIRST_KIND, SECOND_KIND):
+            raise ValueError(f"unknown syllable kind {kind!r}")
+        if kind == FIRST_KIND and degree < 2:
             raise ValueError("first-kind syllables have degree >= 2")
-        if self.degree < 1 or self.sign not in (1, -1) or self.start not in GENERATORS:
+        if degree < 1 or sign not in (1, -1) or start not in GENERATORS:
             raise ValueError("malformed syllable")
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "degree", degree)
+        object.__setattr__(self, "sign", sign)
+        object.__setattr__(self, "start", start)
 
     def expand(self) -> tuple[tuple[int, int], ...]:
         """The term run this syllable stands for."""
@@ -166,9 +169,11 @@ class Syllable:
         return tuple(out)
 
 
-@dataclass(frozen=True)
-class SyllableDecomposition:
-    syllables: tuple[Syllable, ...]
+class SyllableDecomposition(Record):
+    __slots__ = ("syllables",)
+
+    def __init__(self, syllables: tuple[Syllable, ...]):
+        object.__setattr__(self, "syllables", syllables)
 
     def __iter__(self) -> Iterator[Syllable]:
         return iter(self.syllables)

@@ -5,7 +5,9 @@ only the commands that need them may load them: no command loads
 ``sympy``, and ``mpmath`` serves only the certificates of a ``Y``
 expression in ``exactlog``; the bound columns are integer arithmetic.
 The package's own submodules are registered lazily, and a command
-executes only those it uses.
+executes only those it uses.  No command loads ``dataclasses`` (about
+10 ms with the ``inspect``, ``ast`` and ``dis`` it imports): the records
+are slotted classes on a base that imports only ``operator``.
 """
 
 import ast
@@ -22,27 +24,27 @@ import braidcount
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 # runs one command line (none: import only) and reports the exit code and
-# which of the two packages ended up in sys.modules
+# which of the named modules ended up in sys.modules
 PROBE = """
 import contextlib, io, json, sys
 import braidcount, braidcount.cli
-argv = json.loads(sys.argv[1])
+argv, names = json.loads(sys.argv[1]), json.loads(sys.argv[2])
 code = None
 if argv:
     with contextlib.redirect_stdout(io.StringIO()):
         code = braidcount.cli.main(argv)
-print(json.dumps([code, "sympy" in sys.modules, "mpmath" in sys.modules]))
+print(json.dumps([code, [name in sys.modules for name in names]]))
 """
 
 
-def loaded(argv):
+def loaded(argv, names=("sympy", "mpmath")):
     proc = subprocess.run(
-        [sys.executable, "-c", PROBE, json.dumps(argv)],
+        [sys.executable, "-c", PROBE, json.dumps(argv), json.dumps(names)],
         capture_output=True, text=True, check=True, timeout=60,
         env={**os.environ, "PYTHONPATH": str(SRC)},
     )
-    code, sympy, mpmath = json.loads(proc.stdout)
-    return code, {"sympy": sympy, "mpmath": mpmath}
+    code, present = json.loads(proc.stdout)
+    return code, dict(zip(names, present))
 
 
 def test_import_loads_neither():
@@ -79,16 +81,73 @@ def test_y_commands_load_mpmath_only(argv):
     assert loaded(argv) == (0, {"sympy": False, "mpmath": True})
 
 
+#: one command line of each kind the ``cli`` benchmark workload runs
+COMMAND_KINDS = [
+    ["normalize", "s1^2 s2^2"],
+    ["syllables", "a1^3 a2"],
+    ["theta", "s1^2 s2^2"],
+    ["bounds", "--word", "a1^2 a2^2"],
+    ["bounds", "--braid", "s1^2 s2^-3 s1"],
+    ["count", "tuples", "--Y", "log(27)"],
+    ["count", "words", "--X", "1000"],
+    ["count", "classes", "--pairs", "3"],
+    ["report", "lambda", "--Y", "600*log(8)"],
+    ["report", "entropy", "--Y", "600*pi*log(8)"],
+    ["verify", "--suite", "words"],
+]
+
+
+@pytest.mark.parametrize("argv", [[], *COMMAND_KINDS])
+def test_no_command_loads_dataclasses_or_inspect(argv):
+    code = None if not argv else 0
+    assert loaded(argv, ("dataclasses", "inspect")) == (
+        code, {"dataclasses": False, "inspect": False}
+    )
+
+
+@pytest.mark.parametrize("argv", [
+    [],
+    ["normalize", "s1^2 s2^2"],
+    ["syllables", "a1^3 a2"],
+    ["theta", "s1^2 s2^2"],
+    ["verify", "--suite", "words"],
+])
+def test_commands_without_bound_columns_load_no_decimal_or_fractions(argv):
+    # cli imports both only where a count renders its bound column
+    code = None if not argv else 0
+    assert loaded(argv, ("decimal", "fractions")) == (code, {"decimal": False, "fractions": False})
+
+
+def top_level_imports(path: Path) -> set[str]:
+    """The top-level package of every module that ``path`` imports."""
+    imported = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module and not node.level:
+            imported.add(node.module)
+    return {name.split(".")[0] for name in imported}
+
+
+MODULES = sorted((SRC / "braidcount").glob("*.py"))
+
+
 def test_only_exactlog_imports_mpmath():
-    for path in sorted((SRC / "braidcount").glob("*.py")):
-        imported = set()
+    for path in MODULES:
+        assert ("mpmath" in top_level_imports(path)) == (path.stem == "exactlog"), path.name
+
+
+def test_no_module_imports_dataclasses():
+    for path in MODULES:
+        assert "dataclasses" not in top_level_imports(path), path.name
+
+
+def test_no_module_runs_generated_code():
+    builtins = {"exec", "eval", "compile"}
+    for path in MODULES:
         for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.Import):
-                imported.update(alias.name for alias in node.names)
-            elif isinstance(node, ast.ImportFrom) and node.module:
-                imported.add(node.module)
-        uses = any(name.split(".")[0] == "mpmath" for name in imported)
-        assert uses == (path.stem == "exactlog"), path.name
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+                assert node.func.id not in builtins, f"{path.name}:{node.lineno}"
 
 
 def test_only_y_loads_exact_forms():
@@ -174,6 +233,8 @@ def executed(argv):
 
 
 def test_import_registers_every_submodule_and_executes_none():
+    # the private record base is imported by the submodules that define
+    # records, so a bare import leaves it out of sys.modules
     assert executed([]) == (SUBMODULES, set())
 
 
