@@ -13,21 +13,21 @@ integral makes every counter exact:
   ``L``, the shape the brute-force oracle can cross-check.
 
 ``count_tuples`` and ``count_words`` are summatory functions of Dirichlet
-series over the products ``3d``, each set by one *series* of spelling
-tables (``_TUPLES``, ``_WORDS``), and one engine reads either: each call
-sieves the coefficients up to ``N``, about ``X^(2/3) / 2`` and at most
-``2*10^6``, takes prefix sums, and recurses only on the quotients
-``X // k`` above ``N``, summing each by the hyperbola split.  The sieve
-pushes its sources in blocks whose own sources all lie below them, one
-slice per stride and block: about ``2.5 sqrt(N / 9)`` slices per table in
-place of one per source.  That costs about ``X^(2/3)`` steps per series
-until ``N`` reaches its cap near ``X = 10^10``, and grows about linearly
-beyond.  ``count_words_bounded`` reads the word tables in a memoised
-recursion over the degree left.  A tuple of length ``j`` passes exactly
-when ``prod d_k <= X // 3^j``, so ``count_tuples_j(j, X)`` is the Piltz
-divisor function ``D_j(X // 3^j)`` (Titchmarsh, *The Theory of the
-Riemann Zeta-Function*, ch. 12), a recursion on ``j`` over the quotients
-of ``X // 3^j``.
+series over the products ``3d``, each set by one *series* (``_TUPLES``,
+``_WORDS``): the syllable factor ``3`` and two spelling tables.  One
+engine reads either, with the factor from the series: each call sieves the
+coefficients up to ``N``, about ``X^(2/3) / 2`` and at most ``2*10^6``,
+takes prefix sums, and recurses only on the quotients ``X // k`` above
+``N``, summing each by the hyperbola split.  The sieve pushes its sources
+in blocks whose own sources all lie below them, one slice per stride and
+block: about ``2.5 sqrt(N / 9)`` slices per table in place of one per
+source.  That costs about ``X^(2/3)`` steps per series until ``N`` reaches
+its cap near ``X = 10^10``, and grows about linearly beyond.
+``count_words_bounded`` reads the word series in a memoised recursion over
+the degree left.  A tuple of length ``j`` passes exactly when
+``prod d_k <= X // 3^j``, so ``count_tuples_j(j, X)`` is the Piltz divisor
+function ``D_j(X // 3^j)`` (Titchmarsh, *The Theory of the Riemann
+Zeta-Function*, ch. 12), a recursion on ``j`` over the quotients of ``X // 3^j``.
 Nothing is kept between calls.  The analytic companions
 (``bound_tuples_j``, ``bound_tuples_total``, ``bound_words``) are exact
 rationals at or above their value, computed in integers: ``bound_words``
@@ -68,10 +68,12 @@ def max_tuple_length(x: int) -> int:
 # --- series -----------------------------------------------------------------
 #
 # Tuples and reduced words are chains of syllables, each of degree d >= 1
-# and contributing the factor 3d to the product.  A series is the pair of
-# tables (one, more): one[prev][kind] spellings for the next syllable of
-# degree 1, more[prev][kind] for degree 2 and up, given the kind of the
-# syllable before it.  The first syllable is left to each counter.
+# and contributing the factor c d to the product.  A series is the triple
+# (c, one, more) of that syllable factor and two tables: one[prev][kind]
+# spellings for the next syllable of degree 1, more[prev][kind] for degree
+# 2 and up, given the kind of the syllable before it.  The tables do not
+# depend on c, and both counters here take c = 3.  The first syllable is
+# left to each counter.
 #
 # A reduced word's first syllable has 4 spellings of either kind (start
 # generator x sign).  Afterwards the start generator is forced by the
@@ -79,56 +81,61 @@ def max_tuple_length(x: int) -> int:
 # second-kind syllable after a second-kind one, whose sign is also forced
 # (equal signs would merge the runs), leaving 1.  First-kind syllables
 # have degree at least 2.  Rows and columns run FIRST, SECOND.
-_WORDS = (((0, 2), (0, 1)), ((2, 2), (2, 1)))
+_WORDS = (3, ((0, 2), (0, 1)), ((2, 2), (2, 1)))
 # a degree tuple is a chain of one kind, one spelling per degree
-_TUPLES = (((1,),), ((1,),))
+_TUPLES = (3, ((1,),), ((1,),))
 
 # --- sieve plus recursion ---------------------------------------------------
 #
 # A series has one table per row.  Table k holds the Dirichlet coefficients
 # f_k(n) of the continuations after a syllable of kind k by product n:
-# f_k(1) = 1 for the empty one, and f_k(3i) counts a next syllable of degree
-# d with the continuation of product 3i / 3d after it (1 for d = i, 3j for
-# i = 3jd), weighted by one[k] for d = 1 and more[k] for d >= 2.  So with
-# y = q // 3 and the quotient sums S(y) = sum_{d <= y} F(y // d) of the
-# summatory functions F(q) = sum_{n <= q} f(n), whose d = 1 term is F(y),
+# f_k(1) = 1 for the empty one, and f_k(c i) counts a next syllable of
+# degree d with the continuation of product c i / c d after it (1 for
+# d = i, c j for i = c j d), weighted by one[k] for d = 1 and more[k] for
+# d >= 2.  So with y = q // c and the quotient sums
+# S(y) = sum_{d <= y} F(y // d) of the summatory functions
+# F(q) = sum_{n <= q} f(n), whose d = 1 term is F(y),
 #
 #     F_k(q) = 1 + more[k] . S(y) + (one[k] - more[k]) . F(y).
 #
-# A push sieve gives f(3i) for every 3i <= N, about x^(2/3) / 2, and prefix
-# sums replace the coefficients, so that F(q) = 1 + table[q // 3] for
-# q <= N.  Above N the kernels recurse on the quotients q = x // k, about
-# x / N of them, each summing about sqrt(q) table reads in _quotient_sums;
-# both halves then take about x^(2/3) steps.  This is the split of
-# Lagarias-Miller-Odlyzko (Math. Comp. 44, 1985) and Deleglise-Rivat
-# (Exp. Math. 5, 1996).  The tables live for one call.
+# A push sieve gives f(c i) for every c i <= N, about x^(2/3) / 2, and
+# prefix sums replace the coefficients, so that F(q) = 1 + table[q // c]
+# for q <= N.  Above N the kernels recurse on the quotients q = x // k,
+# about x / N of them, each summing about sqrt(q) table reads in
+# _quotient_sums; both halves then take about x^(2/3) steps.  This is the
+# split of Lagarias-Miller-Odlyzko (Math. Comp. 44, 1985) and
+# Deleglise-Rivat (Exp. Math. 5, 1996).  The tables live for one call.
 #
-# Entry i of table k holds f_k(3i).  The push sieve over i <= m = N // 3
+# Entry i of table k holds f_k(c i).  The push sieve over i <= m = N // c
 # seeds each entry with a single syllable of degree i: the row sum of
-# one[k] at i = 1 and of more[k] above.  Each source j <= m // 3 then adds
-# one[k] . f(3j) to entry 3j of table k and more[k] . f(3j) to entry 3jt for
-# every t >= 2, so f(3j) is final once every j' <= j / 3 has pushed.  Each
-# j up to low = isqrt(m // 3) pushes on its own, one strided slice over all
-# its multiples.  Above low the sources come in blocks [b, e) with e <= 3b,
-# at most _BLOCK_CAP wide: every source of a block has its own sources below
-# j / 3 < b, so all are final when the block starts, and its targets lie at
-# 3b >= e or beyond.  One slice per stride 3t then adds the block's weighted
-# vector to the entries 3tb, ..., 3t(e - 1).  A block from b takes about
-# m / 3b slices, so the geometric blocks take about 1.5 low and the sieve
-# about 2.5 low slices per table instead of m // 3: 179 instead of 5363 at
-# x = 3*10^7, 1319 instead of 222222 at the cap.  _quotient_sums reads the
-# raw coefficients f(3i) only for i <= isqrt(x // 3) // 3, so only that
-# head of them outlives the sieve.
+# one[k] at i = 1 and of more[k] above.  Each source j <= m // c then adds
+# one[k] . f(c j) to entry c j of table k and more[k] . f(c j) to entry
+# c j t for every t >= 2, so f(c j) is final once every j' <= j / c has
+# pushed.  Each j up to low = isqrt(m // c) pushes on its own, one strided
+# slice over all its multiples.  Above low the sources come in blocks
+# [b, e) with e <= c b, at most _BLOCK_CAP wide: every source of a block
+# has its own sources below j / c < b, so all are final when the block
+# starts, and its targets lie at c b >= e or beyond.  One slice per stride
+# c t then adds the block's weighted vector to the entries c t b, ...,
+# c t (e - 1).  A block from b takes about m / c b slices, so at c = 3 the
+# geometric blocks take about 1.5 low and the sieve about 2.5 low slices
+# per table instead of m // 3: 179 instead of 5363 at x = 3*10^7, 1319
+# instead of 222222 at the cap.  _quotient_sums reads the raw coefficients
+# f(c i) only for i <= isqrt(x // c) // c, so only that head of them
+# outlives the sieve.
 #
 # Tables and heads are array('q').  The largest entry of any table is the
 # words' F_FIRST(N) - 1: a row SECOND of spellings is at most the row FIRST,
 # and a degree tuple continues a first-kind syllable as a chain of
 # second-kind ones.  The cube majorant count_words(n) <= n^3 / 2 gives
 # F_FIRST(n) <= n^3 / 4 + 1, so the cap N <= 2*10^6 keeps every entry below
-# 2*10^18 < 2^63.  Every raw entry, head entries included, is a partial sum
-# of nonnegative terms of one f(3i) <= F(3i), so it meets the same bound.
-# The block vectors are lists of Python ints, and each adds into an entry
-# that stays below its final f(3i).  A store that did overflow would raise
+# 2*10^18 < 2^63.  That majorant is the factor 3's, and it bounds every
+# series with c >= 3 and these tables: a larger factor raises every
+# product, so F(n) counts a subset of the chains it counts at c = 3.
+# Every raw entry, head entries included, is a partial sum of nonnegative
+# terms of one f(c i) <= F(c i), so it meets the same bound.  The block
+# vectors are lists of Python ints, and each adds into an entry that stays
+# below its final f(c i).  A store that did overflow would raise
 # OverflowError, never wrap.
 
 _SIEVE_CAP = 2 * 10**6
@@ -137,42 +144,40 @@ _SIEVE_CAP = 2 * 10**6
 _BLOCK_CAP = 2**12
 
 
-def _sieve_limit(x: int) -> int:
-    # at least 2, so that every q above the limit has q // 3 >= 1
+def _sieve_limit(x: int, c: int) -> int:
+    # at least c - 1, so that every q above the limit has q // c >= 1
     if x >= _SIEVE_CAP**2:
         return _SIEVE_CAP
-    return min(x, _SIEVE_CAP, max(2, int(x ** (2 / 3)) // 2))
+    return min(x, _SIEVE_CAP, max(c - 1, int(x ** (2 / 3)) // 2))
 
 
-def _prefix_sums(counts: array) -> array:
-    return array("q", accumulate(counts))
-
-
-def _quotient_sums(y: int, n: int, tables: list[array], heads: list[array], values) -> list[int]:
+def _quotient_sums(
+    y: int, n: int, c: int, tables: list[array], heads: list[array], values
+) -> list[int]:
     """``sum(F(y // d) for d in 1..y)`` for the ``F`` of each table.
 
-    ``F(q)`` is ``1 + table[q // 3]`` for ``q <= n``, and ``values(q)`` holds
+    ``F(q)`` is ``1 + table[q // c]`` for ``q <= n``, and ``values(q)`` holds
     one ``F(q)`` per table above that.  The terms with ``d <= split`` (at
     least ``sqrt(y)``) are read one by one; the rest regroup by coefficient,
     as ``f(m)`` for ``m <= y // (split + 1)``, read from the table's raw
-    ``head`` (``f(3i)`` at ``head[i - 1]``), appears in ``y // m - split``
+    ``head`` (``f(c i)`` at ``head[i - 1]``), appears in ``y // m - split``
     of them.
     """
     deep = y // (n + 1)  # d <= deep leaves y // d above the sieve
     split = max(isqrt(y), deep)
-    top = y // (split + 1) // 3
+    top = y // (split + 1) // c
     # the 1 in F(y // d) for deep < d <= split, and f(1) = 1 for d > split
     sums = [y - deep] * len(tables)
     for d in range(1, deep + 1):
         sums = [s + v for s, v in zip(sums, values(y // d))]
-    # the indices y // 3d for deep < d <= split, computed once for all
+    # the indices y // c d for deep < d <= split, computed once for all
     # tables, _BLOCK_CAP at a time
-    near = range(3 * deep + 3, 3 * split + 1, 3)
+    near = range(c * deep + c, c * split + 1, c)
     for start in range(0, len(near), _BLOCK_CAP):
         indices = list(map(y.__floordiv__, near[start : start + _BLOCK_CAP]))
         sums = [s + sum(map(table.__getitem__, indices)) for s, table in zip(sums, tables)]
-    weights = list(map(y.__floordiv__, range(3, 3 * top + 1, 3)))
-    # map stops at the end of weights, at f(3 top)
+    weights = list(map(y.__floordiv__, range(c, c * top + 1, c)))
+    # map stops at the end of weights, at f(c top)
     return [
         s + sum(map(mul, head, weights)) - split * table[top]
         for s, table, head in zip(sums, tables, heads)
@@ -181,40 +186,40 @@ def _quotient_sums(y: int, n: int, tables: list[array], heads: list[array], valu
 
 def _summatory(x: int, series) -> list[int]:
     """``F_k(x)`` for each table ``k`` of ``series``."""
-    one, more = series
+    c, one, more = series
     # each F_k(q) as 1 plus this row times S(y) followed by F(y)
     rows = [r_more + tuple(map(sub, r_one, r_more)) for r_one, r_more in zip(one, more)]
-    n = _sieve_limit(x)
-    # every y = q // 3 is at most x // 3, so _quotient_sums reads f(3i) only
-    # for i <= isqrt(x // 3) // 3
-    tables, heads = _sieve(n // 3, isqrt(x // 3) // 3 + 2, series)
+    n = _sieve_limit(x, c)
+    # every y = q // c is at most x // c, so _quotient_sums reads f(c i)
+    # only for i <= isqrt(x // c) // c
+    tables, heads = _sieve(n // c, isqrt(x // c) // c + 2, series)
     memo: dict[int, list[int]] = {}
 
     def values(q: int) -> list[int]:
         if q <= n:
-            return [1 + table[q // 3] for table in tables]
+            return [1 + table[q // c] for table in tables]
         got = memo.get(q)
         if got is None:
-            y = q // 3
-            terms = _quotient_sums(y, n, tables, heads, values) + values(y)
+            y = q // c
+            terms = _quotient_sums(y, n, c, tables, heads, values) + values(y)
             got = memo[q] = [sum(map(mul, row, terms), 1) for row in rows]
         return got
 
     return values(x)
 
 
-def _sieve_schedule(m: int) -> tuple[int, list[tuple[int, int]]]:
+def _sieve_schedule(m: int, c: int) -> tuple[int, list[tuple[int, int]]]:
     """The sources ``j`` of a push sieve over ``1..m``, in the order it takes them.
 
     Each ``j <= low`` is pushed on its own; the rest come as blocks
-    ``[b, e)`` with ``e <= 3b``, each pushed whole, one stride at a time.
+    ``[b, e)`` with ``e <= c b``, each pushed whole, one stride at a time.
     """
-    last = m // 3  # a source j pushes to multiples of 3j up to m
+    last = m // c  # a source j pushes to multiples of c j up to m
     low = isqrt(last)
     blocks = []
     b = low + 1
     while b <= last:
-        e = min(3 * b, b + _BLOCK_CAP, last + 1)
+        e = min(c * b, b + _BLOCK_CAP, last + 1)
         blocks.append((b, e))
         b = e
     return low, blocks
@@ -240,9 +245,9 @@ def _weighted(row: tuple[int, ...], sources: list[list[int]], scaled: dict) -> l
 
 
 def _sieve(m: int, head: int, series) -> tuple[list[array], list[array]]:
-    """Prefix sums over ``i <= m`` of ``f_k(3i)`` for each table ``k`` of
-    ``series``, and the raw ``f_k(3i)`` for ``1 <= i < head``."""
-    one, more = series
+    """Prefix sums over ``i <= m`` of ``f_k(c i)`` for each table ``k`` of
+    ``series``, and the raw ``f_k(c i)`` for ``1 <= i < head``."""
+    c, one, more = series
     tables = []
     for r_one, r_more in zip(one, more):
         table = array("q", [sum(r_more)]) * (m + 1)
@@ -250,10 +255,10 @@ def _sieve(m: int, head: int, series) -> tuple[list[array], list[array]]:
         if m >= 1:
             table[1] = sum(r_one)
         tables.append(table)
-    low, blocks = _sieve_schedule(m)
+    low, blocks = _sieve_schedule(m, c)
     for j in range(1, low + 1):
         at_j = [table[j] for table in tables]
-        step = 3 * j
+        step = c * j
         targets = slice(2 * step, None, step)
         for table, r_one, r_more in zip(tables, one, more):
             table[step] += sum(map(mul, r_one, at_j))
@@ -263,9 +268,9 @@ def _sieve(m: int, head: int, series) -> tuple[list[array], list[array]]:
         sources = [table[b:e].tolist() for table in tables]
         scaled: dict[tuple[int, int], list[int]] = {}
         for table, r_one in zip(tables, one):
-            _push(table, slice(3 * b, 3 * e, 3), _weighted(r_one, sources, scaled))
+            _push(table, slice(c * b, c * e, c), _weighted(r_one, sources, scaled))
         pushes = [_weighted(r_more, sources, scaled) for r_more in more]
-        for step in range(6, m // b + 1, 3):
+        for step in range(2 * c, m // b + 1, c):
             targets = slice(step * b, step * e, step)
             for table, source in zip(tables, pushes):
                 _push(table, targets, source)
@@ -273,7 +278,7 @@ def _sieve(m: int, head: int, series) -> tuple[list[array], list[array]]:
     # each raw table goes once its prefix sums and head exist, so at most
     # one table of m + 1 entries more than the series has is alive at once
     for k, raw in enumerate(tables):
-        tables[k] = _prefix_sums(raw)
+        tables[k] = array("q", accumulate(raw))
         heads.append(raw[1:head])
     return tables, heads
 
@@ -345,10 +350,10 @@ def _word_suffixes_bounded(x: int, prev_kind: int, degree_left: int, memo: dict)
     if cached is not None:
         return cached
     total = 1
-    one, more = _WORDS
+    c, one, more = _WORDS
     row = one[prev_kind]  # and more[prev_kind] from degree 2 on
-    for d in range(1, min(x // 3, degree_left) + 1):
-        q = (x // 3) // d
+    for d in range(1, min(x // c, degree_left) + 1):
+        q = (x // c) // d
         kind = FIRST  # the kinds are the column indices
         for spellings in row:
             if spellings:
@@ -363,14 +368,14 @@ def count_words_bounded(x: int, max_degree: int) -> int:
     """As count_words with the extra constraint sum(d_k) <= max_degree."""
     if max_degree < 0:
         raise ValueError("degree budget must be nonnegative")
-    if max_degree >= x // 3:
-        # the budget cannot bind: sum(d_k) <= prod(3 d_k) / 3 <= x / 3, by
-        # induction on the syllables, as d + s <= 3 d s for d, s >= 1 where
-        # s is prod(3 d_k) / 3 over the syllables after the first
+    if max_degree >= x // _WORDS[0]:
+        # the budget cannot bind: sum(d_k) <= prod(c d_k) / c <= x / c, by
+        # induction on the syllables, as d + s <= c d s for d, s >= 1 where
+        # s is prod(c d_k) / c over the syllables after the first
         return count_words(x)
-    # as in count_words: twice the nonempty continuations after FIRST
-    memo: dict[tuple[int, int, int], int] = {}  # one call's suffix counts
-    return 2 * (_word_suffixes_bounded(x, FIRST, max_degree, memo) - 1)
+    # as in count_words: twice the nonempty continuations after FIRST, with
+    # a memo of suffix counts for this call alone
+    return 2 * (_word_suffixes_bounded(x, FIRST, max_degree, {}) - 1)
 
 
 # --- analytic bounds --------------------------------------------------------

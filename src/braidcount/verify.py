@@ -65,12 +65,16 @@ def _random_reduced_word(rng: random.Random, max_terms: int) -> words.FreeWord:
     return words.FreeWord(tuple(terms))
 
 
-def words_suite(samples: int = 300) -> list[CheckResult]:
+#: Random words each sampled check of the words suite draws.
+_WORD_SAMPLES = 300
+
+
+def words_suite() -> list[CheckResult]:
     rows: list[CheckResult] = []
     rng = random.Random(20260817)
 
     ok = True
-    for _ in range(samples):
+    for _ in range(_WORD_SAMPLES):
         w = _random_reduced_word(rng, 8)
         ok = ok and words.parse_word(words.word_to_text(w)) == w
     _check(rows, "words", "text round-trip", ok)
@@ -84,7 +88,7 @@ def words_suite(samples: int = 300) -> list[CheckResult]:
     _check(rows, "words", "syllable decomposition examples", ok)
 
     ok = True
-    for _ in range(samples):
+    for _ in range(_WORD_SAMPLES):
         w = _random_reduced_word(rng, 8)
         d = words.syllable_decompose(w)
         ok = ok and words.FreeWord(d.expand()) == w
@@ -92,7 +96,7 @@ def words_suite(samples: int = 300) -> list[CheckResult]:
     _check(rows, "words", "decomposition expands back", ok)
 
     ok = True
-    for _ in range(samples):
+    for _ in range(_WORD_SAMPLES):
         w = _random_reduced_word(rng, 8)
         core, conj = words.cyclic_reduce(w)
         ok = ok and conj * core * conj.inverse() == w
@@ -100,7 +104,7 @@ def words_suite(samples: int = 300) -> list[CheckResult]:
     _check(rows, "words", "cyclic reduction invariants", ok)
 
     ok = True
-    for _ in range(samples):
+    for _ in range(_WORD_SAMPLES):
         w = _random_reduced_word(rng, 6)
         if w.is_identity:
             continue

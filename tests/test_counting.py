@@ -269,7 +269,7 @@ class TestWordCounts:
             )
             for w in enumerate_reduced_words(8)
         )
-        one, more = counting._WORDS
+        _, one, more = counting._WORDS
 
         def sequences(budget):
             yield ()
@@ -417,28 +417,34 @@ class TestSieveEngine:
         assert [counts(x) for x in xs] == expected
 
 
+def _with_factor(series, c):
+    """``series`` with the syllable factor ``c`` in place of its own."""
+    return (c,) + series[1:]
+
+
 # The one-slice-per-source push sieves that the blocked sieves replaced,
-# kept as references; each returns its raw coefficient arrays.
+# kept as references with the syllable factor c; each returns its raw
+# coefficient arrays.
 
 
-def _reference_tuple_sieve(m):
+def _reference_tuple_sieve(m, c):
     counts = array("q", [1]) * (m + 1)
     counts[0] = 0
-    for j in range(1, m // 3 + 1):
-        step = 3 * j
+    for j in range(1, m // c + 1):
+        step = c * j
         counts[step::step] = array("q", map(counts[j].__add__, counts[step::step]))
     return [counts]
 
 
-def _reference_word_sieve(m):
+def _reference_word_sieve(m, c):
     first = array("q", [4]) * (m + 1)
     second = array("q", [3]) * (m + 1)
     first[0] = second[0] = 0
     if m >= 1:
         first[1], second[1] = 2, 1
-    for j in range(1, m // 3 + 1):
+    for j in range(1, m // c + 1):
         after_first, after_second = first[j], second[j]
-        step = 3 * j
+        step = c * j
         first[step] += 2 * after_second
         second[step] += after_second
         add = 2 * after_second + 2 * after_first
@@ -448,33 +454,33 @@ def _reference_word_sieve(m):
     return [first, second]
 
 
-def _block_edge_sizes():
+def _block_edge_sizes(c):
     """Sieve sizes m at which the low bound or a block boundary moves."""
     sizes = set()
     for b in (1, 2, 5, 17, 40, 100):
-        sizes.update({3 * b * b - 1, 3 * b * b, 3 * b * b + 1})
-    # at 3 * 10^4 the fourth block is the first that _BLOCK_CAP cuts short
+        sizes.update({c * b * b - 1, c * b * b, c * b * b + 1})
+    # at 3 * 10^4 _BLOCK_CAP cuts a block short: the fourth at c = 3
     for m in (10**3, 3 * 10**4):
-        for _, e in counting._sieve_schedule(m)[1]:
+        for _, e in counting._sieve_schedule(m, c)[1]:
             # the last source is e - 1 or e: a block ends at, or one past, it
-            sizes.update({3 * e - 1, 3 * e, 3 * e + 2, 3 * e + 3})
+            sizes.update({c * e - 1, c * e, c * e + c - 1, c * e + c})
     return sorted(sizes)
 
 
 def _sieve_sizes_of(*xs):
-    return [counting._sieve_limit(x) // 3 for x in xs]
+    return [counting._sieve_limit(x, 3) // 3 for x in xs]
 
 
 class TestBlockedSieves:
     # a coefficient does not depend on the sieve size, so one reference run
     # at the largest size serves every smaller one
     @staticmethod
-    def _assert_matches_reference(sizes, head=None):
+    def _assert_matches_reference(sizes, head=None, c=3):
         for series, reference in (
-            (counting._TUPLES, _reference_tuple_sieve),
-            (counting._WORDS, _reference_word_sieve),
+            (_with_factor(counting._TUPLES, c), _reference_tuple_sieve),
+            (_with_factor(counting._WORDS, c), _reference_word_sieve),
         ):
-            raws = reference(max(sizes))
+            raws = reference(max(sizes), c)
             sums = [array("q", accumulate(r)) for r in raws]
             for m in sizes:
                 size_head = m + 1 if head is None else head
@@ -486,7 +492,11 @@ class TestBlockedSieves:
         self._assert_matches_reference(range(3001))
 
     def test_low_bound_and_block_edges(self):
-        self._assert_matches_reference(_block_edge_sizes())
+        self._assert_matches_reference(_block_edge_sizes(3))
+
+    def test_small_sizes_and_block_edges_at_factor_four(self):
+        self._assert_matches_reference(range(1201), c=4)
+        self._assert_matches_reference(_block_edge_sizes(4), c=4)
 
     def test_sizes_of_large_thresholds(self):
         for x, m in zip((29999987, 10**8, 10**9), _sieve_sizes_of(29999987, 10**8, 10**9)):
@@ -494,12 +504,12 @@ class TestBlockedSieves:
 
     def test_block_cap_binds_at_large_thresholds(self):
         m = _sieve_sizes_of(10**9)[0]
-        widths = [e - b for b, e in counting._sieve_schedule(m)[1]]
+        widths = [e - b for b, e in counting._sieve_schedule(m, 3)[1]]
         assert max(widths) == counting._BLOCK_CAP
 
     @given(st.integers(min_value=0, max_value=10**9))
     def test_schedule_covers_each_source_once(self, m):
-        low, blocks = counting._sieve_schedule(m)
+        low, blocks = counting._sieve_schedule(m, 3)
         assert low == math.isqrt(m // 3)
         # the sources 1..low one by one, then blocks, each starting where
         # the last ended, up to m // 3
@@ -514,9 +524,60 @@ class TestBlockedSieves:
 
     @given(st.integers(min_value=0, max_value=2000))
     def test_schedule_lists_each_source_once(self, m):
-        low, blocks = counting._sieve_schedule(m)
+        low, blocks = counting._sieve_schedule(m, 3)
         sources = list(range(1, low + 1)) + [j for b, e in blocks for j in range(b, e)]
         assert sources == list(range(1, m // 3 + 1))
+
+
+# The engine reads the syllable factor c from the series.  At c = 3, the
+# factor of both counters, a site that still assumed 3 would change no
+# count, so these take c = 4 against counts that share no code with the
+# engine: Piltz sums for the tuples, one enumeration for the words.
+
+
+@pytest.fixture(scope="class")
+def factor_four_histogram():
+    """Reduced words of at most 10 letters by (total degree, prod(4 d_k))."""
+    hist = Counter()
+    for w in enumerate_reduced_words(10):
+        hist[w.total_degree, math.prod(4 * d for d in words.syllable_degrees(w))] += 1
+    return hist
+
+
+class TestFactorFour:
+    def test_tuples_are_piltz_sums(self):
+        # a tuple of length j passes prod(4 d_k) <= X exactly when
+        # prod d_k <= X // 4^j
+        series = _with_factor(counting._TUPLES, 4)
+
+        def piltz_sum(x):
+            total, j = 0, 1
+            while 4**j <= x:
+                total += counting._divisor_summatory(j, x // 4**j)
+                j += 1
+            return total
+
+        for x in [*range(2000), 10**5, 10**6, 10**7, 12345678]:
+            assert counting._summatory(x, series)[0] - 1 == piltz_sum(x), x
+
+    def test_words_match_enumeration(self, factor_four_histogram):
+        # sum(d_k) <= prod(4 d_k) / 4, so the words of at most 10 letters
+        # hold every word of weight at most 43
+        series = _with_factor(counting._WORDS, 4)
+        hist = factor_four_histogram
+        counts = [2 * (counting._summatory(x, series)[FIRST] - 1) for x in range(44)]
+        for x, count in enumerate(counts):
+            assert count == sum(n for (_, p), n in hist.items() if p <= x), x
+        assert [counts[x] for x in (4, 8, 12, 20, 40)] == [4, 12, 20, 40, 104]
+
+    def test_bounded_words_match_enumeration(self, monkeypatch, factor_four_histogram):
+        # the bounded recursion and its slack-budget exit read the word series
+        monkeypatch.setattr(counting, "_WORDS", _with_factor(counting._WORDS, 4))
+        hist = factor_four_histogram
+        for limit in range(11):
+            for x in (3, 4, 7, 8, 40, 44, 100, 4**5):
+                brute = sum(n for (l, p), n in hist.items() if l <= limit and p <= x)
+                assert count_words_bounded(x, limit) == brute, (x, limit)
 
 
 def _bounded_by_recursion(x, limit):
