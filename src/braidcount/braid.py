@@ -130,6 +130,11 @@ _DELTA_TOKEN = re.compile(r"D(?:\^(?P<exp>-?\d+))?\Z")
 #: 75 MB.
 MAX_BRAID_LETTERS = 10**6
 
+#: Decoded braid tokens kept across calls, no bad one and no entry past the cap:
+#: ``(letters, count, size)`` with _BLOCKS's key letters, never the run.
+_DECODED: dict[str, tuple] = {}
+_DECODED_CAP = 512
+
 
 def _token_run(token: str, pos: int = -1) -> tuple[tuple[tuple[int, int], ...], int]:
     """A braid token's letters as ``(block, count)``, meaning ``block * count``."""
@@ -157,23 +162,27 @@ def _refuse_overflow(sizes: dict[str, int], tokens: Iterable[str]) -> None:
 def parse_braid(text: str) -> BraidWord:
     """Parse braid text syntax; raises :class:`BraidSyntaxError` on bad tokens
     and on words of more than :data:`MAX_BRAID_LETTERS` letters."""
-    # a text repeats few distinct tokens: decode each once, in order of first
+    # take each distinct token from _DECODED or decode it, in order of first
     # appearance, and size the word before any run is built
     tokens = text.split()
     decoded: dict[str, tuple] = {}
     sizes: dict[str, int] = {}
     for token in dict.fromkeys(tokens):
-        try:
-            block, count = decoded[token] = _token_run(token)
-        except BraidSyntaxError:  # raised again at its position, unless an overflow comes first
-            pos = tokens.index(token)
-            _refuse_overflow(sizes, islice(tokens, pos))
-            _token_run(token, pos)
-        sizes[token] = len(block) * count
+        entry = _DECODED.get(token)
+        if entry is None:
+            try:
+                block, count = _token_run(token)
+            except BraidSyntaxError:  # raised again at its position, unless an overflow comes first
+                pos = tokens.index(token)
+                _refuse_overflow(sizes, islice(tokens, pos))
+                _token_run(token, pos)
+            entry = tuple(map(_LETTER.__getitem__, block)), count, len(block) * count
+            if len(_DECODED) < _DECODED_CAP:
+                _DECODED[token] = entry
+        decoded[token], sizes[token] = entry, entry[2]
     if sum(map(sizes.__getitem__, tokens)) > MAX_BRAID_LETTERS:
         _refuse_overflow(sizes, tokens)
-    # spelled with the key objects of _SIGMA_LETTERS, which _BLOCKS compares by identity
-    runs = {t: tuple(map(_LETTER.__getitem__, b)) * n for t, (b, n) in decoded.items()}
+    runs = {t: letters * count for t, (letters, count, _) in decoded.items()}
     return BraidWord(tuple(chain.from_iterable(map(runs.__getitem__, tokens))))
 
 
@@ -465,6 +474,7 @@ class NormalForm(Record):
 
 
 _PERM_GEN = {PERM_ID: 0, PERM_S1: 1, PERM_S2: 2}
+_STRIPPED = (IDENTITY, sigma_power(1, -1), sigma_power(2, -1))  # sigma_j^-1 by j
 
 
 def normal_form(b: BraidWord | CosetElement) -> NormalForm:
@@ -476,7 +486,7 @@ def normal_form(b: BraidWord | CosetElement) -> NormalForm:
         perm = _compose(perm, _PERM_LETTER[A_LETTER])
     # a transposition s_j leaves k odd: strip one sigma_j before unembedding
     j = _PERM_GEN[perm]
-    w = unembed(sigma_power(j, -1) if j else IDENTITY, x, HALF_TWIST if ell else IDENTITY)
+    w = unembed(_STRIPPED[j], x, HALF_TWIST if ell else IDENTITY)
     if w is None:
         raise ArithmeticError("canonical coset word did not parse; invariant violated")
     if j and (not w.terms or w.terms[0][0] != j):

@@ -168,9 +168,9 @@ def cmd_bounds(args) -> list[dict]:
 #: so ``10**12`` would take minutes.
 MAX_X = 10**11
 #: Largest threshold ``count words --max-len L`` accepts when the budget
-#: binds (``L < X // 3``).  Its memoised recursion takes 6.9-7.5 s and up
-#: to 171 MB at ``X = 10**6`` (``L`` from ``10**5`` to 333332) on the same
-#: host, and 20 s at ``X = 10**7`` with ``L = 1000``.
+#: binds (``L < X // 3``).  Its memoised recursion takes 1.3-1.8 s and
+#: 14 MB at ``X = 10**6`` (``L`` from ``10**5`` to 333332) on the same
+#: host, and 4.7-6.0 s and 16 MB at ``X = 10**7`` with ``L = 1000``.
 MAX_BOUNDED_WORDS_X = 10**6
 
 

@@ -345,14 +345,15 @@ def count_words(x: int, workers: int = 1) -> int:
 
 
 def _word_suffixes_bounded(x: int, prev_kind: int, degree_left: int, memo: dict) -> int:
+    c, one, more = _WORDS
+    degree_left = min(degree_left, x // c)  # more cannot bind, as in count_words_bounded
     key = (x, prev_kind, degree_left)
     cached = memo.get(key)
     if cached is not None:
         return cached
     total = 1
-    c, one, more = _WORDS
     row = one[prev_kind]  # and more[prev_kind] from degree 2 on
-    for d in range(1, min(x // c, degree_left) + 1):
+    for d in range(1, degree_left + 1):
         q = (x // c) // d
         kind = FIRST  # the kinds are the column indices
         for spellings in row:

@@ -96,6 +96,12 @@ class FreeWord(Record):
 
 _WORD_TOKEN = re.compile(r"(?P<shift>[aA])(?P<gen>[12])(?:\^(?P<exp>-?\d+))?\Z")
 
+#: Decoded tokens and valid syllables, kept across calls; no entry past the cap.
+_TERMS: dict[str, tuple[int, int]] = {}
+_TERMS_CAP = 512
+_SYLLABLES: dict[tuple[str, int, int, int], Syllable] = {}
+_SYLLABLES_CAP = 512
+
 
 def token_exponent(match: re.Match, pos: int, error: type[ValueError]) -> int:
     """A token's caret exponent (1 if none); ``error`` past ``int``'s digit limit."""
@@ -118,14 +124,16 @@ def _token_term(token: str, pos: int) -> tuple[int, int]:
 
 def parse_word(text: str) -> FreeWord:
     """Parse word text syntax; raises :class:`WordSyntaxError` on bad tokens."""
-    # a text repeats few distinct tokens: decode each once for this call, in
-    # order of first appearance, so the first bad token raises at its position
-    tokens = text.split()
-    terms: dict[str, tuple[int, int]] = {}
-    for pos, token in enumerate(tokens):
-        if token not in terms:
-            terms[token] = _token_term(token, pos)
-    return FreeWord.from_terms(map(terms.__getitem__, tokens))
+    # decode each distinct token once, into _TERMS or, once it is full, fresh
+    fresh: dict[str, tuple[int, int]] = {}
+    terms = []
+    for pos, token in enumerate(text.split()):
+        term = _TERMS.get(token) or fresh.get(token)
+        if term is None:
+            term = _token_term(token, pos)
+            (_TERMS if len(_TERMS) < _TERMS_CAP else fresh)[token] = term
+        terms.append(term)
+    return FreeWord.from_terms(terms)
 
 
 def word_to_text(w: FreeWord) -> str:
@@ -220,13 +228,14 @@ def _syllable_runs(
 
 def syllable_decompose(w: FreeWord) -> SyllableDecomposition:
     """Split a reduced word into its unique syllable sequence."""
-    # a word repeats few distinct syllables: validate each once for this call
-    made: dict[tuple[str, int, int, int], Syllable] = {}
+    # build each distinct syllable once, into _SYLLABLES or, once it is full, fresh
+    fresh: dict[tuple[str, int, int, int], Syllable] = {}
     syllables = []
     for run in _syllable_runs(w.terms):
-        syllable = made.get(run)
+        syllable = _SYLLABLES.get(run) or fresh.get(run)
         if syllable is None:
-            syllable = made[run] = Syllable(*run)
+            syllable = Syllable(*run)
+            (_SYLLABLES if len(_SYLLABLES) < _SYLLABLES_CAP else fresh)[run] = syllable
         syllables.append(syllable)
     return SyllableDecomposition(tuple(syllables))
 

@@ -5,6 +5,7 @@ import re
 import sys
 import time
 import tracemalloc
+from collections import Counter
 from functools import reduce
 from itertools import product
 
@@ -385,6 +386,110 @@ class TestParsing:
         assert peak < 10 * 2**20
 
 
+@pytest.fixture
+def cold_tokens(monkeypatch):
+    """An empty token memo for this test; the process's own comes back after."""
+    monkeypatch.setattr(braid, "_DECODED", {})
+
+
+@pytest.mark.usefixtures("cold_tokens")
+class TestTokenMemo:
+    def test_cold_and_warm_parses_agree(self):
+        rng = random.Random(1310)
+        cases = [random_tokens(rng, rng.randint(0, 40)) for _ in range(200)]
+        texts = [" ".join(token_text(*t) for t in tokens) for tokens in cases]
+        cold = []
+        for text in texts:
+            braid._DECODED.clear()
+            cold.append(parse_braid(text))
+        warm = [parse_braid(text) for text in texts]
+        again = [parse_braid(text) for text in texts]
+        assert cold == warm == again == [BraidWord(per_token_letters(t)) for t in cases]
+        # spelled with the shared letter objects that _BLOCKS meets first
+        assert all(l is braid._LETTER[l] for word in again for l in word.letters)
+
+    def test_bad_token_raises_at_its_position_on_every_call(self):
+        cases = [("s1 q2", 1), ("q2 s1 s2", 0), ("s1 s2 S1^3 D q2 q2", 4), ("s1 s1^x", 1)]
+        for _ in range(2):
+            for text, pos in cases:
+                with pytest.raises(BraidSyntaxError) as err:
+                    parse_braid(text)
+                assert err.value.position == pos, text
+        assert set(braid._DECODED) == {"s1", "s2", "S1^3", "D"}
+
+    def test_refusals_match_sizing_token_by_token_when_warm(self, monkeypatch):
+        # each text cold, then again after every text has warmed the memo
+        monkeypatch.setattr(braid, "MAX_BRAID_LETTERS", 40)
+        rng = random.Random(1311)
+        texts = []
+        for _ in range(300):
+            tokens = [token_text(*t) for t in random_tokens(rng, rng.randint(0, 30))]
+            tokens = [t.replace("^-5", "^-15") for t in tokens]
+            for _ in range(rng.randint(0, 2)):
+                tokens.insert(rng.randint(0, len(tokens)), rng.choice(("s3", "d", "D1", "S1^x")))
+            texts.append(tokens)
+
+        def refusal(tokens):
+            try:
+                return len(parse_braid(" ".join(tokens)))
+            except BraidSyntaxError as err:
+                return str(err)
+
+        cold = []
+        for tokens in texts:
+            braid._DECODED.clear()
+            cold.append(refusal(tokens))
+        warm = [refusal(tokens) for tokens in texts]
+        assert cold == warm
+        for tokens, got in zip(texts, warm):
+            expected = reference_refusal(tokens, 40)
+            if expected is None:
+                assert got <= 40
+            else:
+                assert got.endswith(f"(at token {expected[1]})")
+        assert not {"s3", "d", "D1", "S1^x"} & set(braid._DECODED)
+
+    def test_repeated_token_past_the_ceiling(self):
+        for _ in range(2):
+            with pytest.raises(BraidSyntaxError) as err:
+                parse_braid("s1^600000 s1^600000")
+            assert str(err.value) == "more than 1000000 letters (at token 1)"
+        # kept as one letter and a count, never as the run
+        assert braid._DECODED == {"s1^600000": (((1, 1),), 600000, 600000)}
+
+    def test_stops_at_its_cap(self, monkeypatch):
+        monkeypatch.setattr(braid, "_DECODED_CAP", 8)
+        decoded = Counter()
+
+        def counted(token, pos=-1):
+            decoded[token] += 1
+            return run(token, pos)
+
+        run = braid._token_run
+        monkeypatch.setattr(braid, "_token_run", counted)
+        specs = [("sS"[k % 2], 1 + k % 3 % 2, k) for k in range(1, 21)] + [("D", 0, -2)]
+        tokens = [token_text(*spec) for spec in specs]
+        text = " ".join(tokens * 3)
+        expected = BraidWord(per_token_letters(specs * 3))
+        # each distinct token once per call, also those past the cap
+        assert parse_braid(text) == expected
+        assert decoded == dict.fromkeys(tokens, 1)
+        assert list(braid._DECODED) == tokens[:8]
+        assert parse_braid(text) == expected
+        assert decoded == {t: 1 if i < 8 else 2 for i, t in enumerate(tokens)}
+        assert list(braid._DECODED) == tokens[:8]
+
+    def test_real_cap_holds(self):
+        cap = braid._DECODED_CAP
+        tokens = [f"s{1 + k % 2}^{k - cap}" for k in range(2 * cap + 50)]
+        text = " ".join(tokens)
+        first = parse_braid(text)
+        assert len(braid._DECODED) == cap
+        assert parse_braid(text) == first
+        assert len(first) == sum(abs(k - cap) for k in range(2 * cap + 50))
+        assert len(braid._DECODED) == cap
+
+
 class TestCosetAlgebra:
     def test_defining_relations(self):
         assert coset("s1 s2 s1") == coset("s2 s1 s2")
@@ -648,6 +753,12 @@ class TestNormalForm:
             calls.clear()
             normal_form(coset(text))
             assert len(calls) == 1, text
+
+    def test_stripped_factors(self):
+        # sigma_j^-1, or nothing for the identity permutation, by _PERM_GEN
+        assert braid._STRIPPED == (IDENTITY, sigma_power(1, -1), sigma_power(2, -1))
+        for perm, j in braid._PERM_GEN.items():
+            assert s3_image(braid._STRIPPED[j]) == perm
 
     def test_takes_no_coset_product(self, monkeypatch):
         # the half twist and the stripped sigma_j are walked as factors

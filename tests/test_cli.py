@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from braidcount import braid, counting, verify
+from braidcount import braid, counting, verify, words
 from braidcount.classes import MAX_REPORT_INDEX
 from braidcount.cli import MAX_BOUNDED_WORDS_X, MAX_X, main
 
@@ -616,6 +616,28 @@ class TestVerify:
             "--max-x", "60", "--max-len", "4", "--pairs", "2", "--conj-len", "1",
         )
         assert {r["suite"] for r in rows} == {"words", "braid", "counting", "classes"}
+
+
+class TestWarmProcess:
+    @pytest.mark.parametrize("argv, code", [
+        (("normalize", "s1^3 S2 s2^-2 D s1^3 S2"), 0),
+        (("theta", "s1 s2 s1 S1^4 s2 s1"), 0),
+        (("bounds", "--braid", "s1^2 s2^-3 s1 s1^2 s2^-3"), 0),
+        (("syllables", "a1^3 a2 a1 a2 A1^2 a2 a1"), 0),
+        (("bounds", "--word", "a1^2 a2^-3 a1 a2 a1^2 a2^-3", "--format", "csv"), 0),
+        (("normalize", "s1 s2 q2 s1"), 2),
+        (("bounds", "--word", "a1 a2 a1^"), 2),
+    ])
+    def test_second_call_prints_the_same(self, capsys, monkeypatch, argv, code):
+        # the first call fills the token and syllable memos, the second reads them
+        monkeypatch.setattr(braid, "_DECODED", {})
+        monkeypatch.setattr(words, "_TERMS", {})
+        monkeypatch.setattr(words, "_SYLLABLES", {})
+        first = main(list(argv)), capsys.readouterr()
+        assert braid._DECODED or words._TERMS
+        second = main(list(argv)), capsys.readouterr()
+        assert second == first
+        assert first[0] == code
 
 
 class TestClosedStdout:

@@ -234,6 +234,23 @@ class TestWordCounts:
                 elif x >= 3:
                     assert recursion < count_words(x)
 
+    def test_bounded_matches_unclamped_recursion(self):
+        # the memo keys clamp each budget to x // 3; keyed on the whole
+        # budget, the recursion counts the same at every binding budget
+        memo = {}
+        for x in range(301):
+            for limit in range(x // 3):
+                unclamped = 2 * (_unclamped_suffixes(x, FIRST, limit, memo) - 1)
+                assert count_words_bounded(x, limit) == unclamped, (x, limit)
+
+    def test_bounded_memo_keeps_no_slack(self):
+        # states that differ only in a budget above x // 3 share one entry
+        memo, unclamped = {}, {}
+        counting._word_suffixes_bounded(10**4, FIRST, 3000, memo)
+        _unclamped_suffixes(10**4, FIRST, 3000, unclamped)
+        assert all(left <= x // 3 for x, _, left in memo)
+        assert len(memo) < len(unclamped) // 10
+
     def test_bounded_slack_budget_is_fast(self):
         start = time.perf_counter()
         assert count_words_bounded(10**6, 333333) == count_words(10**6)
@@ -590,6 +607,23 @@ def _bounded_by_recursion(x, limit):
         if d >= 2:
             total += 4 * counting._word_suffixes_bounded(q, FIRST, limit - d, memo)
     return total
+
+
+def _unclamped_suffixes(x, prev_kind, degree_left, memo):
+    """The bounded suffix recursion keyed on the whole degree budget."""
+    key = (x, prev_kind, degree_left)
+    if key not in memo:
+        c, one, more = counting._WORDS
+        total = 1
+        row = one[prev_kind]
+        for d in range(1, min(x // c, degree_left) + 1):
+            for kind, spellings in enumerate(row):
+                if spellings:
+                    q = (x // c) // d
+                    total += spellings * _unclamped_suffixes(q, kind, degree_left - d, memo)
+            row = more[prev_kind]
+        memo[key] = total
+    return memo[key]
 
 
 def _assert_floor_of_exp(x, text):

@@ -1,10 +1,13 @@
 """Free-group word algebra: parsing, reduction, syllables, conjugacy."""
 
+import random
 import sys
+from collections import Counter
 
 import pytest
 from hypothesis import given, strategies as st
 
+from braidcount import words
 from braidcount.invariants import extremal_length_bounds_word
 from braidcount.words import (
     FIRST_KIND,
@@ -178,6 +181,98 @@ class TestGroupOps:
     @given(reduced_words())
     def test_total_degree(self, w):
         assert w.total_degree == sum(abs(e) for _, e in w.terms)
+
+
+def seeded_word_text(rng, terms):
+    """Word text with repeated and single-use tokens, exponents up to 40."""
+    tokens = []
+    for _ in range(terms):
+        exp = rng.choice((None, 1, -1, 2, -3, rng.randint(-40, 40)))
+        head = rng.choice("aA") + rng.choice("12")
+        tokens.append(head if exp is None else f"{head}^{exp}")
+    return " ".join(tokens)
+
+
+@pytest.fixture
+def cold_memos(monkeypatch):
+    """Empty token and syllable memos for this test; the process's own come back after."""
+    monkeypatch.setattr(words, "_TERMS", {})
+    monkeypatch.setattr(words, "_SYLLABLES", {})
+
+
+@pytest.mark.usefixtures("cold_memos")
+class TestMemos:
+    def test_cold_and_warm_agree(self):
+        rng = random.Random(1312)
+        texts = [seeded_word_text(rng, rng.randint(0, 60)) for _ in range(200)]
+        cold = []
+        for text in texts:
+            words._TERMS.clear()
+            words._SYLLABLES.clear()
+            w = parse_word(text)
+            cold.append((w, tuple(syllable_decompose(w))))
+        for _ in range(2):
+            warm = [(parse_word(t), tuple(syllable_decompose(parse_word(t)))) for t in texts]
+            assert warm == cold
+        expected = [reference_parse(t) for t in texts]
+        assert [w for w, _ in cold] == expected
+        assert [d for _, d in cold] == [reference_decompose(w) for w in expected]
+
+    def test_bad_token_raises_at_its_position_on_every_call(self):
+        cases = [("a1 x1", 1), ("x1 a1 a2", 0), ("a1 a2 A1^3 x1 x1", 3), ("a1 a1^x", 1)]
+        for _ in range(2):
+            for text, pos in cases:
+                with pytest.raises(WordSyntaxError) as err:
+                    parse_word(text)
+                assert err.value.position == pos, text
+        assert set(words._TERMS) == {"a1", "a2", "A1^3"}
+
+    def test_malformed_syllable_is_never_kept(self):
+        # the syllables before it are
+        for _ in range(2):
+            with pytest.raises(ValueError, match="malformed syllable"):
+                syllable_decompose(FreeWord(((1, 2), (2, 1), (1, 0), (2, 1))))
+        assert words._SYLLABLES == {(FIRST_KIND, 2, 1, 1): Syllable(FIRST_KIND, 2, 1, 1)}
+
+    def test_stops_at_the_token_cap(self, monkeypatch):
+        monkeypatch.setattr(words, "_TERMS_CAP", 6)
+        decoded = Counter()
+        term = words._token_term
+        monkeypatch.setattr(
+            words, "_token_term", lambda token, pos: decoded.update([token]) or term(token, pos)
+        )
+        tokens = [f"a{1 + k % 2}^{k}" for k in range(1, 16)]
+        text = " ".join(tokens * 3)
+        # each distinct token once per call, also those past the cap
+        assert parse_word(text) == reference_parse(text)
+        assert decoded == dict.fromkeys(tokens, 1)
+        assert parse_word(text) == reference_parse(text)
+        assert decoded == {t: 1 if i < 6 else 2 for i, t in enumerate(tokens)}
+        assert list(words._TERMS) == tokens[:6]
+
+    def test_stops_at_the_syllable_cap(self, monkeypatch):
+        monkeypatch.setattr(words, "_SYLLABLES_CAP", 6)
+        built = Counter()
+        monkeypatch.setattr(
+            words, "Syllable", lambda *run: built.update([run]) or Syllable(*run)
+        )
+        w = parse_word(" ".join([f"a{1 + k % 2}^{k}" for k in range(2, 16)] * 2))
+        # each distinct syllable once per call, also those past the cap
+        deco = tuple(syllable_decompose(w))
+        assert deco == reference_decompose(w)
+        assert list(built.values()) == [1] * 14
+        assert syllable_decompose(w).syllables == deco
+        assert list(built.values()) == [1] * 6 + [2] * 8
+        assert list(words._SYLLABLES) == list(built)[:6]
+
+    def test_real_caps_hold(self):
+        # each token a syllable of its own
+        size = max(words._TERMS_CAP, words._SYLLABLES_CAP)
+        text = " ".join(f"a1^{k} a2^{k}" for k in range(2, 2 + size))
+        first = parse_word(text), syllable_decompose(parse_word(text))
+        assert (parse_word(text), syllable_decompose(parse_word(text))) == first
+        assert len(words._TERMS) == words._TERMS_CAP
+        assert len(words._SYLLABLES) == words._SYLLABLES_CAP
 
 
 class TestSyllables:
