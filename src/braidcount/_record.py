@@ -23,6 +23,15 @@ class Record:
         # attrgetter gives the one field of a one-field record bare
         cls._bare = len(cls.__slots__) == 1
 
+    @classmethod
+    def _of(cls, *values):
+        """The record with field ``values`` that are already valid, without
+        running ``__init__``."""
+        record = object.__new__(cls)
+        for name, value in zip(cls.__slots__, values):
+            object.__setattr__(record, name, value)
+        return record
+
     def __eq__(self, other):
         if type(other) is type(self):
             return self._values(self) == self._values(other)

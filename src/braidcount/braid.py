@@ -3,16 +3,15 @@
 The quotient is a free product of a cyclic group of order 2, generated
 by the image ``a`` of the half twist ``sigma1 sigma2 sigma1``, and a
 cyclic group of order 3, generated by the image ``t`` of
-``sigma1 sigma2``.  A :class:`CosetElement` stores the unique
-alternating word over the two factors as a tuple of letters ``0`` (for
-``a``), ``1`` (for ``t``) and ``2`` (for ``t^2``); canonical words
-never place two letters of the same factor side by side, so tuple
-equality decides equality.  Two canonical words cancel (``a*a -> 1``) or
-merge (``t^i * t^j -> t^(i+j mod 3)``) only at their junction, so a
-product joins the right factor there and appends the rest.  Braid letters
-are read in blocks of four through a table, built at import, of the
-cosets of all words of at most four letters; each block is joined onto a
-stack, so the walk is linear.
+``sigma1 sigma2``.  Every element has a unique alternating word over the
+two factors, written with the letters ``0`` (for ``a``), ``1`` (for
+``t``) and ``2`` (for ``t^2``).  A :class:`CosetElement` stores that
+word in runs: a run ``(e, n)`` is the ``t``-letter ``e`` repeated ``n``
+times with one ``a`` between neighbours, neighbouring runs differ in
+``e`` and have one ``a`` between them, and two flags say whether an
+``a`` leads or trails the word.  The stored form is unique, so field
+equality decides equality.  A :class:`BraidWord` is stored the same
+way, as maximal runs ``(generator, exponent)`` of one letter.
 
 Generator images, pinned down by the relation tests:
 
@@ -20,15 +19,26 @@ Generator images, pinned down by the relation tests:
     sigma2 -> a t^2      sigma2^-1 -> t a
     half twist -> a
 
+So ``sigma1^k`` is the run ``(2, k)`` followed by an ``a``: the image of a
+braid run is one coset run and at most two ``a`` letters.  Two words
+cancel (``a*a -> 1``) or merge (``t^i * t^j -> t^(i+j mod 3)``) only at
+their junction, where opposite runs cancel ``min(n, m)`` of their
+``t``-letters at once, so :func:`evaluate` folds a braid word onto a
+stack of runs in O(1) per run, and a coset ``x`` is the product
+``[a] * (t^e1 a)^n1 * ... * (t^ek a)^nk * [a]``, whose factors
+``t^e a`` are the images of ``sigma1`` and ``sigma2^-1``.
+
 The strand permutation maps the quotient onto ``S_3``; its kernel, the
 pure braids modulo the center, is free on ``sigma1^2, sigma2^2``.  One
 table, indexed by the permutation of a prefix and the next letter, steps
-the permutation (:func:`s3_image`); a second table indexed the same way
-holds the Reidemeister-Schreier rewriting over the transversal
-``1, a, t, t^2, a t, a t^2``, so :func:`unembed` reads a pure word off
-the same walk.  Rewriting is a homomorphism, so the walk may run over
-the letters of several factors in turn and read the pure word of their
-product without building it.
+the permutation; a second table indexed the same way holds the
+Reidemeister-Schreier rewriting over the transversal
+``1, a, t, t^2, a t, a t^2``.  The unit ``t^e a`` is an odd permutation,
+so a run of ``n`` units alternates between two states: it steps the
+permutation once or not at all (:func:`s3_image`) and spells its pure
+terms in one piece (:func:`unembed`).  Rewriting is a homomorphism, so
+the walk may run over several factors in turn and read the pure word of
+their product without building it.
 
 Every element that is not a power of the half twist factors uniquely
 as ``sigma_j^k  b1  delta^ell`` with ``k != 0``, ``ell`` in ``{0, 1}``
@@ -53,7 +63,8 @@ half twist (``D^-2`` allowed); the empty string is the identity braid.
 from __future__ import annotations
 
 import re
-from itertools import accumulate, chain, islice, permutations, product
+from functools import reduce
+from itertools import accumulate, chain, cycle, groupby, islice, permutations
 from typing import Iterable
 
 from ._record import Record
@@ -72,13 +83,50 @@ class BraidSyntaxError(ValueError):
         self.position = position
 
 
+def _merged(runs: Iterable[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
+    """``runs`` with each stretch of one letter joined into one run; a run
+    ``(3, e)`` stands for the runs of ``D^e``."""
+    out: list[tuple[int, int]] = []
+    append = out.append
+    prev = (0, 0)  # the run being joined; the first is dropped at the end
+    for run in runs:
+        # x ^ y >= 0 when the exponents x and y have one sign
+        if run[0] == prev[0] and run[1] ^ prev[1] >= 0:
+            prev = (prev[0], prev[1] + run[1])
+        elif run[0] != 3:
+            append(prev)
+            prev = run
+        elif run[1]:  # D^e = s1 s2 s1^2 s2 ... s1^2 s2 s1, each letter signed like e
+            s = 1 if run[1] > 0 else -1
+            if prev[0] == 1 and prev[1] ^ s >= 0:
+                append((1, prev[1] + s))
+            else:
+                append(prev)
+                append((1, s))
+            out.extend(((2, s), (1, 2 * s)) * (abs(run[1]) - 1))
+            append((2, s))
+            prev = (1, s)
+    append(prev)
+    del out[0]
+    return tuple(out)
+
+
 class BraidWord(Record):
-    """A word in the braid generators, one ``(generator, sign)`` letter each."""
+    """A word in the braid generators as maximal runs ``(generator, exponent)``.
 
-    __slots__ = ("letters",)
+    Any ``(generator, exponent)`` pairs are accepted and joined into runs,
+    so a tuple of letters ``(generator, +-1)`` is a valid argument and
+    equal letters give equal words.
+    """
 
-    def __init__(self, letters: tuple[tuple[int, int], ...] = ()):
-        object.__setattr__(self, "letters", letters)
+    __slots__ = ("runs",)
+
+    def __init__(self, runs: Iterable[tuple[int, int]] = ()):
+        runs = tuple(runs)
+        for gen, exp in runs:
+            if gen not in (1, 2) or not exp:
+                raise ValueError(f"bad braid letter ({gen}, {(exp > 0) - (exp < 0)})")
+        object.__setattr__(self, "runs", _merged(runs))
 
     @staticmethod
     def from_letters(raw: Iterable[tuple[int, int]]) -> "BraidWord":
@@ -88,35 +136,37 @@ class BraidWord(Record):
                 raise ValueError(f"bad braid letter ({gen}, {sign})")
         return BraidWord(letters)
 
+    @property
+    def letters(self) -> tuple[tuple[int, int], ...]:
+        """One ``(generator, sign)`` pair per letter."""
+        return tuple(chain.from_iterable(
+            ((g, 1),) * e if e > 0 else ((g, -1),) * -e for g, e in self.runs
+        ))
+
     def __mul__(self, other: "BraidWord") -> "BraidWord":
-        return BraidWord(self.letters + other.letters)
+        left, right = self.runs, other.runs
+        if left and right:  # the runs at the junction join if they spell one letter
+            return BraidWord._of(left[:-1] + _merged((left[-1], right[0])) + right[1:])
+        return BraidWord._of(left + right)
 
     def inverse(self) -> "BraidWord":
-        return BraidWord(tuple((g, -s) for g, s in reversed(self.letters)))
+        return BraidWord._of(tuple((g, -e) for g, e in reversed(self.runs)))
 
     def __len__(self) -> int:
-        return len(self.letters)
+        return sum(abs(e) for _, e in self.runs)
 
     def __str__(self) -> str:
         return braid_to_text(self)
 
 
-def _sigma_letters(gen: int, exp: int) -> tuple[tuple[int, int], ...]:
-    return ((gen, 1 if exp > 0 else -1),) * abs(exp)
-
-
 def sigma_word(gen: int, exp: int) -> BraidWord:
     """The braid word ``sigma_gen^exp``."""
-    return BraidWord.from_letters(_sigma_letters(gen, exp))
+    return BraidWord(((gen, exp),) if exp else ())
 
 
 def half_twist_word(exp: int = 1) -> BraidWord:
     """The braid word for the half twist to the given power."""
-    if exp >= 0:
-        block = ((1, 1), (2, 1), (1, 1))
-    else:
-        block = ((1, -1), (2, -1), (1, -1))
-    return BraidWord(block * abs(exp))
+    return BraidWord._of(_merged(((3, exp),)))
 
 
 _BRAID_TOKEN = re.compile(r"(?P<shift>[sS])(?P<gen>[12])(?:\^(?P<exp>-?\d+))?\Z")
@@ -124,32 +174,32 @@ _DELTA_TOKEN = re.compile(r"D(?:\^(?P<exp>-?\d+))?\Z")
 
 
 #: Most letters a parsed braid may expand to: ``|e|`` for each ``s`` token
-#: and ``3|e|`` for each ``D`` token.  At the ceiling on a 2-core x86 host,
-#: ``normalize "s1^1000000"`` took 0.45 s and 64-68 MB, and a text of 2000
-#: random ``s1``/``s2`` exponents from 1 to 999 (998 341 letters) 0.8 s and
-#: 75 MB.
+#: and ``3|e|`` for each ``D`` token.  Words are kept in runs, so what the
+#: ceiling bounds are the runs of ``D^e`` and the coset and pure word of a
+#: text of many short runs.  At the ceiling on a shared 2-core x86 host,
+#: ``normalize "s1^1000000"`` took 0.06 s and 16 MB (as ``normalize "s1"``),
+#: and a text of 2000 random exponents from 1 to 999 0.12 s and 34 MB.
 MAX_BRAID_LETTERS = 10**6
 
 #: Decoded braid tokens kept across calls, no bad one and no entry past the cap:
-#: ``(letters, count, size)`` with _BLOCKS's key letters, never the run.
+#: ``(run, size)``, with the run ``(3, e)`` for ``D^e``.
 _DECODED: dict[str, tuple] = {}
 _DECODED_CAP = 512
 
 
-def _token_run(token: str, pos: int = -1) -> tuple[tuple[tuple[int, int], ...], int]:
-    """A braid token's letters as ``(block, count)``, meaning ``block * count``."""
+def _token_run(token: str, pos: int = -1) -> tuple[int, int]:
+    """A braid token's run ``(generator, exponent)``, or ``(3, e)`` for ``D^e``;
+    an exponent 0 gives ``(3, 0)``, which spells nothing either."""
     match = _BRAID_TOKEN.match(token)
-    delta = match is None
-    if delta:
+    if match is None:
         match = _DELTA_TOKEN.match(token)
         if match is None:
             raise BraidSyntaxError(f"bad braid token {token!r}", pos)
+        return 3, token_exponent(match, pos, BraidSyntaxError)
     exp = token_exponent(match, pos, BraidSyntaxError)
-    if delta:
-        return half_twist_word(1 if exp > 0 else -1).letters, abs(exp)
-    if match.group("shift") == "S":
-        exp = -exp
-    return _sigma_letters(int(match.group("gen")), 1 if exp > 0 else -1), abs(exp)
+    if not exp:
+        return 3, 0
+    return int(match.group("gen")), -exp if match.group("shift") == "S" else exp
 
 
 def _refuse_overflow(sizes: dict[str, int], tokens: Iterable[str]) -> None:
@@ -165,92 +215,98 @@ def parse_braid(text: str) -> BraidWord:
     # take each distinct token from _DECODED or decode it, in order of first
     # appearance, and size the word before any run is built
     tokens = text.split()
-    decoded: dict[str, tuple] = {}
+    runs: dict[str, tuple[int, int]] = {}
     sizes: dict[str, int] = {}
     for token in dict.fromkeys(tokens):
         entry = _DECODED.get(token)
         if entry is None:
             try:
-                block, count = _token_run(token)
+                gen, exp = _token_run(token)
             except BraidSyntaxError:  # raised again at its position, unless an overflow comes first
                 pos = tokens.index(token)
                 _refuse_overflow(sizes, islice(tokens, pos))
                 _token_run(token, pos)
-            entry = tuple(map(_LETTER.__getitem__, block)), count, len(block) * count
+            entry = (gen, exp), 3 * abs(exp) if gen == 3 else abs(exp)
             if len(_DECODED) < _DECODED_CAP:
                 _DECODED[token] = entry
-        decoded[token], sizes[token] = entry, entry[2]
-    if sum(map(sizes.__getitem__, tokens)) > MAX_BRAID_LETTERS:
-        _refuse_overflow(sizes, tokens)
-    runs = {t: letters * count for t, (letters, count, _) in decoded.items()}
-    return BraidWord(tuple(chain.from_iterable(map(runs.__getitem__, tokens))))
+        runs[token], sizes[token] = entry
+    # no token is larger than the largest, so most texts need no sum
+    if tokens and len(tokens) * max(sizes.values()) > MAX_BRAID_LETTERS:
+        if sum(map(sizes.__getitem__, tokens)) > MAX_BRAID_LETTERS:
+            _refuse_overflow(sizes, tokens)
+    return BraidWord._of(_merged(map(runs.__getitem__, tokens)))
 
 
 def braid_to_text(b: BraidWord) -> str:
-    if not b.letters:
-        return ""
-    chunks: list[str] = []
-    i = 0
-    letters = b.letters
-    while i < len(letters):
-        gen, sign = letters[i]
-        j = i
-        while j < len(letters) and letters[j] == (gen, sign):
-            j += 1
-        exp = sign * (j - i)
-        chunks.append(f"s{gen}" if exp == 1 else f"s{gen}^{exp}")
-        i = j
-    return " ".join(chunks)
+    return " ".join(f"s{g}" if e == 1 else f"s{g}^{e}" for g, e in b.runs)
 
 
-#: Each letter's inverse, indexed by the letter.
-_INVERSE_LETTER = (A_LETTER, TT_LETTER, T_LETTER)
 _LETTER_NAMES = ("a", "t", "t2")
 
 
-def _join(stack: list, word: tuple[int, ...]) -> None:
-    """Append the canonical ``word`` to ``stack``, a canonical word above a
-    ``None`` sentinel: letters cancel (``a*a -> 1``) or merge (``t^i * t^j ->
-    t^(i+j mod 3)``) only until the junction settles, then the rest goes on."""
-    i = 0
-    for letter in word:
-        top = stack[-1]
-        if letter and top:  # two powers of t; A_LETTER is 0 and the sentinel is falsy
-            power = (top + letter) % 3
-            if power:
-                stack[-1] = power
-                i += 1
-                break
-        elif letter or top != A_LETTER:
-            break
-        stack.pop()
-        i += 1
-    stack.extend(word[i:] if i else word)  # most junctions take no letter
-
-
 class CosetElement(Record):
-    """Canonical alternating word over the two free-product factors."""
+    """Canonical alternating word over the two free-product factors, in runs.
 
-    __slots__ = ("letters",)
+    ``runs`` holds ``(e, n)``: the letter ``t^e`` ``n`` times with one ``a``
+    between neighbours; neighbouring runs differ in ``e`` and have one
+    ``a`` between them.  ``lead`` and ``trail`` say whether an ``a`` comes
+    first or last; the word ``a`` alone has ``lead`` set and no runs.  The
+    constructor takes the letters of the word.
+    """
 
-    def __init__(self, letters: tuple[int, ...] = ()):
-        object.__setattr__(self, "letters", letters)
+    __slots__ = ("runs", "lead", "trail")
+
+    def __init__(self, letters: Iterable[int] = ()):
+        letters = tuple(letters)
+        lead = letters[:1] == (A_LETTER,)
+        ts = letters[lead::2]  # the a letters are the others
+        if set(letters[1 - lead :: 2]) - {A_LETTER} or set(ts) - {T_LETTER, TT_LETTER}:
+            raise ValueError(f"not an alternating coset word: {letters!r}")
+        object.__setattr__(self, "runs", tuple((e, len(list(g))) for e, g in groupby(ts)))
+        object.__setattr__(self, "lead", lead)
+        object.__setattr__(self, "trail", len(letters) > 1 and letters[-1] == A_LETTER)
+
+    def __reduce__(self):
+        return CosetElement, (self.letters,)
+
+    @property
+    def letters(self) -> tuple[int, ...]:
+        """The canonical word, one letter ``0`` (``a``), ``1`` or ``2`` each."""
+        if not self.runs:
+            return (A_LETTER,) if self.lead else ()
+        word = (A_LETTER,) * self.lead + tuple(
+            chain.from_iterable((e, A_LETTER) * n for e, n in self.runs)
+        )
+        return word if self.trail else word[:-1]
 
     def __mul__(self, other: "CosetElement") -> "CosetElement":
-        stack = [None, *self.letters]
-        _join(stack, other.letters)
-        del stack[0]
-        return CosetElement(tuple(stack))
+        # a factor without runs is e or a: an a at the junction comes or goes
+        runs = self.runs
+        if not other.runs:
+            if runs:
+                return CosetElement._of(runs, self.lead, self.trail ^ other.lead)
+            return HALF_TWIST if self.lead ^ other.lead else IDENTITY
+        if not runs:
+            return CosetElement._of(other.runs, self.lead ^ other.lead, other.trail)
+        # other is [a] (t^e1 a)^n1 ... (t^ek a)^nk, then one more a unless it
+        # trails, and (t^2 a)^n, (t a)^n are the images of sigma1^n, sigma2^-n
+        ns = [n for _, n in runs]
+        units = ((1, n) if t == TT_LETTER else (2, -n) for t, n in other.runs)
+        e, a, lead = _fold(units, ns, runs[-1][0], self.trail ^ other.lead, self.lead)
+        return _coset(ns, e, a ^ (not other.trail), lead)
 
     def inverse(self) -> "CosetElement":
-        return CosetElement(tuple(_INVERSE_LETTER[l] for l in reversed(self.letters)))
+        if not self.runs:
+            return self
+        runs = tuple((3 - e, n) for e, n in reversed(self.runs))
+        return CosetElement._of(runs, self.trail, self.lead)
 
     @property
     def is_identity(self) -> bool:
-        return not self.letters
+        return not self.runs and not self.lead
 
     def __str__(self) -> str:
-        if not self.letters:
+        if self.is_identity:
             return "e"
         return " ".join(_LETTER_NAMES[l] for l in self.letters)
 
@@ -258,65 +314,97 @@ class CosetElement(Record):
 IDENTITY = CosetElement()
 HALF_TWIST = CosetElement((A_LETTER,))
 
-_SIGMA_LETTERS = {
-    (1, 1): (TT_LETTER, A_LETTER),
-    (1, -1): (A_LETTER, T_LETTER),
-    (2, 1): (A_LETTER, TT_LETTER),
-    (2, -1): (T_LETTER, A_LETTER),
-}
-_LETTER = {letter: letter for letter in _SIGMA_LETTERS}  # one shared object per letter
+#: The image of a braid letter as ``(leading a, t-letter, trailing a)``, indexed
+#: by the generator for a positive exponent and by its negative otherwise:
+#: ``sigma1 -> t^2 a``, ``sigma2 -> a t^2``, ``sigma2^-1 -> t a``, ``sigma1^-1 -> a t``.
+_IMAGE = (None, (0, TT_LETTER, 1), (1, TT_LETTER, 0), (0, T_LETTER, 1), (1, T_LETTER, 0))
 
 
-_BLOCK = 4  # braid letters per lookup in _BLOCKS
+def _fold(
+    runs: Iterable[tuple[int, int]], ns: list[int], e: int, a: int, lead: int
+) -> tuple[int, int, int]:
+    """Multiply a coset in runs by the images of the braid runs ``runs``.
+
+    The coset is ``ns``, the lengths of its runs from the bottom, whose
+    letters alternate and end with ``t^e``; ``a`` is 1 when its last letter
+    is ``a`` (with no runs, when it is the word ``a``) and ``lead`` when its
+    first is.  Updates ``ns`` in place and returns the new ``(e, a, lead)``.
+    """
+    image = _IMAGE
+    for gen, exp in runs:
+        if exp > 0:
+            first, te, last = image[gen]
+            n = exp
+        else:
+            first, te, last = image[-gen]
+            n = -exp
+        a ^= first
+        if a or not ns:  # after an a, or on nothing but an a: the run goes on
+            if not ns:
+                lead = a
+                ns.append(n)
+            elif te == e:
+                ns[-1] += n
+            else:
+                ns.append(n)
+            e, a = te, 0
+        else:
+            if te != e:  # t^-e against t^e: min(n, top) pairs cancel at once
+                top = ns[-1]
+                if top > n:
+                    ns[-1] = top - n
+                    a, n = 1, 0  # the a below the cancelled letters is on top
+                else:
+                    ns.pop()
+                    n -= top
+                    e = te
+                    if not ns:  # down to the leading a, if any, then a t^e run
+                        a = lead ^ (n > 0)
+                        if n:
+                            lead, a = a, 0
+                            ns.append(n)
+                        n = 0
+                    elif not n:
+                        a = 1
+                    # else the a's cancel too, and t^e meets the run below
+            if n:  # t^e t^e = t^(3-e) takes the place of the top letter
+                top = ns[-1]
+                if top > 1:
+                    ns[-1] = top - 1
+                    ns.append(1)
+                elif len(ns) > 1:
+                    ns.pop()
+                    ns[-1] += 1
+                e = 3 - e
+                if n > 1:
+                    ns.append(n - 1)
+                    e = te
+        a ^= last
+    return e, a, lead
 
 
-def _block_table() -> dict[tuple[tuple[int, int], ...], tuple[int, ...]]:
-    """The canonical coset of every word of at most :data:`_BLOCK` letters."""
-    table = {(): ()}
-    for size in range(1, _BLOCK + 1):
-        for word in product(_SIGMA_LETTERS, repeat=size):  # after all its prefixes
-            stack = [None, *table[word[:-1]]]
-            _join(stack, _SIGMA_LETTERS[word[-1]])
-            table[word] = tuple(stack[1:])
-    return table
-
-
-_BLOCKS = _block_table()
-
-
-def _coset(letters: Iterable[tuple[int, int]]) -> CosetElement:
-    """The canonical coset of ``(generator, sign)`` letters, joined
-    :data:`_BLOCK` at a time; any other letter raises ValueError."""
-    letters = tuple(letters)  # a tuple is not copied
-    tail = letters[len(letters) - len(letters) % _BLOCK:]
-    stack = [None]
-    try:
-        for word in map(_BLOCKS.__getitem__, chain(zip(*[iter(letters)] * _BLOCK), (tail,))):
-            _join(stack, word)
-    except KeyError as missing:
-        bad = next(letter for letter in missing.args[0] if letter not in _SIGMA_LETTERS)
-        raise ValueError(f"bad braid letter {bad}") from None
-    del stack[0]
-    return CosetElement(tuple(stack))
+def _coset(ns: list[int], e: int, a: int, lead: int) -> CosetElement:
+    """The coset that :func:`_fold` leaves."""
+    if not ns:
+        return HALF_TWIST if a else IDENTITY
+    bottom = e if len(ns) % 2 else 3 - e
+    return CosetElement._of(tuple(zip(cycle((bottom, 3 - bottom)), ns)), bool(lead), bool(a))
 
 
 def evaluate(b: BraidWord) -> CosetElement:
     """The canonical coset of a braid word."""
-    return _coset(b.letters)
+    ns: list[int] = []
+    return _coset(ns, *_fold(b.runs, ns, 0, 0, 0))
 
 
 def sigma_power(gen: int, exp: int) -> CosetElement:
     """Canonical coset of ``sigma_gen^exp``."""
-    return _coset(_sigma_letters(gen, exp))
-
-
-def _pure_letters(w: FreeWord) -> Iterable[tuple[int, int]]:
-    return chain.from_iterable(_sigma_letters(gen, 2 * e) for gen, e in w.terms)
+    return evaluate(sigma_word(gen, exp))
 
 
 def embed_pure(w: FreeWord) -> CosetElement:
     """Coset of a pure word, sending generator ``i`` to ``sigma_i^2``."""
-    return _coset(_pure_letters(w))
+    return evaluate(BraidWord((gen, 2 * e) for gen, e in w.terms))
 
 
 def conjugate(g: CosetElement, x: CosetElement) -> CosetElement:
@@ -354,16 +442,6 @@ _PERM_STEP = tuple(
 )
 _ID_CODE = 3 * _PERMS.index(PERM_ID)
 
-
-def s3_image(x: CosetElement) -> tuple[int, ...]:
-    """The strand permutation of a coset element."""
-    code = _ID_CODE
-    step = _PERM_STEP
-    for letter in x.letters:
-        code = step[code + letter]
-    return _PERMS[code // 3]
-
-
 # --- pure words -----------------------------------------------------------
 
 #: The nontrivial Schreier generators ``T(p) a T(p a)^-1`` of the transversal
@@ -375,7 +453,10 @@ _A_TERMS = {
     (T_LETTER,): (2, -1),
     (A_LETTER, T_LETTER): (1, -1),
 }
-_A_TERM_AT = {s3_image(CosetElement(rep)): term for rep, term in _A_TERMS.items()}
+_A_TERM_AT = {
+    reduce(_compose, map(_PERM_LETTER.__getitem__, rep), PERM_ID): term
+    for rep, term in _A_TERMS.items()
+}
 #: ``_PERM_SPELL[3 * i + letter]`` is the pure term spelled by ``letter`` read
 #: after a prefix of strand permutation ``_PERMS[i]``, or None: indexed like
 #: :data:`_PERM_STEP`.
@@ -386,30 +467,93 @@ _PERM_SPELL = tuple(
 )
 
 
+def _unit(code: int, e: int) -> tuple[int, tuple | None, tuple | None]:
+    """The unit ``t^e a`` read after ``code``: where it leads, what it spells,
+    and what the next one spells; the one after that spells the first again."""
+    after = _PERM_STEP[_PERM_STEP[code + e]]
+    return after, _PERM_SPELL[_PERM_STEP[code + e]], _PERM_SPELL[_PERM_STEP[after + e]]
+
+
+#: ``_UNITS[3 * i + e]`` is :func:`_unit` of ``3 * i`` and ``e`` in {1, 2}:
+#: a unit is an odd permutation, so a run of units alternates two states.
+_UNITS = tuple(
+    _unit(3 * i, e) if e else None for i in range(len(_PERMS)) for e in range(3)
+)
+
+
+def s3_image(x: CosetElement) -> tuple[int, ...]:
+    """The strand permutation of a coset element."""
+    code = _PERM_STEP[_ID_CODE] if x.lead else _ID_CODE
+    units = _UNITS
+    for e, n in x.runs:
+        if n & 1:
+            code = units[code + e][0]
+    if x.runs and not x.trail:  # the word lacks the last unit's a
+        code = _PERM_STEP[code]
+    return _PERMS[code // 3]
+
+
+def _extend(terms: list, block: tuple[tuple[int, int], ...]) -> None:
+    """Append the reduced ``block`` to the reduced ``terms``: terms cancel or
+    merge only until the junction settles."""
+    i = 0
+    for gen, exp in block:
+        if not terms or terms[-1][0] != gen:
+            break
+        exp += terms.pop()[1]
+        i += 1
+        if exp:
+            terms.append((gen, exp))
+            break
+    terms.extend(block[i:] if i else block)
+
+
+def _walk_a(code: int, terms: list) -> int:
+    """Step ``code`` by one ``a``, appending the pure term it spells, if any."""
+    if _PERM_SPELL[code]:
+        _extend(terms, (_PERM_SPELL[code],))
+    return _PERM_STEP[code]
+
+
 def unembed(*factors: CosetElement) -> FreeWord | None:
     """Invert :func:`embed_pure` on the product of ``factors``, or return None
     when that product is not a pure word.
 
     The pure words are the kernel of the strand permutation, free on
     ``sigma1^2, sigma2^2``.  Reidemeister-Schreier rewriting reads the
-    product as a word in them: one walk over the letters of the factors,
-    one factor after another, steps the strand permutation of the prefix,
-    and each ``a`` read after a prefix in the coset of ``t^2``, ``a t^2``,
-    ``t`` or ``a t`` spells ``a1``, ``a2``, ``a2^-1`` or ``a1^-1``.  The
-    rewriting is a homomorphism, so letters that cancel across a junction
-    spell terms that cancel in the free word.  The product is pure exactly
-    when the walk ends at the identity.
+    product as a word in them: a walk over the factors, one after another,
+    steps the strand permutation of the prefix, and each ``a`` read after a
+    prefix in the coset of ``t^2``, ``a t^2``, ``t`` or ``a t`` spells
+    ``a1``, ``a2``, ``a2^-1`` or ``a1^-1``.  Each factor is walked as
+    ``[a] (t^e1 a)^n1 ... (t^ek a)^nk`` and one more ``a`` unless it ends
+    with one; a run of ``n`` units spells ``n`` terms that alternate
+    between two, which make one power when one of them is empty.  The
+    rewriting is a homomorphism, so terms that cancel across a junction
+    cancel as they are appended.  The product is pure exactly when the
+    walk ends at the identity.
     """
     code = _ID_CODE
-    step, spell = _PERM_STEP, _PERM_SPELL
-    terms = []
-    append = terms.append
-    for letter in chain.from_iterable(f.letters for f in factors):
-        code += letter
-        if spell[code]:
-            append(spell[code])
-        code = step[code]
-    return FreeWord.from_terms(terms) if code == _ID_CODE else None
+    units = _UNITS
+    terms: list[tuple[int, int]] = []
+    for x in factors:
+        if x.lead:
+            code = _walk_a(code, terms)
+        for e, n in x.runs:
+            after, first, second = units[code + e]
+            if first and second:
+                _extend(terms, (first, second) * (n >> 1) + (first,) * (n & 1))
+            else:
+                gen, exp = first or second
+                exp *= (n + 1) >> 1 if first else n >> 1
+                if exp and terms and terms[-1][0] == gen:
+                    exp += terms.pop()[1]
+                if exp:
+                    terms.append((gen, exp))
+            if n & 1:
+                code = after
+        if x.runs and not x.trail:  # walking the a the word lacks undoes it
+            code = _walk_a(code, terms)
+    return FreeWord(tuple(terms)) if code == _ID_CODE else None
 
 
 # --- normal form ----------------------------------------------------------
@@ -501,8 +645,9 @@ def normal_form(b: BraidWord | CosetElement) -> NormalForm:
 def remultiply(form: NormalForm) -> CosetElement:
     """Re-evaluate a normal form back to its coset element."""
     # a power of the half twist has k = 0 and an empty b1
-    head = _sigma_letters(form.j, form.k)
-    return _coset(chain(head, _pure_letters(form.b1), half_twist_word(form.ell).letters))
+    head = ((form.j, form.k),) if form.k else ()
+    x = evaluate(BraidWord(head + tuple((gen, 2 * e) for gen, e in form.b1.terms)))
+    return x * HALF_TWIST if form.ell else x
 
 
 def pure_projection(form: NormalForm | BraidWord | CosetElement) -> FreeWord:

@@ -241,8 +241,30 @@ def syllable_decompose(w: FreeWord) -> SyllableDecomposition:
 
 
 def syllable_degrees(w: FreeWord) -> tuple[int, ...]:
-    """The syllable degrees of a reduced word, without building syllables."""
-    return tuple(degree for _, degree, _, _ in _syllable_runs(w.terms))
+    """The syllable degrees of a reduced word, without building syllables;
+    refuses what :func:`_syllable_runs` refuses."""
+    degrees: list[int] = []
+    append = degrees.append
+    run_sign = run_len = 0
+    for gen, exp in w.terms:
+        if exp > 1 or exp < -1:
+            if gen not in GENERATORS:
+                raise ValueError("malformed syllable")
+            if run_len:
+                append(run_len)
+                run_len = 0
+            append(exp if exp > 0 else -exp)
+        elif run_len and run_sign == exp:
+            run_len += 1
+        else:
+            if gen not in GENERATORS or not exp:
+                raise ValueError("malformed syllable")
+            if run_len:
+                append(run_len)
+            run_sign, run_len = exp, 1
+    if run_len:
+        append(run_len)
+    return tuple(degrees)
 
 
 def is_cyclically_reduced(w: FreeWord) -> bool:

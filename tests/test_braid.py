@@ -7,7 +7,7 @@ import time
 import tracemalloc
 from collections import Counter
 from functools import reduce
-from itertools import product
+from itertools import chain, groupby, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -160,6 +160,93 @@ def reference_evaluate(letters) -> CosetElement:
     for letter in letters:
         reference_push(stack, IMAGES[letter])
     return CosetElement(tuple(stack[1:]))
+
+
+def reference_s3_image(letters) -> tuple[int, ...]:
+    """The strand permutation of coset letters, composed one letter at a time."""
+    perm = PERM_ID
+    for letter in letters:
+        perm = braid._compose(perm, braid._PERM_LETTER[letter])
+    return perm
+
+
+def reference_unembed(*factors: CosetElement) -> FreeWord | None:
+    """The one-letter-at-a-time Reidemeister-Schreier walk that the run walk
+    replaced: a term per spelling letter, freely reduced at the end."""
+    code, terms = braid._ID_CODE, []
+    for letter in chain.from_iterable(f.letters for f in factors):
+        code += letter
+        if braid._PERM_SPELL[code]:
+            terms.append(braid._PERM_SPELL[code])
+        code = braid._PERM_STEP[code]
+    return FreeWord.from_terms(terms) if code == braid._ID_CODE else None
+
+
+def reference_text(letters) -> str:
+    """Braid text with one token per maximal stretch of equal letters."""
+    return " ".join(
+        f"s{gen}" if count == 1 and sign > 0 else f"s{gen}^{sign * count}"
+        for (gen, sign), count in ((letter, len(list(g))) for letter, g in groupby(letters))
+    )
+
+
+def token_letters(name: str, gen: int, exp: int | None) -> tuple[tuple[int, int], ...]:
+    """The letters of one braid token, spelled out."""
+    exp = 1 if exp is None else exp
+    sign = 1 if exp > 0 else -1
+    if name == "D":
+        return ((1, sign), (2, sign), (1, sign)) * abs(exp)
+    return ((gen, -sign if name == "S" else sign),) * abs(exp)
+
+
+def form_letters(form: NormalForm) -> tuple[tuple[int, int], ...]:
+    """The letters of ``sigma_j^k``, of ``sigma_g^(2e)`` for each term of ``b1``
+    and of ``delta^ell``."""
+    letters = list(token_letters("s", form.j, form.k) if form.k else ())
+    for gen, exp in form.b1.terms:
+        letters += token_letters("s", gen, 2 * exp)
+    return tuple(letters) + token_letters("D", 0, 1) * form.ell
+
+
+def check_against_letter_walks(b: BraidWord, letters) -> CosetElement:
+    """Every run-level result on ``b``, whose letters are ``letters``, against
+    the letter walks; returns the coset."""
+    assert b.letters == letters and len(b) == len(letters)
+    assert str(b) == braid_to_text(b) == reference_text(letters)
+    x = evaluate(b)
+    assert x == reference_evaluate(letters)
+    assert s3_image(x) == reference_s3_image(x.letters)
+    assert unembed(x) == reference_unembed(x)
+    form = normal_form(b)
+    assert form == normal_form(x)
+    assert reference_evaluate(form_letters(form)) == x == remultiply(form)
+    if form.kind == GENERAL and form.b1.terms:
+        assert form.b1.terms[0][0] != form.j
+    return x
+
+
+def junction_text(rng: random.Random, big: bool) -> tuple[str, tuple]:
+    """Seeded braid text and its letters: D^k tokens, runs that cancel whole
+    runs at a junction (``s1^k S1^m``, ``s1^k s2^m S1^k``), and with ``big``
+    exponents up to 10^5."""
+    top = 10**5 if big else 9
+    tokens = []
+    for _ in range(rng.randint(0, 8)):
+        gen, other = rng.choice(((1, 2), (2, 1)))
+        k = rng.randint(1, top)
+        shape = rng.randrange(4)
+        if shape == 0:
+            tokens.append(("D", 0, rng.randint(-6, 6)))
+        elif shape == 1:
+            tokens.append((rng.choice("sS"), gen, rng.choice((k, -k, 0))))
+        elif shape == 2:
+            m = rng.choice((k, k - 1, k + 1, rng.randint(1, top)))
+            tokens += [("s", gen, k), ("S", gen, m)]
+        else:
+            m = rng.choice((1, 2, rng.randint(1, top)))
+            tokens += [("s", gen, k), ("s", other, rng.choice((m, -m))), ("S", gen, k)]
+    text = " ".join(token_text(*t) for t in tokens)
+    return text, tuple(chain.from_iterable(token_letters(*t) for t in tokens))
 
 
 def reference_refusal(tokens, ceiling: int) -> tuple[str, int] | None:
@@ -405,8 +492,11 @@ class TestTokenMemo:
         warm = [parse_braid(text) for text in texts]
         again = [parse_braid(text) for text in texts]
         assert cold == warm == again == [BraidWord(per_token_letters(t)) for t in cases]
-        # spelled with the shared letter objects that _BLOCKS meets first
-        assert all(l is braid._LETTER[l] for word in again for l in word.letters)
+        # stored in maximal runs, so equal letters make equal words
+        for word in again:
+            assert all(exp for _, exp in word.runs)
+            for (g, e), (h, f) in zip(word.runs, word.runs[1:]):
+                assert g != h or (e > 0) != (f > 0), word
 
     def test_bad_token_raises_at_its_position_on_every_call(self):
         cases = [("s1 q2", 1), ("q2 s1 s2", 0), ("s1 s2 S1^3 D q2 q2", 4), ("s1 s1^x", 1)]
@@ -454,8 +544,8 @@ class TestTokenMemo:
             with pytest.raises(BraidSyntaxError) as err:
                 parse_braid("s1^600000 s1^600000")
             assert str(err.value) == "more than 1000000 letters (at token 1)"
-        # kept as one letter and a count, never as the run
-        assert braid._DECODED == {"s1^600000": (((1, 1),), 600000, 600000)}
+        # kept as one run and its size
+        assert braid._DECODED == {"s1^600000": ((1, 600000), 600000)}
 
     def test_stops_at_its_cap(self, monkeypatch):
         monkeypatch.setattr(braid, "_DECODED_CAP", 8)
@@ -528,6 +618,17 @@ class TestCosetAlgebra:
             z = cut * y
             assert x * z == push_one_at_a_time(x, z)
 
+    def test_stored_in_runs(self):
+        b = BraidWord(((1, 2), (1, 3), (2, -1), (2, 1)))
+        assert b.runs == ((1, 5), (2, -1), (2, 1))
+        assert b == BraidWord(((1, 1),) * 5 + ((2, -1), (2, 1)))
+        x = CosetElement((0, 2, 0, 2, 0, 1, 0))
+        assert (x.runs, x.lead, x.trail) == (((2, 2), (1, 1)), True, True)
+        assert (HALF_TWIST.runs, HALF_TWIST.lead, HALF_TWIST.trail) == ((), True, False)
+        for letters in ((0, 0), (1, 1), (1, 2), (0, 1, 0, 0), (1, 0, 0, 1), (3,), (0, 2, 2)):
+            with pytest.raises(ValueError, match="not an alternating coset word"):
+                CosetElement(letters)
+
     def test_product_full_cancellation_and_merges(self):
         rng = random.Random(1304)
         for size in range(12):
@@ -555,8 +656,7 @@ class TestCosetAlgebra:
             call()
         assert str(raised.value) == f"bad braid letter {letter}"
 
-    def test_block_walk_matches_one_letter_walk(self):
-        # every length from 0 to 13 covers each remainder modulo the block size
+    def test_random_words_match_one_letter_walk(self):
         rng = random.Random(1310)
         letters = tuple(IMAGES)
         for n in range(14):
@@ -564,24 +664,68 @@ class TestCosetAlgebra:
                 word = tuple(rng.choice(letters) for _ in range(n))
                 assert evaluate(BraidWord(word)) == reference_evaluate(word), word
 
-    def test_block_table_matches_one_letter_walk(self):
-        assert len(braid._BLOCKS) == 341
-        for word, coset in braid._BLOCKS.items():
-            assert CosetElement(coset) == reference_evaluate(word), word
+    def test_every_short_word_matches_letter_walks(self):
+        count = 0
+        for n in range(7):
+            for word in product(IMAGES, repeat=n):
+                check_against_letter_walks(BraidWord(word), word)
+                count += 1
+        assert count == 5461
 
-    def test_blocks_cancel_across_block_boundaries(self):
+    def test_runs_cancel_across_junctions(self):
+        # opposite runs cancel min(n, m) letters at once, then the junction
+        # merges at most once with the run below
         rng = random.Random(1311)
-        for k in range(1, 40):
-            if k % 4 == 0:
-                continue
+        for k in [*range(1, 40), 100000]:
             for gen in (1, 2):
-                b = sigma_word(gen, k) * sigma_word(gen, -k)
-                assert evaluate(b) == IDENTITY == reference_evaluate(b.letters)
-                b = sigma_word(gen, k) * sigma_word(3 - gen, 1) * sigma_word(gen, -k)
-                assert evaluate(b) == reference_evaluate(b.letters)
-            x = BraidWord(tuple(rng.choice(tuple(IMAGES)) for _ in range(k)))
-            for b in (x * x.inverse(), x * x * x.inverse(), sigma_word(1, 1) * x * x.inverse()):
-                assert evaluate(b) == reference_evaluate(b.letters), b
+                for m in (k - 1, k, k + 1, 2 * k) if k < 40 else (k - 1, k + 1):
+                    b = sigma_word(gen, k) * sigma_word(gen, -m)
+                    assert evaluate(b) == reference_evaluate(b.letters), (gen, k, m)
+                    b = sigma_word(gen, k) * sigma_word(3 - gen, m) * sigma_word(gen, -k)
+                    assert evaluate(b) == reference_evaluate(b.letters), (gen, k, m)
+            if k < 40:
+                x = BraidWord(tuple(rng.choice(tuple(IMAGES)) for _ in range(k)))
+                for b in (x * x.inverse(), x * x * x.inverse(), sigma_word(1, 1) * x * x.inverse()):
+                    assert evaluate(b) == reference_evaluate(b.letters), b
+
+    def test_seeded_texts_match_letter_walks(self):
+        rng = random.Random(1314)
+        cosets = []
+        for i in range(300):
+            text, letters = junction_text(rng, big=i % 50 == 0)
+            cosets.append(check_against_letter_walks(parse_braid(text), letters))
+        assert max(len(x.letters) for x in cosets) > 10**5
+        # unembed of 1 to 4 factors against the letter walk over all of them
+        pure = 0
+        for _ in range(300):
+            fs = [rng.choice(cosets) for _ in range(rng.randint(1, 3))]
+            if rng.random() < 0.5:
+                fs.append(reduce(push_one_at_a_time, fs, IDENTITY).inverse())
+            else:
+                fs.append(rng.choice(cosets).inverse())
+            fs = fs[: rng.randint(1, 4)]
+            w = unembed(*fs)
+            assert w == reference_unembed(*fs), fs
+            pure += w is not None
+        assert 75 < pure < 260
+
+    def test_sigma_powers_and_pure_words_match_letter_walk(self):
+        exps = [*range(-30, 31), -100000, -99999, 99999, 100000]
+        for gen in (1, 2):
+            for exp in exps:
+                letters = token_letters("s", gen, exp) if exp else ()
+                assert sigma_power(gen, exp) == reference_evaluate(letters), (gen, exp)
+        rng = random.Random(1315)
+        for _ in range(300):
+            gen, terms = rng.choice((1, 2)), []
+            for _ in range(rng.randint(0, 8)):
+                exp = rng.choice((rng.randint(1, 5), rng.randint(1, 500)))
+                terms.append((gen, rng.choice((exp, -exp))))
+                gen = 3 - gen
+            w = FreeWord(tuple(terms))
+            letters = tuple(chain.from_iterable(token_letters("s", g, 2 * e) for g, e in terms))
+            assert embed_pure(w) == reference_evaluate(letters), w
+            assert unembed(embed_pure(w)) == w
 
     def test_half_twists_among_sigma_runs(self):
         rng = random.Random(1312)
@@ -597,7 +741,7 @@ class TestCosetAlgebra:
 
     @pytest.mark.parametrize("head", range(9))
     def test_malformed_letter_inside_a_block(self, head):
-        # the first bad letter is named, wherever it falls in its block
+        # the first bad letter is named, wherever it falls in the word
         word = ((1, 1),) * head + ((2, 0),) + ((1, -1), (3, 1)) + ((2, -1),) * 5
         with pytest.raises(ValueError) as raised:
             evaluate(BraidWord(word))
@@ -664,11 +808,17 @@ class TestPureEmbedding:
         words = list(canonical_words(20))
         assert len(words) == 7162
         for x in words:
+            assert CosetElement(x.letters) == x and x.inverse().letters == tuple(
+                (3 - l) % 3 for l in reversed(x.letters)
+            )
+            assert s3_image(x) == reference_s3_image(x.letters), x
             w = unembed(x)
+            assert w == reference_unembed(x), x
             assert (w is None) == (s3_image(x) != PERM_ID), x
             if w is not None:
                 assert embed_pure(w) == x, x
-            assert remultiply(normal_form(x)) == x, x
+            form = normal_form(x)
+            assert reference_evaluate(form_letters(form)) == x == remultiply(form), x
 
     def test_factors_walk_like_their_product(self):
         # rewriting is a homomorphism: walking the factors one after another
@@ -685,6 +835,15 @@ class TestPureEmbedding:
             assert unembed(*fs) == w, fs
             pure += w is not None
         assert 1000 < pure < 2500
+
+    def test_unit_runs_spell_one_power_or_two_generators(self):
+        # a run of n units t^e a spells n terms alternating between two; the
+        # walk relies on these never being two terms of one generator
+        for code in range(0, 18, 3):
+            for e in (1, 2):
+                after, first, second = braid._UNITS[code + e]
+                assert braid._UNITS[after + e][0] == code
+                assert (first is None) != (second is None) or first[0] != second[0]
 
     def test_spelling_table_from_its_definition(self):
         # T(p) a T(p a)^-1 for each representative T(p) of the transversal

@@ -34,8 +34,11 @@ CASES = {
         ("syllables",), ((SYLLABLE,),),
         "SyllableDecomposition(syllables=(Syllable(kind='first', degree=2, sign=1, start=1),))",
     ),
-    BraidWord: (("letters",), (((1, 1), (2, -1)),), "BraidWord(letters=((1, 1), (2, -1)))"),
-    CosetElement: (("letters",), ((0, 1),), "CosetElement(letters=(0, 1))"),
+    BraidWord: (("runs",), (((1, 3), (2, -1)),), "BraidWord(runs=((1, 3), (2, -1)))"),
+    CosetElement: (
+        ("runs", "lead", "trail"), (((1, 1),), True, False),
+        "CosetElement(runs=((1, 1),), lead=True, trail=False)",
+    ),
     NormalForm: (
         ("kind", "j", "k", "b1", "ell"), ("general", 1, 2, WORD, 1),
         "NormalForm(kind='general', j=1, k=2, b1=FreeWord(terms=((2, 1), (1, -3))), ell=1)",
@@ -59,7 +62,7 @@ CASES = {
     ForbiddenConjugation: (
         ("source", "target", "conjugator"), (WORD, FreeWord(), BraidWord(((1, 1),))),
         "ForbiddenConjugation(source=FreeWord(terms=((2, 1), (1, -3))), "
-        "target=FreeWord(terms=()), conjugator=BraidWord(letters=((1, 1),)))",
+        "target=FreeWord(terms=()), conjugator=BraidWord(runs=((1, 1),)))",
     ),
     WordBoundChain: (
         ("cube_half", "chain_index", "chain_value"), (Fraction(27, 2), 1, 8),
@@ -71,26 +74,31 @@ CASES = {
     ),
 }
 RECORDS = list(CASES)
+# class -> its constructor's parameter names and the arguments that build the
+# case above, where they are not its fields: a coset is built from its letters
+ARGUMENTS = {CosetElement: (("letters",), ((0, 1),))}
 
 
 def build(cls):
-    _, values, _ = CASES[cls]
+    _, values = ARGUMENTS.get(cls, CASES[cls][:2])
     return cls(*values)
 
 
 @pytest.mark.parametrize("cls", RECORDS)
 def test_positional_and_keyword_construction_agree(cls):
     names, values, _ = CASES[cls]
-    positional = cls(*values)
-    keyword = cls(**dict(zip(names, values)))
+    parameters, arguments = ARGUMENTS.get(cls, (names, values))
+    positional = cls(*arguments)
+    keyword = cls(**dict(zip(parameters, arguments)))
     assert positional == keyword
     assert tuple(getattr(keyword, name) for name in names) == values
 
 
 def test_defaults():
     assert FreeWord().terms == ()
-    assert BraidWord().letters == ()
-    assert CosetElement().letters == ()
+    assert BraidWord().runs == BraidWord().letters == ()
+    assert CosetElement().runs == CosetElement().letters == ()
+    assert not CosetElement().lead and not CosetElement().trail
     assert LogInteger().argument == 1
     assert Scale(Fraction(3)).pi_power == 0
     assert CheckResult("words", "x", True).detail == ""
@@ -103,8 +111,8 @@ def test_defaults():
 def test_equality_is_by_class_and_fields(cls):
     _, values, _ = CASES[cls]
     record = build(cls)
-    assert record == cls(*values)
-    assert not record != cls(*values)
+    assert record == build(cls)
+    assert not record != build(cls)
     assert record != values
     assert values != record
     for other in RECORDS:
@@ -148,7 +156,7 @@ def test_one_changed_field_breaks_equality(cls):
 def test_hash_is_the_hash_of_the_field_tuple(cls):
     _, values, _ = CASES[cls]
     assert hash(build(cls)) == hash(values)
-    assert hash(build(cls)) == hash(cls(*values))
+    assert hash(build(cls)) == hash(build(cls))
 
 
 @pytest.mark.parametrize("cls", RECORDS)
