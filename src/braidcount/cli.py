@@ -19,8 +19,9 @@ Output formats: ``json`` (default), ``csv`` with columns exactly the
 json keys, and ``plain``.  Exit codes: 0 on success, 1 when ``verify``
 finds a failing check, 2 on unusable input (a ``verify --suite`` name
 too, refused by :func:`verify.run_suites`).  Bound columns are exact
-integer arithmetic rounded outward to 12 digits, so ``bounds`` and
-``count --X`` load no ``mpmath``; only a ``--Y`` certificate does.
+integer arithmetic rounded outward to 12 digits, and a ``--Y`` is
+certified on the integer intervals of :mod:`braidcount.interval`, which
+``bounds`` and ``count --X`` never load.
 ``--format`` may follow any command word.
 """
 

@@ -4,7 +4,8 @@ A ``Y`` such as ``600*pi*log(8)`` is read through a fixed ``ast`` whitelist
 (numbers, ``+ - * / **``, unary signs, ``log``, ``exp``, ``sqrt``, ``pi``,
 ``E``) into a small tree of :class:`Node` with two readings:
 
-* an ``mpmath.iv`` enclosure at any requested precision, and
+* an outward-rounded interval with integer ends
+  (:mod:`braidcount.interval`) at any requested precision, and
 * an exact form ``q0 + sum q_i m_i`` with rational ``q_i``: a dict from
   monomials to coefficients.  A monomial is a product of formal atoms with
   rational exponents: ``log b`` and ``b`` itself over a coprime base of
@@ -13,7 +14,8 @@ A ``Y`` such as ``600*pi*log(8)`` is read through a fixed ``ast`` whitelist
   powers of those, as their sign is unknown).
 
 Every question (a sign, a floor, the floor of ``e^Y``, a decimal ceiling)
-is first put to an enclosure, at doubling precision.  Where the enclosure
+is first put to an enclosure, at doubling precision (``floor_exp`` skips
+the doublings below the bits of ``e^Y``).  Where the enclosure
 cannot separate, the exact form settles the tie: a value that is exactly
 zero or rational, or ``e^Y`` that is exactly an integer.  By
 Lindemann-Weierstrass an integer ``e^Y`` needs ``Y = log n``, and unique
@@ -29,11 +31,12 @@ from __future__ import annotations
 
 import ast
 import math
-from contextlib import contextmanager
 from decimal import ROUND_CEILING, Context, Decimal
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt
+
+from . import interval
 
 #: A power with rational exponent in ``Y`` whose exact value would exceed
 #: this many bits (about 3000 digits) is refused when parsed; larger powers
@@ -46,10 +49,6 @@ MAX_THRESHOLD_Y = MAX_POWER_BITS * math.log(2)
 #: 10^4 bits of the largest threshold ``e^Y``.  On a 2-core host ``bounds``
 #: took 0.3 s at this precision and did not finish in 60 s at 10^6 bits.
 MAX_PRECISION = 1 << 15
-_EXP_LIMIT = 1 << 20  # exp beyond +-this is enclosed by [tiny, ...] or [..., inf]
-#: e^a for an a of up to this many bits below -_EXP_LIMIT keeps a positive
-#: lower end, whose exponent is an int of as many bits (2 MB)
-_TINY_EXP_BITS = 1 << 24
 _MAX_TERMS = 64  # a product with more terms becomes one opaque atom
 
 _FUNCTIONS = frozenset({"log", "exp", "sqrt"})
@@ -531,72 +530,6 @@ def _exact(node: Node) -> dict:
 # --- enclosures ---------------------------------------------------------------
 
 
-@contextmanager
-def interval_precision(bits: int):
-    """``mpmath.iv`` at ``bits``, restored on exit."""
-    import mpmath  # loaded on first use: only certificates need it
-
-    old, mpmath.iv.prec = mpmath.iv.prec, bits
-    try:
-        yield mpmath.iv
-    finally:
-        mpmath.iv.prec = old
-
-
-def widening(bits: int) -> tuple[tuple, tuple]:
-    """The raw mpmath numbers ``1 - 2^-bits`` and ``1 + 2^-bits``.
-
-    mpmath rounds ``exp`` and ``log`` once from a few guard bits, so an end
-    can miss the value (both ends of e^2101 at 256 bits); an end at ``prec``
-    bits times the factor on its side, with ``bits = prec - 4``, holds it.
-    """
-    return (0, (1 << bits) - 1, -bits, bits), (0, (1 << bits) + 1, -bits, bits + 1)
-
-
-def outward(y):
-    """An ``mpmath.iv`` interval widened by the :func:`widening` of its context."""
-    from mpmath.libmp import mpi_mul
-
-    k = y.ctx.prec - 4
-    return y.ctx.make_mpf(mpi_mul(y._mpi_, widening(k), k + 4))
-
-
-def endpoint_fraction(value, direction: str) -> Fraction:
-    """The lower or upper endpoint of an ``mpmath.iv`` interval, exactly."""
-    # raw libmp tuple (sign, mantissa, exponent, bitcount): a binary rational
-    sign, man, exp, _ = value._mpi_[0 if direction == "lower" else 1]
-    out = Fraction(int(man)) * Fraction(2) ** int(exp)
-    return -out if sign else out
-
-
-def _iv_exp(iv, x):
-    from mpmath.libmp import finf, fone, fzero, from_int, mpf_gt, mpf_lt, mpf_neg, mpf_sign
-
-    a, b = x._mpi_
-    limit = from_int(_EXP_LIMIT)
-    tiny, huge = mpf_lt(a, mpf_neg(limit)), mpf_gt(b, limit)
-    if tiny or huge:  # the ends are clamped to +-_EXP_LIMIT, and set below
-        x = iv.mpf([min(max(x.a, -_EXP_LIMIT), _EXP_LIMIT), max(min(x.b, _EXP_LIMIT), -_EXP_LIMIT)])
-    low, high = outward(iv.exp(x))._mpi_
-    # the widening keeps e^a >= 1 for a >= 0 and e^a <= 1 for a <= 0
-    low = fone if mpf_sign(a) >= 0 and mpf_lt(low, fone) else low
-    high = fone if mpf_sign(b) <= 0 and mpf_lt(fone, high) else high
-    if tiny:
-        # e^a >= 2^floor(1.4427 a) for a < 0, as 1.4427 > 1/log(2); the floor is
-        # taken in ints from the raw tuple of a = -man * 2^exp, so it builds no
-        # fraction; a = -inf, or an a of more than _TINY_EXP_BITS bits, keeps 0
-        _, man, exp, bc = a
-        if _special(a) or exp + bc > _TINY_EXP_BITS:
-            low = fzero
-        else:
-            num = -man * 14427
-            log2_low = (num << exp) // 10000 if exp >= 0 else num // (10000 << -exp)
-            low = (0, 1, log2_low, 1)
-    if huge:
-        high = finf  # the value lies beyond any threshold or report
-    return iv.make_mpf((low, high))
-
-
 def _exactly_zero(node: Node) -> bool:
     """For an enclosure that touches zero: True if the value is zero, and
     :class:`_Undecided` if it is not, so more precision must separate it."""
@@ -605,111 +538,87 @@ def _exactly_zero(node: Node) -> bool:
     return True
 
 
-def _enclose(node: Node, iv):
+def _enclose(node: Node, prec: int) -> interval.Interval:
     op, args = node.op, node.args
     if op == "num":
-        q = args[0]
-        return iv.mpf(q.numerator) / q.denominator if q.denominator != 1 else iv.mpf(q.numerator)
+        return interval.number(args[0], prec)
     if op == "pi":
-        return iv.pi
+        return interval.pi(prec)
     if op == "E":
-        return iv.e
+        return interval.exp(interval.number(1, prec))
     if op in ("neg", "pos"):
-        x = _enclose(args[0], iv)
+        x = _enclose(args[0], prec)
         return -x if op == "neg" else x
     if op in ("add", "sub", "mul"):
-        a, b = _enclose(args[0], iv), _enclose(args[1], iv)
+        a, b = _enclose(args[0], prec), _enclose(args[1], prec)
         return a + b if op == "add" else a - b if op == "sub" else a * b
     if op == "div":
-        a, b = _enclose(args[0], iv), _enclose(args[1], iv)
-        if b.a <= 0 <= b.b and _exactly_zero(args[1]):
+        a, b = _enclose(args[0], prec), _enclose(args[1], prec)
+        low, high = b.signs()
+        if low <= 0 <= high and _exactly_zero(args[1]):
             raise _NotReal
         return a / b
     if op == "exp":
-        return _iv_exp(iv, _enclose(args[0], iv))
-    x = _enclose(args[0], iv)
+        return interval.exp(_enclose(args[0], prec))
+    x = _enclose(args[0], prec)
+    low, high = x.signs()
     if op in ("log", "sqrt"):
         r = Fraction(0) if op == "log" else Fraction(1, 2)
         e = None
     else:  # pow
-        e = _enclose(args[1], iv)
+        e = _enclose(args[1], prec)
         r = _rational(_exact(args[1]))
         if r is not None and r.denominator == 1:
             if r >= 0:
                 return x ** int(r)
-            if x.a <= 0 <= x.b and _exactly_zero(args[0]):
+            if low <= 0 <= high and _exactly_zero(args[0]):
                 raise _NotReal
-            return 1 / x ** int(-r)
-    if x.b < 0:
+            return interval.number(1, prec) / x ** int(-r)
+    if high < 0:
         raise _NotReal  # a logarithm or non-integer power of a negative number
-    if x.a <= 0 and _exactly_zero(args[0]):
+    if low <= 0 and _exactly_zero(args[0]):
         if op == "log" or (r is not None and r < 0):
             raise _NotReal
-        if r is None and not e.a > 0:
-            if e.b < 0:
+        if r is None and not e.signs()[0] > 0:
+            if e.signs()[1] < 0:
                 raise _NotReal
             raise _Undecided
-        return iv.mpf(0)
+        return interval.number(0, prec)
     if op == "sqrt":
-        return iv.sqrt(x)
-    log = outward(iv.log(x))
+        return interval.sqrt(x)
+    log = interval.log(x)
     if op == "log":
         return log
-    return _iv_exp(iv, (e if r is None else iv.mpf(r.numerator) / r.denominator) * log)
+    return interval.exp((e if r is None else interval.number(r, prec)) * log)
 
 
 # --- certificates -----------------------------------------------------------
 
 
-def _special(t: tuple) -> bool:
-    """An infinity or nan: mpmath marks those by a zero mantissa and a
-    negative bit count."""
-    return not t[1] and t[3] < 0
-
-
-def _fraction_sized(x) -> bool:
-    """True when both ends of an enclosure are finite and within
-    2^+-_EXP_LIMIT, so their exact fractions are small enough to build;
-    read from the raw tuples, so it builds no fraction."""
-    return not any(_special(t) or abs(t[2] + t[3]) > _EXP_LIMIT for t in x._mpi_)
-
-
-def _floor(x) -> int | None:
-    """The floor of every point of an enclosure, None where its ends differ in
-    floor or one is an infinity or nan; taken from the raw tuples, so a far
-    tiny end costs no fraction."""
-    from mpmath.libmp import round_floor, to_int
-
-    low, high = (None if _special(t) else to_int(t, round_floor) for t in x._mpi_)
-    return low if low == high else None
-
-
-def _certify(node: Node, decide, settle=None):
-    """Enclose ``node`` from 64 bits, doubling to :data:`MAX_PRECISION`, until
-    ``decide(enclosure)`` answers; where it cannot, ``settle(exact form)`` may,
-    and an exact form that is a rational is enclosed in place of ``node``."""
+def _certify(node: Node, decide, settle=None, prec=64):
+    """Enclose ``node`` from ``prec`` bits, doubling to :data:`MAX_PRECISION`,
+    until ``decide(enclosure)`` answers; where it cannot, ``settle(exact form)``
+    may, and an exact form that is a rational is enclosed in place of ``node``."""
     name = f"Y = {node.source}" if node.source is not None else "the expression"
-    prec = 64
     while prec <= MAX_PRECISION:
-        with interval_precision(prec) as iv:
-            try:
-                x = _enclose(node, iv)
-                got = decide(x)
-                if got is None and settle is not None:
-                    form = _exact(node)
-                    got = settle(form)
-                    q = _rational(form)
-                    if got is None and q is not None and node.op != "num":
-                        # the value is the rational q: enclose q instead,
-                        # which no enclosure of a clamped exp can spoil
-                        node = number(q)
-                        continue
-            except _Undecided:
-                got = None
-            except _NotReal:
-                raise ValueError(f"{name} is not a real number") from None
-            if got is not None:
-                return got
+        try:
+            x = _enclose(node, prec)
+            got = decide(x)
+            if got is None and settle is not None:
+                form = _exact(node)
+                got = settle(form)
+                q = _rational(form)
+                if got is None and q is not None and node.op != "num":
+                    # the value is the rational q: enclose q instead, which
+                    # no loose enclosure of a far exp or log can spoil
+                    node = number(q)
+                    continue
+        except _Undecided:
+            got = None
+        except _NotReal:
+            raise ValueError(f"{name} is not a real number") from None
+        if got is not None:
+            return got
         prec *= 2
     raise ValueError(f"cannot certify {name} within {MAX_PRECISION} bits")
 
@@ -718,26 +627,15 @@ def bounds(node: Node) -> tuple[float, float]:
     """Floats ``low <= value <= high`` from one enclosure: a limit below
     ``low`` or above ``high`` is proven passed, however loose the enclosure.
     An end beyond the float range, or unknown, reads as an infinity."""
-    from mpmath.libmp import to_float
-
-    def decide(x):
-        # to_float saturates an end beyond the float range to +-inf and is
-        # within one unit in the last place otherwise, so one step outward
-        # keeps each end on its side of the value
-        low, high = x._mpi_
-        return (
-            -math.inf if _special(low) else math.nextafter(to_float(low), -math.inf),
-            math.inf if _special(high) else math.nextafter(to_float(high), math.inf),
-        )
-
-    return _certify(node, decide)
+    return _certify(node, interval.Interval.floats)
 
 
 def sign(node: Node) -> int:
     """-1, 0 or 1: the exact sign of the value."""
 
     def decide(x):
-        return 1 if x.a > 0 else -1 if x.b < 0 else 0 if x.a == x.b == 0 else None
+        low, high = x.signs()
+        return 1 if low > 0 else -1 if high < 0 else 0 if low == high == 0 else None
 
     return _certify(node, decide, lambda form: None if form else 0)
 
@@ -749,7 +647,7 @@ def floor(node: Node) -> int:
         q = _rational(form)
         return None if q is None else math.floor(q)
 
-    return _certify(node, _floor, settle)
+    return _certify(node, interval.Interval.floor, settle)
 
 
 def floor_exp(node: Node) -> int:
@@ -767,7 +665,12 @@ def floor_exp(node: Node) -> int:
             n *= m[0][0][1] ** int(k)
         return n
 
-    return _certify(node, lambda x: _floor(_iv_exp(x.ctx, x)), settle)
+    # the floor needs more bits than e^value has, at most 1.4427 value: the
+    # doublings below a finite bound of them are skipped
+    prec, high = 64, bounds(node)[1]
+    while prec < MAX_PRECISION and prec < 1.4427 * high < math.inf:
+        prec *= 2
+    return _certify(node, lambda x: interval.exp(x).floor(), settle, prec)
 
 
 def ceil_decimal(node: Node, digits: int) -> str:
@@ -780,9 +683,11 @@ def ceil_decimal(node: Node, digits: int) -> str:
         return str(Decimal((sign, shown + (0,) * pad, exponent - pad)))
 
     def decide(x):
-        if not _fraction_sized(x):
+        ends = (x.lo, x.hi)
+        # an infinite end, or one whose exact value would be a huge fraction
+        if None in ends or max(abs(e) for _, e in ends) > MAX_PRECISION:
             return None
-        low, high = (ceil(endpoint_fraction(x, side)) for side in ("lower", "upper"))
+        low, high = (ceil(m * Fraction(2) ** e) for m, e in ends)
         return low if low == high else None
 
     def settle(form):

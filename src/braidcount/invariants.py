@@ -20,10 +20,12 @@ The entropy of a conjugacy class equals pi/2 times its extremal
 length; :data:`ENTROPY_PER_EXTREMAL_LENGTH` records the conversion.
 
 Decimal rendering of interval endpoints is rigorous and uses integer
-arithmetic only.  :func:`log_bounds` encloses ``2^160 log a`` between two
+arithmetic only.  :func:`log_bounds` encloses ``2^P log a`` between two
 integers, by argument reduction with square roots and an ``atanh`` series
 (Brent, "Fast multiple-precision evaluation of elementary functions",
-J. ACM 23, 1976), with ``ln 2`` and ``pi`` summed once by integer series.
+J. ACM 23, 1976), with ``ln 2`` and ``pi`` summed once per precision by
+integer series; the decimals take ``P = 160``, and the intervals of
+:mod:`braidcount.interval` any ``P``.
 Each endpoint is computed alone: the log end on its side times the
 scale's rational and ``pi``'s end that keeps it there is an exact
 fraction, which the printed 12-digit decimal rounds outward, floor on
@@ -45,8 +47,7 @@ DISPLAY_DIGITS = 12
 #: Fraction bits of the fixed-point logarithm :func:`log_bounds`: its ends lie
 #: within ``2^-147 log a`` of the value, so 12 printed digits stay sharp.
 LOG_BITS = 160
-_ONE = 1 << LOG_BITS
-#: Square roots taken before the ``atanh`` series of :func:`log_bounds`.
+#: Fewest square roots taken before the ``atanh`` series of :func:`log_bounds`.
 _ROOTS = 4
 
 
@@ -245,52 +246,59 @@ def _directed_decimal(numerator: int, denominator: int, direction: str) -> str:
 
 
 @cache
-def _constants() -> tuple[tuple[int, int], tuple[int, int]]:
-    """``ln 2`` and ``pi`` as integer pairs ``lo <= 2^LOG_BITS * value <= hi``."""
-    # P is LOG_BITS and an ulp is 2^-P.  ln 2 = 2 atanh(1/3) =
+def ln2_bounds(bits: int = LOG_BITS) -> tuple[int, int]:
+    """Integers ``lo <= 2^bits * ln 2 <= hi``."""
+    # P is bits and an ulp is 2^-P.  ln 2 = 2 atanh(1/3) =
     # 2 sum 3^-(2i+1) / (2i+1).  Each power floor(2^P / 3^(2i+1)) is exact,
     # as a floor divided by 9 and floored is the floor of the quotient;
     # flooring each term again leaves it less than 2 ulp short, and the tail
     # after the first zero power is below 9/8 ulp
-    power, total, i = _ONE // 3, 0, 0
+    power, total, i = (1 << bits) // 3, 0, 0
     while power:
         total += power // (2 * i + 1)
         power //= 9
         i += 1
-    ln2 = (2 * total, 2 * (total + 2 * i + 2))
+    return 2 * total, 2 * (total + 2 * i + 2)
+
+
+@cache
+def pi_bounds(bits: int = LOG_BITS) -> tuple[int, int]:
+    """Integers ``lo <= 2^bits * pi <= hi``."""
     # pi = 2 sum t_k with t_0 = 1 and t_(k+1) = t_k (k+1) / (2k+3) (Euler):
     # positive terms, each at most half the one before.  Flooring each step
     # of t_k 2^P leaves it e_k ulp short with e_(k+1) < e_k / 2 + 1, so
     # e_k < 2, and the tail after the first zero term is below 4 ulp
-    power, total, k = _ONE, 0, 0
+    power, total, k = 1 << bits, 0, 0
     while power:
         total += power
         power = power * (k + 1) // (2 * k + 3)
         k += 1
-    return ln2, (2 * total, 2 * (total + 2 * k + 4))
+    return 2 * total, 2 * (total + 2 * k + 4)
 
 
-def log_bounds(a: int) -> tuple[int, int]:
-    """Integers ``lo <= 2^LOG_BITS * ln(a) <= hi`` for an integer ``a >= 1``.
+def log_bounds(a: int, bits: int = LOG_BITS) -> tuple[int, int]:
+    """Integers ``lo <= 2^bits * ln(a) <= hi`` for an integer ``a >= 1``.
 
     Fixed-point integer arithmetic: the top bits of ``a``, square roots to
-    bring them near 1, and an ``atanh`` series; ``hi - lo`` is below
-    ``2^11 (1 + log2 a)``.
+    bring them near 1, and an ``atanh`` series; at :data:`LOG_BITS`,
+    ``hi - lo`` is below ``2^11 (1 + log2 a)``.
     """
     if a == 1:
         return 0, 0
-    # P is LOG_BITS, an ulp is 2^-P and r is _ROOTS.  With k + 1 the bit
+    # P is bits, an ulp is 2^-P and r is the number of roots, which grows
+    # like sqrt(P) so that the series stays short.  With k + 1 the bit
     # length of a, a = (m + rho) 2^(k - P) with 2^P <= m < 2^(P+1) and
     # 0 <= rho < 1, so ln a = k ln 2 + ln(z_0) + ln(1 + rho / m) with
     # z_0 = m / 2^P in [1, 2), and the last term lies in [0, 1 ulp)
+    one, roots = 1 << bits, max(_ROOTS, isqrt(bits) // 4)
     k = a.bit_length() - 1
-    z = a >> (k - LOG_BITS) if k >= LOG_BITS else a << (LOG_BITS - k)
+    z = a >> (k - bits) if k >= bits else a << (bits - k)
     # z_(j+1) = sqrt(z_j): each isqrt floors, and sqrt is 1/2-Lipschitz on
     # [1, oo), so the computed Z / 2^P lies in (z_r - 2 ulp, z_r]; ln is
     # 1-Lipschitz there, so ln(Z / 2^P) is less than 2 ulp short of
     # ln(z_r) = ln(z_0) / 2^r
-    for _ in range(_ROOTS):
-        z = isqrt(z << LOG_BITS)
+    for _ in range(roots):
+        z = isqrt(z << bits)
     # ln(Z / 2^P) = 2 atanh(t) with t = (Z - 2^P) / (Z + 2^P) < 1/3.  t
     # floored is less than 1 ulp short, and atanh(t) less than 2 ulp, as
     # atanh' <= 2 there.  The floored powers of t are e_j ulp short with
@@ -298,19 +306,19 @@ def log_bounds(a: int) -> tuple[int, int]:
     # less than 3 ulp short, and the tail after the first zero power is
     # below 3 ulp.  So total is at most atanh(t) and less than 3i + 5 ulp
     # below it, over its i terms
-    t = ((z - _ONE) << LOG_BITS) // (z + _ONE)
-    t2 = t * t >> LOG_BITS
+    t = ((z - one) << bits) // (z + one)
+    t2 = t * t >> bits
     total, power, i = 0, t, 0
     while power:
         total += power // (2 * i + 1)
-        power = power * t2 >> LOG_BITS
+        power = power * t2 >> bits
         i += 1
     # so ln(z_0) lies in [2^(r+1) total, 2^(r+1) (total + 3i + 6)) ulp, and
     # rho adds less than 1 ulp
-    (ln2_lo, ln2_hi), _ = _constants()
+    ln2_lo, ln2_hi = ln2_bounds(bits)
     return (
-        k * ln2_lo + (total << (_ROOTS + 1)),
-        k * ln2_hi + ((total + 3 * i + 6) << (_ROOTS + 1)) + 1,
+        k * ln2_lo + (total << (roots + 1)),
+        k * ln2_hi + ((total + 3 * i + 6) << (roots + 1)) + 1,
     )
 
 
@@ -324,7 +332,7 @@ def _scaled_log_end(scale: Scale, argument: int, direction: str) -> tuple[int, i
     k = scale.pi_power
     if k:
         # a product takes pi's end on the value's side, a quotient the other
-        pi = _constants()[1][upper == (k > 0)] ** abs(k)
+        pi = pi_bounds()[upper == (k > 0)] ** abs(k)
         if k > 0:
             numerator *= pi
             denominator <<= LOG_BITS * k

@@ -16,9 +16,10 @@ from braidcount import braid, counting, verify, words
 from braidcount.classes import MAX_REPORT_INDEX
 from braidcount.cli import MAX_BOUNDED_WORDS_X, MAX_X, main
 
-#: exactly 0, but exp(-2**23) lies beyond what an enclosure of exp resolves,
-#: so the enclosure of a Y that adds to it is millions wide
-LOOSE = "log(exp(-2**23)) + 2**23"
+#: exactly 0, but the exponent of exp(exp(exp(20))) passes the cap of
+#: interval.EXPONENT_BITS bits, so the enclosure of a Y that adds to it is
+#: the whole line
+LOOSE = "exp(exp(exp(20))) - exp(exp(exp(20)))"
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -396,13 +397,14 @@ class TestCount:
         assert run_json(capsys, "count", "tuples", "--Y", "exp(-E**(800000))") == rows
 
     def test_y_with_a_loose_enclosure_is_certified(self, capsys):
-        # Y is exactly 10, though its enclosure spans about 7*10^6
+        # Y is exactly 10, though its enclosure is unbounded
         rows = run_json(capsys, "count", "words", "--Y", LOOSE + " + 10")
         assert rows == run_json(capsys, "count", "words", "--X", "22026")
 
     def test_y_proven_above_the_ceiling_exits_2_at_once(self, capsys):
         start = time.perf_counter()
-        assert main(["count", "words", "--Y", LOOSE + " + 10**5"]) == 2
+        # an enclosure proves Y above the ceiling before any floor is certified
+        assert main(["count", "words", "--Y", "log(exp(-2**23)) + 2**23 + 10**5"]) == 2
         assert time.perf_counter() - start < 1.0
         assert "above the ceiling" in capsys.readouterr().err
 
@@ -476,8 +478,7 @@ class TestReport:
         assert rows[0]["index"] == index and rows[0]["satisfied"]
 
     def test_index_behind_a_loose_enclosure_is_certified(self, capsys):
-        # the enclosure of Y spans about 7*10^6, and its midpoint lies far
-        # above the index ceiling, yet the index is exactly 3000
+        # the enclosure of Y is unbounded, yet the index is exactly 3000
         rows = run_json(capsys, "report", "lambda", "--Y", LOOSE + " + 3000*300*log(8)")
         assert rows[0]["index"] == 3000 and rows[0]["satisfied"]
         code, _ = run(capsys, "report", "lambda", "--Y", LOOSE + f" + {MAX_REPORT_INDEX + 1}*300*log(8)")

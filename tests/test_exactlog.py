@@ -9,11 +9,12 @@ import mpmath
 import pytest
 import sympy
 
-from braidcount import exactlog
+from braidcount import exactlog, interval
 from braidcount.exactlog import bounds, ceil_decimal, floor, floor_exp, parse, sign
 
-#: exactly 0, but exp(-2**23) lies beyond what an enclosure of exp resolves
-LOOSE = "log(exp(-2**23)) + 2**23"
+#: exactly 0, but the exponent of exp(exp(exp(20))) passes the cap of
+#: interval.EXPONENT_BITS bits, so the enclosure of LOOSE is the whole line
+LOOSE = "exp(exp(exp(20))) - exp(exp(exp(20)))"
 
 
 class TestExactForms:
@@ -106,14 +107,21 @@ class TestCertificates:
 
     @pytest.mark.parametrize("text, value", [(LOOSE + " + 10", 10), (LOOSE + " - 10", -10)])
     def test_loose_enclosure_of_an_exact_rational(self, text, value):
-        # the enclosure of exp(-2**23) is clamped, so that of Y spans about
-        # 7*10^6 although Y is the integer value: bounds stay sound, and the
-        # certificates enclose the rational exact form instead
+        # the enclosure of Y is unbounded although Y is the integer value:
+        # bounds stay sound, and the certificates enclose the rational exact
+        # form instead
         low, high = bounds(parse(text))
         assert low <= value <= high and high - low > 10**6
         assert sign(parse(text)) == (1 if value > 0 else -1)
         assert floor(parse(text)) == value
         assert floor_exp(parse(text)) == math.floor(math.exp(value))
+
+    def test_loose_enclosure_hits_the_exponent_cap(self):
+        # e^(e^(e^20)) has an exponent of about 7*10^8 bits: the upper end reads
+        # as +inf, the lower end as the largest finite power of two
+        x = exactlog._enclose(parse("exp(exp(exp(20)))"), 64)
+        assert x.hi is None and x.lo[0] == 1
+        assert x.lo[1] == 2**interval.EXPONENT_BITS - 1
 
     @pytest.mark.parametrize("text, value_floor, exp_floor", [
         ("exp(-E**40)", 0, 1),  # an enclosure end near 2^(-3.4*10^17)
@@ -128,28 +136,35 @@ class TestCertificates:
             assert floor_exp(parse(text)) == exp_floor
         assert time.perf_counter() - start < 1.0
 
-    def test_widened_exp_of_a_tiny_negative_value_stays_at_most_one(self):
-        # e^a <= 1 for a <= 0, as e^a >= 1 for a >= 0, survives the widening
+    def test_exp_of_a_tiny_negative_value_stays_at_most_one(self):
+        # e^a <= 1 for a <= 0, as e^a >= 1 for a >= 0, survives the rounding
         # of the exp enclosure, which would put its upper end above 1
         assert ceil_decimal(parse("exp(-exp(-E**40))"), 12) == "1.00000000000"
 
-    def test_tiny_value_of_an_exponent_past_the_fraction_limit_is_positive(self):
-        # -E**800000 has about 1.15*10^6 bits, past the 2^20 bits that are
-        # turned into a fraction; e^a still gets a positive lower end
+    def test_tiny_value_of_an_exponent_of_a_million_bits_is_positive(self):
+        # -E**800000 has about 1.15*10^6 bits, so e^a has an exponent of as
+        # many bits, within the cap: e^a keeps a positive lower end
         start = time.perf_counter()
         assert sign(parse("exp(-E**(800000))")) == 1
         assert floor_exp(parse("exp(-E**(800000))")) == 1
         assert time.perf_counter() - start < 1.0
 
-    @pytest.mark.parametrize("a", [
-        -(2**21), -(2**21) - Fraction(1, 2), -(3 * 2**40 + 7), -(2**(exactlog._EXP_LIMIT + 12345)),
-    ], ids=["2^21", "2^21+1/2", "3*2^40+7", "2^(2^20+12345)"])
-    def test_lower_end_of_a_tiny_exp_is_the_bound_2_to_floor_1_4427_a(self, a):
-        # e^a >= 2^floor(1.4427 a) for a < 0, as 1.4427 > 1/log(2); the
-        # fraction is the reference, the code works on the raw tuple
-        with exactlog.interval_precision(64) as iv:
-            low = exactlog._iv_exp(iv, iv.mpf(a.numerator) / a.denominator)._mpi_[0]
-        assert low[:2] == (0, 1) and low[2] == math.floor(a * Fraction(14427, 10000))
+    @pytest.mark.parametrize("text", [
+        "exp(-2**21)", "exp(-2**21 - 1/2)", "exp(-(3*2**40 + 7))", "exp(-E**(2**18))",
+    ])
+    def test_exp_of_a_far_negative_value_is_positive(self, text):
+        start = time.perf_counter()
+        assert sign(parse(text)) == 1
+        assert floor(parse(text)) == 0 and floor_exp(parse(text)) == 1
+        assert time.perf_counter() - start < 1.0
+
+    @pytest.mark.parametrize("text", ["E**(2**40)", "pi**(10**100)", "exp(exp(exp(exp(10))))"])
+    def test_floor_of_a_far_huge_value_is_refused_quickly(self, text):
+        # an end past 2^(2^15) never becomes an int: its floor is not built
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="cannot certify"):
+            floor(parse(text))
+        assert time.perf_counter() - start < 2.0
 
     @pytest.mark.parametrize("text", ["exp(-E**40)", "-exp(-E**40)", "E**(2**40)"])
     def test_ceil_decimal_of_a_far_end_is_refused_quickly(self, text):
@@ -159,26 +174,19 @@ class TestCertificates:
             ceil_decimal(parse(text), 12)
         assert time.perf_counter() - start < 1.0
 
-    def test_only_finite_near_ends_become_fractions(self):
-        with exactlog.interval_precision(64) as iv:
-            near, far = iv.mpf(2) ** -exactlog._EXP_LIMIT, iv.mpf(2) ** (exactlog._EXP_LIMIT + 1)
-            assert exactlog._fraction_sized(iv.mpf([-near, near]))
-            assert exactlog._fraction_sized(iv.mpf([0, 1]))
-            # mpmath codes +inf with exponent and bit count -456 and -2
-            assert not exactlog._fraction_sized(iv.mpf([near, "inf"]))
-            assert not exactlog._fraction_sized(iv.mpf([-far, 0]))
-            assert not exactlog._fraction_sized(iv.mpf([1, far]))
-
-    def test_exp_enclosure_holds_where_mpmath_rounds_both_ends_down(self):
+    def test_exp_2101_is_certified(self):
         # at 256 bits mpmath's interval exp gives both ends of e^2101 as one
         # number below the value, so its floor looked certified and was wrong
-        with exactlog.interval_precision(256) as iv:
-            raw = iv.exp(iv.mpf(2101))
-            widened = exactlog._iv_exp(iv, iv.mpf(2101))
+        old, mpmath.iv.prec = mpmath.iv.prec, 256
+        try:
+            raw = mpmath.iv.exp(2101)
+        finally:
+            mpmath.iv.prec = old
+        x = interval.exp(interval.number(2101, 256))
         with mpmath.workprec(4000):
             value = mpmath.exp(2101)
             assert mpmath.mpf(raw.b) < value
-            assert mpmath.mpf(widened.a) < value < mpmath.mpf(widened.b)
+            assert mpmath.mpf(x.lo) < value < mpmath.mpf(x.hi)
             expected = int(mpmath.floor(value))
         assert floor(parse("exp(2101)")) == floor_exp(parse("2101")) == expected
 

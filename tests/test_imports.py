@@ -1,9 +1,9 @@
 """Which packages and submodules a command loads, checked in fresh interpreters.
 
-``sympy`` costs about 0.3 s to import and ``mpmath`` about 0.02 s, so
-only the commands that need them may load them: no command loads
-``sympy``, and ``mpmath`` serves only the certificates of a ``Y``
-expression in ``exactlog``; the bound columns are integer arithmetic.
+``sympy`` costs about 0.3 s to import and ``mpmath`` about 0.02 s, and
+both are references for the tests alone: no command loads either, and
+no module imports ``mpmath``.  The certificates of a ``Y`` expression are
+integer intervals (``interval``), and the bound columns integer arithmetic.
 The package's own submodules are registered lazily, and a command
 executes only those it uses.  No command loads ``dataclasses`` (about
 10 ms with the ``inspect``, ``ast`` and ``dis`` it imports): the records
@@ -75,10 +75,12 @@ def test_bound_columns_load_neither(argv):
 
 @pytest.mark.parametrize("argv", [
     ["count", "tuples", "--Y", "log(27)"],
+    ["count", "words", "--Y", "3*log(3)"],
     ["report", "lambda", "--Y", "600*log(8)"],
+    ["report", "entropy", "--Y", "600*pi*log(8)"],
 ])
-def test_y_commands_load_mpmath_only(argv):
-    assert loaded(argv) == (0, {"sympy": False, "mpmath": True})
+def test_y_commands_load_neither(argv):
+    assert loaded(argv) == (0, {"sympy": False, "mpmath": False})
 
 
 #: one command line of each kind the ``cli`` benchmark workload runs
@@ -132,9 +134,9 @@ def top_level_imports(path: Path) -> set[str]:
 MODULES = sorted((SRC / "braidcount").glob("*.py"))
 
 
-def test_only_exactlog_imports_mpmath():
+def test_no_module_imports_mpmath():
     for path in MODULES:
-        assert ("mpmath" in top_level_imports(path)) == (path.stem == "exactlog"), path.name
+        assert "mpmath" not in top_level_imports(path), path.name
 
 
 def test_no_module_imports_dataclasses():
@@ -151,13 +153,13 @@ def test_no_module_runs_generated_code():
 
 
 def test_only_y_loads_exact_forms():
-    # braidcount.exactlog is loaded on first use, like sympy and mpmath
+    # braidcount.exactlog and the interval layer it uses are loaded on first use
     code = (
         "import contextlib, io, sys, braidcount.cli\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    braidcount.cli.main(['count', 'words', '--X', '1000'])\n"
         "    braidcount.cli.main(['bounds', '--word', 'a1^2 a2^2'])\n"
-        "print('braidcount.exactlog' in sys.modules)"
+        "print({'braidcount.exactlog', 'braidcount.interval'} & set(sys.modules) != set())"
     )
     proc = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, check=True,

@@ -1,5 +1,6 @@
 """Bound intervals: weights, scales, rigorous decimal endpoints."""
 
+import hashlib
 import math
 import os
 import random
@@ -29,18 +30,18 @@ from braidcount.invariants import (
     BoundInterval,
     LogInteger,
     Scale,
-    _constants,
     _directed_decimal,
     _scaled_log_end,
     entropy_bounds,
     extremal_length_bounds_braid,
     extremal_length_bounds_word,
+    ln2_bounds,
     log_bounds,
     lower_weight,
+    pi_bounds,
     scaled_log_decimal,
     upper_weight,
 )
-from braidcount.exactlog import endpoint_fraction, interval_precision
 from braidcount.words import FreeWord, cyclic_reduce, parse_word, syllable_decompose
 
 degree_lists = st.lists(st.integers(min_value=1, max_value=9), min_size=1, max_size=6)
@@ -329,13 +330,17 @@ class TestDecimals:
 
 
 def _reference_scaled_log_decimal(scale: Scale, argument: int, direction: str) -> str:
-    with interval_precision(128) as iv:
+    iv = mpmath.iv
+    old, iv.prec = iv.prec, 128
+    try:
         value = iv.log(iv.mpf(argument))
         value *= iv.mpf(scale.rational.numerator)
         value /= iv.mpf(scale.rational.denominator)
         if scale.pi_power:
             value *= iv.pi ** scale.pi_power
-    end = endpoint_fraction(value, direction)
+    finally:
+        iv.prec = old
+    end = _raw_fraction(value._mpi_[0 if direction == "lower" else 1])
     rounding = ROUND_FLOOR if direction == "lower" else ROUND_CEILING
     ctx = Context(prec=DISPLAY_DIGITS, rounding=rounding)
     return str(ctx.divide(Decimal(end.numerator), Decimal(end.denominator)))
@@ -425,9 +430,35 @@ class TestLogKernel:
         assert log_bounds(1) == (0, 0)
 
     def test_constants_hold_ln2_and_pi(self):
-        (ln2_lo, ln2_hi), (pi_lo, pi_hi) = _constants()
+        (ln2_lo, ln2_hi), (pi_lo, pi_hi) = ln2_bounds(), pi_bounds()
         with mpmath.workprec(1000):
             ln2 = _raw_fraction(mpmath.ln2._mpf_) * 2**LOG_BITS
             pi = _raw_fraction(mpmath.pi._mpf_) * 2**LOG_BITS
         assert ln2_lo <= ln2 <= ln2_hi and ln2_hi - ln2_lo < 2**10
         assert pi_lo <= pi <= pi_hi and pi_hi - pi_lo < 2**10
+
+    @pytest.mark.parametrize("bits", [64, 161, 1000, 4096, 16448])
+    def test_ends_hold_the_log_at_other_precisions(self, bits):
+        # the interval layer takes the kernel and its constants at any precision,
+        # where the number of square roots grows like sqrt(bits)
+        rng = random.Random(bits)
+        arguments = [2, 3, 2**bits - 1, 2**bits + 1]
+        arguments += [rng.randrange(2, 2 ** rng.randint(2, 2 * bits)) for _ in range(20)]
+        with mpmath.workprec(bits + 4000):
+            for argument in arguments:
+                lo, hi = log_bounds(argument, bits)
+                value = mpmath.log(argument) * mpmath.mpf(2) ** bits
+                assert lo <= value <= hi and hi - lo < 2 ** (2 * bits.bit_length() + 20), argument
+            for (lo, hi), value in ((ln2_bounds(bits), mpmath.ln2), (pi_bounds(bits), mpmath.pi)):
+                assert lo <= value * mpmath.mpf(2) ** bits <= hi and hi - lo < 4 * bits
+
+    def test_ends_at_log_bits_are_the_pinned_integers(self):
+        # the printed digits of bounds, many_small and bench/expected.json rest
+        # on these integers; the digest is that of the kernel before it took a
+        # precision argument
+        rng = random.Random(2028)
+        arguments = [rng.randrange(2, 2 ** rng.randint(2, 12000)) for _ in range(300)]
+        arguments += [2, 3, 2**160, 2**160 + 1, 6**6000, 8**6000]
+        ends = [log_bounds(argument) for argument in arguments]
+        digest = hashlib.sha256(repr((ends, ln2_bounds(), pi_bounds())).encode()).hexdigest()
+        assert digest == "cd8b1efb738196d3602e35727aa2f11526fa2b2a8b10665bdfc73971b9f2cffa"
