@@ -36,7 +36,8 @@ _PUBLIC = {
     "counting": (
         "BoundNotApplicable", "WordBoundChain", "bound_tuples_j", "bound_tuples_total",
         "bound_words", "count_tuples", "count_tuples_j", "count_words",
-        "count_words_bounded", "max_tuple_length", "threshold_from_y",
+        "count_words_bounded", "count_words_with_bounds", "max_tuple_length",
+        "threshold_from_y",
     ),
     "invariants": (
         "BoundInterval", "LogInteger", "Scale", "entropy_bounds",

@@ -161,12 +161,12 @@ def cmd_bounds(args) -> list[dict]:
 
 
 #: Largest threshold ``count`` accepts.  At ``X = 10**11`` on a 2-core x86
-#: host, ``count words`` (its exact count plus the ``count_tuples`` of its
-#: bound chain) took about 18 s and 46.5 MB, against 23-24 s and 44.8 MB
-#: for the one-slice-per-source sieves in interleaved runs, and
-#: ``count tuples --j 4``, the costliest length, 17 s and 32 MB; past
-#: ``10**10`` the cost of ``count words`` grows about linearly in ``X``,
-#: so ``10**12`` would take minutes.
+#: host, ``count words`` (its exact count and the ``count_tuples`` of its
+#: bound chain, from one joined pass) took about 10.5 s and 39.6 MB,
+#: against 13.5-14.2 s and 45.5 MB for two separate passes in interleaved
+#: runs, and ``count tuples --j 4``, the costliest length, 17 s and 32 MB;
+#: past ``10**10`` the cost of ``count words`` grows about linearly in
+#: ``X``, so ``10**12`` would take minutes.
 MAX_X = 10**11
 #: Largest threshold ``count words --max-len L`` accepts when the budget
 #: binds (``L < X // 3``).  Its memoised recursion takes 1.3-1.8 s and
@@ -227,16 +227,17 @@ def cmd_count_words(args) -> list[dict]:
     if args.workers < 1:
         raise InputError("--workers must be positive")
     x = _resolve_x(args)
-    if args.max_len is not None:
-        if x > MAX_BOUNDED_WORDS_X and args.max_len < x // 3:
-            raise InputError(
-                f"X = {x} is above the ceiling {MAX_BOUNDED_WORDS_X} "
-                f"for --max-len below X // 3"
-            )
-        exact = counting.count_words_bounded(x, args.max_len)
+    if args.max_len is None or args.max_len >= x // 3:
+        # no word has a total degree above X // 3, so the budget cannot bind:
+        # the count and the tuples of its bound chain take one pass
+        exact, chain = counting.count_words_with_bounds(x)
+    elif x > MAX_BOUNDED_WORDS_X:
+        raise InputError(
+            f"X = {x} is above the ceiling {MAX_BOUNDED_WORDS_X} for --max-len below X // 3"
+        )
     else:
-        exact = counting.count_words(x, workers=args.workers)
-    chain = counting.bound_words(x)
+        exact = counting.count_words_bounded(x, args.max_len)
+        chain = counting.bound_words(x)
     return [{
         "function": "words",
         "X": x,

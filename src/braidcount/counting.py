@@ -10,7 +10,9 @@ integral makes every counter exact:
 * ``count_words(X)``: nonidentity reduced words in two generators whose
   degree product passes the threshold;
 * ``count_words_bounded(X, L)``: the same with total degree at most
-  ``L``, the shape the brute-force oracle can cross-check.
+  ``L``, the shape the brute-force oracle can cross-check;
+* ``count_words_with_bounds(X)``: ``count_words(X)`` with the
+  ``bound_words(X)`` that ``count words`` prints beside it, from one pass.
 
 ``count_tuples`` and ``count_words`` are summatory functions of Dirichlet
 series over the products ``3d``, each set by one *series* (``_TUPLES``,
@@ -22,7 +24,13 @@ takes prefix sums, and recurses only on the quotients ``X // k`` above
 in blocks whose own sources all lie below them, one slice per stride and
 block: about ``2.5 sqrt(N / 9)`` slices per table in place of one per
 source.  That costs about ``X^(2/3)`` steps per series until ``N`` reaches
-its cap near ``X = 10^10``, and grows about linearly beyond.
+its cap near ``X = 10^10``, and grows about linearly beyond.  A
+block-diagonal join of series (``_join``) runs the same engine over the
+tables of each in turn; no table reads another's coefficients, so each
+count is the one its series gives alone, while one sieve schedule, one
+quotient recursion and one list of table indices per quotient serve all
+of them.  ``count_words_with_bounds`` counts the words and the tuples of
+their bound chain so, in one pass over ``_WORDS_AND_TUPLES``.
 ``count_words_bounded`` reads the word series in a memoised recursion over
 the degree left.  A tuple of length ``j`` passes exactly when
 ``prod d_k <= X // 3^j``, so ``count_tuples_j(j, X)`` is the Piltz divisor
@@ -85,6 +93,29 @@ _WORDS = (3, ((0, 2), (0, 1)), ((2, 2), (2, 1)))
 # a degree tuple is a chain of one kind, one spelling per degree
 _TUPLES = (3, ((1,),), ((1,),))
 
+
+def _join(*series):
+    """The block-diagonal join of ``series`` that share one syllable factor:
+    the tables of each series in turn, each row padded with zero columns for
+    the kinds of the others, so that no table reads another's coefficients
+    and each ``F_k`` is the one its own series gives."""
+    c = series[0][0]
+    width = sum(len(one) for _, one, _ in series)
+    one, more = [], []
+    before = 0
+    for _, s_one, s_more in series:
+        after = width - before - len(s_one)
+        for rows, s_rows in ((one, s_one), (more, s_more)):
+            rows.extend((0,) * before + row + (0,) * after for row in s_rows)
+        before += len(s_one)
+    return (c, tuple(one), tuple(more))
+
+
+# count words prints the word count beside 2 4^j0 count_tuples, and both
+# come from one pass over this join: word tables FIRST, SECOND, then the
+# tuple table
+_WORDS_AND_TUPLES = _join(_WORDS, _TUPLES)
+
 # --- sieve plus recursion ---------------------------------------------------
 #
 # A series has one table per row.  Table k holds the Dirichlet coefficients
@@ -136,7 +167,11 @@ _TUPLES = (3, ((1,),), ((1,),))
 # terms of one f(c i) <= F(c i), so it meets the same bound.  The block
 # vectors are lists of Python ints, and each adds into an entry that stays
 # below its final f(c i).  A store that did overflow would raise
-# OverflowError, never wrap.
+# OverflowError, never wrap.  The argument holds for each table of a
+# block-diagonal join such as _WORDS_AND_TUPLES as well: no table reads
+# another's coefficients, so each holds the entries of its own series.
+# The prefix sums are taken in place, chunk by chunk, and every value
+# stored on the way is a final prefix sum.
 
 _SIEVE_CAP = 2 * 10**6
 #: Widest source block of a sieve, and most quotient indices listed at once
@@ -227,8 +262,10 @@ def _sieve_schedule(m: int, c: int) -> tuple[int, list[tuple[int, int]]]:
 
 def _push(table: array, targets: slice, source: list[int]) -> None:
     """Add ``source`` elementwise to the entries of ``table`` at ``targets``;
-    ``map`` stops at the end of the slice, which may be the shorter."""
-    table[targets] = array("q", map(add, table[targets], source))
+    ``map`` stops at the end of the slice, which may be the shorter.  An
+    array fills faster from a list than from an iterator, and a block holds
+    at most ``_BLOCK_CAP`` sources, so the list stays small."""
+    table[targets] = array("q", list(map(add, table[targets], source)))
 
 
 def _weighted(row: tuple[int, ...], sources: list[list[int]], scaled: dict) -> list[int]:
@@ -274,13 +311,21 @@ def _sieve(m: int, head: int, series) -> tuple[list[array], list[array]]:
             targets = slice(step * b, step * e, step)
             for table, source in zip(tables, pushes):
                 _push(table, targets, source)
-    heads = []
-    # each raw table goes once its prefix sums and head exist, so at most
-    # one table of m + 1 entries more than the series has is alive at once
-    for k, raw in enumerate(tables):
-        tables[k] = array("q", accumulate(raw))
-        heads.append(raw[1:head])
+    # each head is a copy, taken before its table turns into prefix sums
+    heads = [raw[1:head] for raw in tables]
+    for raw in tables:
+        _prefix_sums(raw)
     return tables, heads
+
+
+def _prefix_sums(raw: array) -> None:
+    """Turn ``raw`` into its prefix sums in place, ``_BLOCK_CAP`` entries at
+    a time, so that one chunk's list of Python ints is the only transient.
+    A chunk starts from the sum before it, which it writes back unchanged."""
+    for start in range(1, len(raw), _BLOCK_CAP):
+        stop = start + _BLOCK_CAP
+        sums = list(accumulate(raw[start:stop], initial=raw[start - 1]))
+        raw[start - 1 : stop] = array("q", sums)
 
 
 def count_tuples(x: int) -> int:
@@ -336,6 +381,8 @@ def count_words(x: int, workers: int = 1) -> int:
     The first syllable has 4 spellings of either kind, twice the 2 that
     follow a first-kind syllable, so the count is twice the nonempty
     continuations after a first-kind syllable with the whole budget.
+    This runs the word series alone; :func:`count_words_with_bounds`
+    gives the same count together with :func:`bound_words` in one pass.
     ``workers`` is accepted for compatibility and has no effect: the
     count is computed in this process and is the same for every value.
     """
@@ -443,14 +490,35 @@ class WordBoundChain(Record):
         object.__setattr__(self, "chain_value", chain_value)
 
 
-def bound_words(x: int) -> WordBoundChain:
-    """Exact values of both word-count bounds at threshold x."""
+def _word_bound_chain(x: int, tuples: int) -> WordBoundChain:
     j0 = max_tuple_length(x)
     return WordBoundChain(
         cube_half=Fraction(x ** 3, 2),
         chain_index=j0,
-        chain_value=2 * 4 ** j0 * count_tuples(x),
+        chain_value=2 * 4 ** j0 * tuples,
     )
+
+
+def bound_words(x: int) -> WordBoundChain:
+    """Exact values of both word-count bounds at threshold x >= 0."""
+    if x < 0:
+        raise ValueError("threshold must be nonnegative")
+    return _word_bound_chain(x, count_tuples(x))
+
+
+def count_words_with_bounds(x: int) -> tuple[int, WordBoundChain]:
+    """``(count_words(x), bound_words(x))`` from one counting pass.
+
+    The word and tuple series run as one block-diagonal join: one sieve,
+    one quotient recursion and one set of index lists serve both, where
+    the two counters alone would each build their own.
+    """
+    if x < 0:
+        raise ValueError("threshold must be nonnegative")
+    if x < 3:
+        return 0, _word_bound_chain(x, 0)
+    first, _, tuples = _summatory(x, _WORDS_AND_TUPLES)
+    return 2 * (first - 1), _word_bound_chain(x, tuples - 1)
 
 
 # --- thresholds from exponential form ---------------------------------------

@@ -1,6 +1,7 @@
 """Exact counting functions, analytic bounds, and threshold certification."""
 
 import ast
+import json
 import math
 import operator
 import random
@@ -9,13 +10,14 @@ from array import array
 from collections import Counter
 from fractions import Fraction
 from itertools import accumulate
+from pathlib import Path
 
 import mpmath
 import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
-from braidcount import counting, exactlog, words
+from braidcount import cli, counting, exactlog, words
 from braidcount.counting import (
     FIRST,
     SECOND,
@@ -27,6 +29,7 @@ from braidcount.counting import (
     count_tuples_j,
     count_words,
     count_words_bounded,
+    count_words_with_bounds,
     max_tuple_length,
     threshold_from_y,
 )
@@ -330,6 +333,13 @@ class TestWordBounds:
         assert n <= chain.chain_value
         assert n <= chain.cube_half
 
+    @pytest.mark.parametrize("x", [-1, -8, -10**12])
+    def test_negative_threshold_is_refused(self, x):
+        # X^3 / 2 is negative there, below count_words(x) = 0: a false violation
+        for bound in (bound_words, count_words_with_bounds):
+            with pytest.raises(ValueError, match="threshold must be nonnegative"):
+                bound(x)
+
 
 # The memoized quotient-group recursions that count_tuples, count_words and
 # count_tuples_j used before the sieve-plus-recursion engine, kept as
@@ -595,6 +605,65 @@ class TestFactorFour:
             for x in (3, 4, 7, 8, 40, 44, 100, 4**5):
                 brute = sum(n for (l, p), n in hist.items() if l <= limit and p <= x)
                 assert count_words_bounded(x, limit) == brute, (x, limit)
+
+
+class TestJoinedPass:
+    """count_words_with_bounds runs the word and tuple series as one join."""
+
+    def test_matches_separate_counters_at_small_thresholds(self):
+        for x in range(3001):
+            assert count_words_with_bounds(x) == (count_words(x), bound_words(x)), x
+
+    def test_matches_separate_counters_at_seeded_thresholds(self):
+        rng = random.Random(2904)
+        xs = [rng.randrange(10 ** rng.randint(4, 8)) for _ in range(8)] + [10**8]
+        for x in xs:
+            exact, chain = count_words_with_bounds(x)
+            assert exact == count_words(x), x
+            assert chain == bound_words(x), x
+            assert chain.chain_value == 2 * 4**chain.chain_index * count_tuples(x), x
+
+    def test_join_is_block_diagonal(self):
+        c, one, more = counting._WORDS_AND_TUPLES
+        assert c == 3
+        assert one == ((0, 2, 0), (0, 1, 0), (0, 0, 1))
+        assert more == ((2, 2, 0), (2, 1, 0), (0, 0, 1))
+
+    def test_factor_four_join_matches_separate_passes(self):
+        # a site that read a table of the other series, or the factor 3,
+        # would show here, where no factor of the join is 3
+        words_4 = _with_factor(counting._WORDS, 4)
+        tuples_4 = _with_factor(counting._TUPLES, 4)
+        joined = counting._join(words_4, tuples_4)
+        flipped = counting._join(tuples_4, words_4)
+        rng = random.Random(2905)
+        xs = [*range(600), *(rng.randrange(10**rng.randint(4, 8)) for _ in range(6))]
+        for x in xs:
+            separate = counting._summatory(x, words_4) + counting._summatory(x, tuples_4)
+            assert counting._summatory(x, joined) == separate, x
+            assert counting._summatory(x, flipped) == separate[2:] + separate[:2], x
+
+    def test_cli_prints_the_pinned_large_count(self, capsys):
+        # the stdout that bench/expected.json pins for the count_large workload
+        expected = Path(__file__).resolve().parent.parent / "bench" / "expected.json"
+        pinned = json.loads(expected.read_text())
+        assert cli.main(["count", "words", "--X", "29999999"]) == 0
+        assert capsys.readouterr().out == pinned["large"]["count_words"]["29999999"]
+
+
+_CHUNK = counting._BLOCK_CAP
+
+
+class TestPrefixSums:
+    # chunks start at entry 1: chunk + 1 entries fill one chunk exactly,
+    # and chunk + 2 leave a last chunk of one entry
+    @pytest.mark.parametrize("n", [0, 1, _CHUNK - 1, _CHUNK, _CHUNK + 1, _CHUNK + 2, 3 * _CHUNK + 5])
+    def test_matches_accumulate(self, n):
+        rng = random.Random(n)
+        raw = array("q", [rng.randrange(2**40) for _ in range(n)])
+        want = array("q", accumulate(raw))
+        counting._prefix_sums(raw)
+        assert raw == want
 
 
 def _bounded_by_recursion(x, limit):
