@@ -1,19 +1,27 @@
 """Command-line front end.
 
-Commands
---------
-normalize TEXT        canonical form of a braid word modulo the center
-syllables TEXT        syllable decomposition of a free-group word
-theta TEXT            pure projection of a braid word
-bounds --word/--braid extremal-length (and entropy) bound intervals
-count tuples (--X N | --Y EXPR) [--j J]
-count words (--X N | --Y EXPR) [--max-len L] [--workers W]
-count classes --pairs J
-                      exact counts next to their analytic bounds; an option
-                      of another kind is refused with exit code 2
-report lambda|entropy --Y EXPR
-                      lower-bound report at scale parameter Y
-verify                run the internal check suites
+Usage::
+
+    braidcount [-h | --help] [--format json|csv|plain] COMMAND ...
+        -h, --help and --format may follow any command word
+    braidcount normalize TEXT
+        canonical form of a braid word modulo the center
+    braidcount syllables TEXT
+        syllable decomposition of a free-group word
+    braidcount theta TEXT
+        pure projection of a braid word
+    braidcount bounds (--word TEXT | --braid TEXT)
+        extremal-length (and entropy) bound intervals
+    braidcount count tuples (--X N | --Y EXPR) [--j J]
+    braidcount count words (--X N | --Y EXPR) [--max-len L] [--workers W]
+    braidcount count classes --pairs J
+        exact counts next to their analytic bounds; an option of another
+        kind is refused with exit code 2
+    braidcount report (lambda | entropy) --Y EXPR
+        lower-bound report at scale parameter Y
+    braidcount verify [--suite NAME]... [--max-x N] [--max-len L]
+                      [--pairs J] [--conj-len C]
+        run the internal check suites
 
 Output formats: ``json`` (default), ``csv`` with columns exactly the
 json keys, and ``plain``.  Exit codes: 0 on success, 1 when ``verify``
@@ -22,17 +30,23 @@ too, refused by :func:`verify.run_suites`).  Bound columns are exact
 integer arithmetic rounded outward to 12 digits, and a ``--Y`` is
 certified on the integer intervals of :mod:`braidcount.interval`, which
 ``bounds`` and ``count --X`` never load.
-``--format`` may follow any command word.
+
+Options are read as argparse reads them: ``--opt VALUE`` or
+``--opt=VALUE``, the last value winning (``--suite`` keeps them all), and
+a unique prefix of a long option (``--form``).  A value starting with
+``-`` is read for ``--Y`` always, and for other options only where it is
+a negative number; ``--`` is never a value and, after the command words,
+ends the options.
 """
 
 from __future__ import annotations
 
-import argparse
 import io
 import json
 import math
 import os
 import sys
+from types import SimpleNamespace
 
 from . import braid, classes, counting, invariants, verify, words
 
@@ -278,85 +292,130 @@ def cmd_verify(args) -> tuple[list[dict], bool]:
     return [r.to_json() for r in rows], all(r.passed for r in rows)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    # --format is accepted before or after each command word; the subparser
-    # copies use SUPPRESS so an absent later flag keeps an earlier one.
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--format", choices=("json", "csv", "plain"), default=argparse.SUPPRESS
-    )
-    parser = argparse.ArgumentParser(
-        prog="braidcount",
-        description="exact three-strand braid invariants and counting",
-    )
-    parser.add_argument("--format", choices=("json", "csv", "plain"), default="json")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def command(group, name: str, handler, help: str) -> argparse.ArgumentParser:
-        p = group.add_parser(name, parents=[common], help=help)
-        p.set_defaults(handler=handler)
-        return p
-
-    p = command(sub, "normalize", cmd_normalize, "canonical form of a braid word")
-    p.add_argument("text")
-    p = command(sub, "syllables", cmd_syllables, "syllable decomposition of a word")
-    p.add_argument("text")
-    p = command(sub, "theta", cmd_theta, "pure projection of a braid word")
-    p.add_argument("text")
-
-    p = command(sub, "bounds", cmd_bounds, "invariant bound intervals")
-    group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--word")
-    group.add_argument("--braid")
-
-    count = sub.add_parser("count", parents=[common], help="exact counts with analytic bounds")
-    kinds = count.add_subparsers(dest="kind", required=True)
-    tuples = command(kinds, "tuples", cmd_count_tuples, "degree tuples with prod(3 d_k) <= X")
-    reduced = command(kinds, "words", cmd_count_words, "reduced words with prod(3 d_k) <= X")
-    for p in (tuples, reduced):
-        threshold = p.add_mutually_exclusive_group(required=True)
-        threshold.add_argument("--X", type=int)
-        threshold.add_argument("--Y")
-    tuples.add_argument("--j", type=int)
-    reduced.add_argument("--max-len", type=int, dest="max_len")
-    reduced.add_argument("--workers", type=int, default=1)
-    p = command(kinds, "classes", cmd_count_classes, "conjugacy classes of index --pairs")
-    p.add_argument("--pairs", type=int, required=True)
-
-    p = command(sub, "report", cmd_report, "lower-bound report at scale Y")
-    p.add_argument("variant", choices=("lambda", "entropy"))
-    p.add_argument("--Y", required=True)
-
-    p = command(sub, "verify", cmd_verify, "run the internal check suites")
-    p.add_argument("--suite", action="append")
-    p.add_argument("--max-x", type=int, dest="max_x")
-    p.add_argument("--max-len", type=int, dest="max_len")
-    p.add_argument("--pairs", type=int)
-    p.add_argument("--conj-len", type=int, dest="conj_len")
-
-    return parser
+_COMMON = {"-h": None, "--help": None, "--format": ("json", "csv", "plain")}
+_THRESHOLD, _X_OR_Y = {"--X": int, "--Y": str}, (("--X", "--Y"),)
+_LIMITS = dict.fromkeys(("--max-x", "--max-len", "--pairs", "--conj-len"), int)
+#: Each command's handler, its positional (a name without dashes) and
+#: options, and its groups, from each of which exactly one option must be
+#: given (a group of one is a required option).  A reader is ``int``, ``str``,
+#: ``list`` (the values accumulate) or a tuple of choices; every command word
+#: also takes the options of ``_COMMON``, where None marks help.
+GRAMMAR = {
+    "normalize": (cmd_normalize, {"text": str}, ()),
+    "syllables": (cmd_syllables, {"text": str}, ()),
+    "theta": (cmd_theta, {"text": str}, ()),
+    "bounds": (cmd_bounds, {"--word": str, "--braid": str}, (("--word", "--braid"),)),
+    "count tuples": (cmd_count_tuples, {**_THRESHOLD, "--j": int}, _X_OR_Y),
+    "count words": (cmd_count_words, {**_THRESHOLD, "--max-len": int, "--workers": int}, _X_OR_Y),
+    "count classes": (cmd_count_classes, {"--pairs": int}, (("--pairs",),)),
+    "report": (cmd_report, {"variant": ("lambda", "entropy"), "--Y": str}, (("--Y",),)),
+    "verify": (cmd_verify, {"--suite": list, **_LIMITS}, ()),
+}
+#: every attribute a handler reads, and its value where the command line omits it
+_NAMES = {name.lstrip("-").replace("-", "_") for _, own, _ in GRAMMAR.values() for name in own}
+_DEFAULTS = dict.fromkeys(_NAMES) | {"workers": 1, "format": "json", "handler": None}
 
 
-def _attach_y_values(argv: list[str]) -> list[str]:
-    """``--Y VALUE`` as ``--Y=VALUE`` where ``VALUE`` starts with ``-``.
+def _exit(words: list[str], error: str = ""):
+    """Print the usage of the command words read, from the first entry of
+    this module's usage block and those that begin with the words, as
+    argparse did: on stdout with exit code 0, or with ``error`` on stderr
+    and exit code 2."""
+    head, block = " ".join(["braidcount", *words]), (__doc__ or "").partition("::\n\n    ")[2]
+    entries = block.partition("\n\n")[0].split("\n    braidcount")
+    kept = [e for k, e in enumerate(entries) if not k or f"braidcount{e} ".startswith(head + " ")]
+    usage = "usage: " + "\n       braidcount".join(kept)
+    print(usage + (error and f"\n{head}: error: {error}"), file=sys.stderr if error else sys.stdout)
+    raise SystemExit(2 if error else 0)
 
-    argparse reads such a token as an option unless it is a plain negative
-    number, so ``--Y -log(2)`` would stop at "expected one argument" before
-    the value is read.  A token that starts with ``--`` or is ``-h`` is an
-    option of this parser and stays apart.
-    """
-    out: list[str] = []
-    for token in argv:
-        dashed_value = token.startswith("-") and not token.startswith("--") and token != "-h"
-        if dashed_value and out and out[-1] == "--Y":
-            out[-1] = f"--Y={token}"
+
+def _option(token: str, options: dict, words: list[str]):
+    """``token`` read among ``options`` as argparse reads it: None for a
+    value, else the option and its text after ``=`` (or None), where the
+    option is "" for a token that names none of them."""
+    if token[:1] != "-" or token == "-":
+        return None
+    name, eq, text = token.partition("=")
+    prefixed = [o for o in options if token[1] == "-" and o.startswith(name)]  # long options only
+    found = [name] if name in options else prefixed
+    if len(found) > 1:
+        _exit(words, f"ambiguous option: {token} could match {', '.join(found)}")
+    if found:
+        return found[0], text if eq else None
+    if token[1] == "h":  # -hh is -h twice
+        return "-h", token[2:]
+    whole, _, fraction = token[1:].removesuffix("\n").rpartition(".")
+    if fraction.isdecimal() and (not whole or whole.isdecimal()) or " " in token:
+        return None  # a negative number, or a value with a space in it
+    return "", None
+
+
+def parse_args(argv: list[str]) -> SimpleNamespace:
+    """The command line ``argv`` read against :data:`GRAMMAR` in one walk."""
+    args = SimpleNamespace(**_DEFAULTS)
+    words, options, groups, given, stray, rest, i = [], _COMMON, (), set(), [], False, 0
+    positional = pending = after = None  # rest: a "--" has ended the options
+    while i < len(argv):
+        token, i = argv[i], i + 1
+        if token == "--Y" and argv[i:] and argv[i][:1] == "-" != argv[i][1:2] and argv[i] != "-h":
+            token, i = f"--Y={argv[i]}", i + 1  # a value starting with "-" is --Y's always
+        found = None if rest or token == "--" else _option(token, options, words)
+        if pending:
+            if found is not None or token == "--":
+                _exit(words, f"argument {pending}: expected one argument")
+            found, pending = (pending, token), None
+        elif found is None and args.handler is None:  # a command word, "--" too for argparse
+            words.append(token)
+            key = " ".join(words)
+            if not any(f"{command} ".startswith(key + " ") for command in GRAMMAR):
+                _exit(words[:-1], f"invalid choice: {token!r}")
+            if key in GRAMMAR:
+                args.handler, own, groups = GRAMMAR[key]
+                options = {**_COMMON, **own}
+                positional = next((name for name in own if name[0] != "-"), None)
+            continue
+        elif token == "--" and not rest:  # ends the options
+            if not positional and after != i - 1:  # argparse dropped it only by the positional
+                stray.append(token)
+            rest = True
+            continue
+        elif found is None:  # the positional, or a stray argument once it is read
+            found, positional, after = (positional or "", token), None, i if positional else after
+        name, text = found
+        if not name:
+            stray.append(token)
+        elif options[name] is None:  # -h or --help
+            if text is not None and (name != "-h" or not text or text.strip("h")):
+                _exit(words, f"argument -h/--help: ignored explicit argument {text!r}")
+            for later in argv[i : argv.index("--", i) if "--" in argv[i:] else None]:
+                _option(later, options, words)  # argparse refused ambiguous prefixes first
+            _exit(words)
+        elif text is None:
+            pending = name
         else:
-            out.append(token)
-    return out
+            reader, dest = options[name], name.lstrip("-").replace("-", "_")
+            try:
+                value = int(text) if reader is int else text
+                if isinstance(reader, tuple) and text not in reader:
+                    raise ValueError
+            except ValueError:
+                _exit(words, f"argument {name}: invalid value: {text!r}")
+            for other in {o for group in groups if name in group for o in group} & given - {name}:
+                _exit(words, f"argument {name}: not allowed with argument {other}")
+            given.add(name)
+            setattr(args, dest, (getattr(args, dest) or []) + [value] if reader is list else value)
+    if pending:
+        _exit(words, f"argument {pending}: expected one argument")
+    missing = [positional] * bool(positional) + [" ".join(g) for g in groups if not given & set(g)]
+    if missing or args.handler is None:
+        _exit(words, f"the following arguments are required: {', '.join(missing or ['COMMAND'])}")
+    if stray:
+        _exit(words, f"unrecognized arguments: {' '.join(stray)}")
+    return args
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(_attach_y_values(sys.argv[1:] if argv is None else argv))
+    args = parse_args(sys.argv[1:] if argv is None else list(argv))
     try:
         # a handler returns its rows; cmd_verify also whether every check passed
         result = args.handler(args)

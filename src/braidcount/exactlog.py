@@ -23,8 +23,9 @@ factorisation over the coprime base decides that; this base is the simple
 quadratic form of Bernstein, "Factoring into coprimes in essentially linear
 time" (J. Algorithms 54, 2005).  What neither settles within
 :data:`MAX_PRECISION` bits raises ValueError: no answer is guessed.  An
-exact form is used only after an enclosure has certified that every
-logarithm, root and divisor in the tree is well defined.
+exact form is used only after an enclosure, or where an argument's
+enclosure touches zero the exact forms themselves, have certified that
+every logarithm, root and divisor in the tree is well defined.
 """
 
 from __future__ import annotations
@@ -345,7 +346,8 @@ def _rational(form: dict) -> Fraction | None:
 
 
 def _positive(monomial: tuple) -> bool:
-    return all(atom[0] != "?" for atom, _ in monomial)
+    # of the opaque atoms only e^u, for a real u, is known to be positive
+    return all(atom[0] != "?" or atom[1] == "exp" for atom, _ in monomial)
 
 
 def _positive_sum(form: dict) -> bool:
@@ -410,6 +412,8 @@ def _log(form: dict) -> dict:
             piece = _log_int(atom[1])
         elif atom[0] == "+":
             piece = _atom(_opaque("log", dict(atom[1])))
+        elif atom[:2] == ("?", "exp"):  # log((e^u)^e) = e u
+            piece = dict(atom[2])
         else:  # log(pi), log(log b)
             piece = _atom(_opaque("log", _atom(atom)))
         out = _add(out, piece, e)
@@ -592,29 +596,50 @@ def _enclose(node: Node, prec: int) -> interval.Interval:
     return interval.exp((e if r is None else interval.number(r, prec)) * log)
 
 
+def _defined(node: Node) -> bool:
+    """Whether exact forms prove every logarithm, root and power in the tree
+    taken of a positive number, and every divisor nonzero."""
+    op, args = node.op, node.args
+    if not all(_defined(a) for a in args if isinstance(a, Node)):
+        return False
+    if op == "div":
+        return bool(_exact(args[1]))
+    r = _rational(_exact(args[1])) if op == "pow" else None
+    if r is not None and r.denominator == 1:
+        return r >= 0 or bool(_exact(args[0]))
+    if op in ("log", "sqrt", "pow"):
+        form = _exact(args[0])
+        return bool(form) and _positive_sum(form)
+    return True
+
+
 # --- certificates -----------------------------------------------------------
 
 
 def _certify(node: Node, decide, settle=None, prec=64):
     """Enclose ``node`` from ``prec`` bits, doubling to :data:`MAX_PRECISION`,
     until ``decide(enclosure)`` answers; where it cannot, ``settle(exact form)``
-    may, and an exact form that is a rational is enclosed in place of ``node``."""
+    may, and an exact form that is a rational is enclosed in place of ``node``.
+    An enclosure that stops at an argument near zero goes the same way where
+    :func:`_defined` proves the tree defined."""
     name = f"Y = {node.source}" if node.source is not None else "the expression"
     while prec <= MAX_PRECISION:
         try:
-            x = _enclose(node, prec)
-            got = decide(x)
-            if got is None and settle is not None:
+            try:
+                got, defined = decide(_enclose(node, prec)), settle is not None
+            except _Undecided:
+                # an argument's enclosure touches zero though the argument is
+                # not zero: the exact forms may still prove the tree defined
+                got, defined = None, _defined(node)
+            if got is None and defined:
                 form = _exact(node)
-                got = settle(form)
+                got = None if settle is None else settle(form)
                 q = _rational(form)
                 if got is None and q is not None and node.op != "num":
                     # the value is the rational q: enclose q instead, which
                     # no loose enclosure of a far exp or log can spoil
                     node = number(q)
                     continue
-        except _Undecided:
-            got = None
         except _NotReal:
             raise ValueError(f"{name} is not a real number") from None
         if got is not None:

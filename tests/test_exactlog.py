@@ -226,3 +226,38 @@ class TestValues:
     def test_refused_when_parsed(self, text):
         with pytest.raises(ValueError):
             parse(text)
+
+
+#: exactly 10: e^(-e^(e^20)) lies below every interval end, so the enclosure
+#: of its logarithm touches zero, while the exact form reads log(e^u) as u
+FAR_LOG = "log(exp(-exp(exp(20)))) + exp(exp(20)) + 10"
+#: log(a) - log(a) with a = e^(-e^(e^21)) - e^(-e^(e^20)) < 0: not a real
+#: number, though the exact forms of the two logarithms cancel
+NEGATIVE_LOG = "log({a}) - log({a})".format(a="exp(-exp(exp(21))) - exp(-exp(exp(20)))")
+
+
+class TestLogOfAFarExp:
+    @pytest.mark.parametrize("text", [
+        FAR_LOG,
+        "2*log(sqrt(exp(-exp(exp(20))))) + exp(exp(20)) + 10",  # log((e^u)^(1/2))
+        "log(exp(-exp(exp(20)))**3) + 3*exp(exp(20)) + 10",
+    ])
+    def test_bounds_and_floor_exp(self, text):
+        start = time.perf_counter()
+        low, high = bounds(parse(text))
+        assert low <= 10 <= high and high - low < 1e-9
+        assert floor_exp(parse(text)) == math.floor(math.exp(10)) == 22026
+        assert time.perf_counter() - start < 0.5
+
+    def test_count_words(self, capsys):
+        from braidcount.cli import main
+
+        assert main(["count", "words", "--Y", FAR_LOG]) == 0
+        by_y = capsys.readouterr().out
+        assert main(["count", "words", "--X", "22026"]) == 0
+        assert by_y == capsys.readouterr().out
+
+    def test_logarithm_of_a_negative_far_difference_is_not_certified(self):
+        # only an argument whose exact form is a positive sum is known positive
+        with pytest.raises(ValueError, match="cannot certify"):
+            bounds(parse(NEGATIVE_LOG))

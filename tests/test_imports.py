@@ -107,6 +107,39 @@ def test_no_command_loads_dataclasses_or_inspect(argv):
     )
 
 
+# as PROBE, but a command line may end in SystemExit: --help and usage errors
+EXITING_PROBE = """
+import contextlib, io, json, sys
+import braidcount.cli
+argv, names = json.loads(sys.argv[1]), json.loads(sys.argv[2])
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    try:
+        code = braidcount.cli.main(argv)
+    except SystemExit as exc:
+        code = exc.code
+print(json.dumps([code, [name in sys.modules for name in names]]))
+"""
+
+
+@pytest.mark.parametrize("argv, code", [
+    *((argv, 0) for argv in COMMAND_KINDS),
+    (["--help"], 0),
+    (["count", "words", "-h"], 0),
+    (["count", "words", "--Y", "--X", "5"], 2),
+    (["verify", "--max", "5"], 2),
+])
+def test_no_command_loads_argparse_gettext_or_locale(argv, code):
+    # argparse with gettext cost about 3 ms to import and building its
+    # parser about 4 ms more, locale included; the grammar table needs none
+    names = ["argparse", "gettext", "locale"]
+    proc = subprocess.run(
+        [sys.executable, "-c", EXITING_PROBE, json.dumps(argv), json.dumps(names)],
+        capture_output=True, text=True, check=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+    )
+    assert json.loads(proc.stdout) == [code, [False] * len(names)]
+
+
 @pytest.mark.parametrize("argv", [
     [],
     ["normalize", "s1^2 s2^2"],
