@@ -45,6 +45,7 @@ import io
 import json
 import math
 import os
+import re
 import sys
 from types import SimpleNamespace
 
@@ -293,27 +294,31 @@ def cmd_verify(args) -> tuple[list[dict], bool]:
 
 
 _COMMON = {"-h": None, "--help": None, "--format": ("json", "csv", "plain")}
-_THRESHOLD, _X_OR_Y = {"--X": int, "--Y": str}, (("--X", "--Y"),)
-_LIMITS = dict.fromkeys(("--max-x", "--max-len", "--pairs", "--conj-len"), int)
-#: Each command's handler, its positional (a name without dashes) and
-#: options, and its groups, from each of which exactly one option must be
-#: given (a group of one is a required option).  A reader is ``int``, ``str``,
-#: ``list`` (the values accumulate) or a tuple of choices; every command word
-#: also takes the options of ``_COMMON``, where None marks help.
+#: Each run of command words: its handler (None until the command is
+#: whole), its required positional (a name without dashes) and options,
+#: and its groups of options, from each of which exactly one must be given
+#: (a group of one is a required option; no command has both kinds).  A
+#: reader is ``int``, ``str``, ``list`` (the values accumulate) or a tuple
+#: of choices; every level also takes the options of ``_COMMON``, where
+#: None marks help.  The command words are read as the positionals
+#: ``command`` and ``kind``, the names argparse gave them.
 GRAMMAR = {
     "normalize": (cmd_normalize, {"text": str}, ()),
     "syllables": (cmd_syllables, {"text": str}, ()),
     "theta": (cmd_theta, {"text": str}, ()),
     "bounds": (cmd_bounds, {"--word": str, "--braid": str}, (("--word", "--braid"),)),
-    "count tuples": (cmd_count_tuples, {**_THRESHOLD, "--j": int}, _X_OR_Y),
-    "count words": (cmd_count_words, {**_THRESHOLD, "--max-len": int, "--workers": int}, _X_OR_Y),
+    "count": (None, {"kind": ("tuples", "words", "classes")}, ()),
+    "count tuples": (cmd_count_tuples, {"--X": int, "--Y": str, "--j": int}, (("--X", "--Y"),)),
+    "count words": (cmd_count_words, {"--X": int, "--Y": str, "--max-len": int, "--workers": int},
+                    (("--X", "--Y"),)),
     "count classes": (cmd_count_classes, {"--pairs": int}, (("--pairs",),)),
     "report": (cmd_report, {"variant": ("lambda", "entropy"), "--Y": str}, (("--Y",),)),
-    "verify": (cmd_verify, {"--suite": list, **_LIMITS}, ()),
+    "verify": (cmd_verify, {"--suite": list, "--max-x": int, "--max-len": int, "--pairs": int,
+                            "--conj-len": int}, ()),
 }
-#: every attribute a handler reads, and its value where the command line omits it
-_NAMES = {name.lstrip("-").replace("-", "_") for _, own, _ in GRAMMAR.values() for name in own}
-_DEFAULTS = dict.fromkeys(_NAMES) | {"workers": 1, "format": "json", "handler": None}
+GRAMMAR[""] = (None, {"command": tuple(dict.fromkeys(k.split()[0] for k in GRAMMAR))}, ())
+#: every attribute a handler reads, None where the command line omits it
+_DEFAULTS = {n.lstrip("-").replace("-", "_"): None for _, own, _ in GRAMMAR.values() for n in own}
 
 
 def _exit(words: list[str], error: str = ""):
@@ -321,97 +326,89 @@ def _exit(words: list[str], error: str = ""):
     this module's usage block and those that begin with the words, as
     argparse did: on stdout with exit code 0, or with ``error`` on stderr
     and exit code 2."""
-    head, block = " ".join(["braidcount", *words]), (__doc__ or "").partition("::\n\n    ")[2]
-    entries = block.partition("\n\n")[0].split("\n    braidcount")
-    kept = [e for k, e in enumerate(entries) if not k or f"braidcount{e} ".startswith(head + " ")]
-    usage = "usage: " + "\n       braidcount".join(kept)
-    print(usage + (error and f"\n{head}: error: {error}"), file=sys.stderr if error else sys.stdout)
+    head = " ".join(["braidcount", *words])
+    entries = re.findall(rf"^ +((?:braidcount \[|{head}\b).*(?:\n {{5,}}.*)*)", __doc__ or "", re.M)
+    print("usage: " + "\n       ".join(entries) + (error and f"\n{head}: error: {error}"),
+          file=sys.stderr if error else sys.stdout)
     raise SystemExit(2 if error else 0)
 
 
-def _option(token: str, options: dict, words: list[str]):
-    """``token`` read among ``options`` as argparse reads it: None for a
-    value, else the option and its text after ``=`` (or None), where the
-    option is "" for a token that names none of them."""
+def _option(token: str, opts: dict, words: list[str]):
+    """``token`` read among the options ``opts`` as argparse reads it: None
+    for a value, else the option and its text after ``=`` (or None), where
+    the option is "" for a token that names none of them.  Only a long
+    option is matched by a prefix."""
     if token[:1] != "-" or token == "-":
         return None
     name, eq, text = token.partition("=")
-    prefixed = [o for o in options if token[1] == "-" and o.startswith(name)]  # long options only
-    found = [name] if name in options else prefixed
+    found = [name] if name in opts else [o for o in opts if token[1] == "-" and o.startswith(name)]
     if len(found) > 1:
         _exit(words, f"ambiguous option: {token} could match {', '.join(found)}")
     if found:
         return found[0], text if eq else None
-    if token[1] == "h":  # -hh is -h twice
-        return "-h", token[2:]
-    whole, _, fraction = token[1:].removesuffix("\n").rpartition(".")
-    if fraction.isdecimal() and (not whole or whole.isdecimal()) or " " in token:
-        return None  # a negative number, or a value with a space in it
-    return "", None
+    if token[1] == "h":  # -hh is -h twice: what follows the h's is refused
+        return "-h", token[2:].lstrip("h") or None
+    # a negative number or a value with a space in it, else an unknown option
+    return None if re.match(r"^-\d+$|^-\d*\.\d+$", token) or " " in token else ("", None)
 
 
 def parse_args(argv: list[str]) -> SimpleNamespace:
     """The command line ``argv`` read against :data:`GRAMMAR` in one walk."""
-    args = SimpleNamespace(**_DEFAULTS)
-    words, options, groups, given, stray, rest, i = [], _COMMON, (), set(), [], False, 0
-    positional = pending = after = None  # rest: a "--" has ended the options
-    while i < len(argv):
+    for k in reversed(range(1, len(argv))):  # a value starting with "-" is --Y's always
+        if argv[k - 1] == "--Y" and argv[k][:1] == "-" != argv[k][1:2] and argv[k] != "-h":
+            argv = argv[: k - 1] + [f"--Y={argv[k]}"] + argv[k + 1 :]
+    # given: the values read, by option or positional; after: the index
+    # after the positional; rest: whether a "--" has ended the options
+    given, stray, i, after, rest = {}, [], 0, None, False
+    while True:
+        words = [given[name] for name in ("command", "kind") if name in given]
+        handler, own, groups = GRAMMAR[" ".join(words)]
+        options = {**_COMMON, **own}
+        unread = [name for name in own if name[0] != "-" and name not in given]
+        if i == len(argv):
+            break
         token, i = argv[i], i + 1
-        if token == "--Y" and argv[i:] and argv[i][:1] == "-" != argv[i][1:2] and argv[i] != "-h":
-            token, i = f"--Y={argv[i]}", i + 1  # a value starting with "-" is --Y's always
         found = None if rest or token == "--" else _option(token, options, words)
-        if pending:
-            if found is not None or token == "--":
-                _exit(words, f"argument {pending}: expected one argument")
-            found, pending = (pending, token), None
-        elif found is None and args.handler is None:  # a command word, "--" too for argparse
-            words.append(token)
-            key = " ".join(words)
-            if not any(f"{command} ".startswith(key + " ") for command in GRAMMAR):
-                _exit(words[:-1], f"invalid choice: {token!r}")
-            if key in GRAMMAR:
-                args.handler, own, groups = GRAMMAR[key]
-                options = {**_COMMON, **own}
-                positional = next((name for name in own if name[0] != "-"), None)
+        # a "--" ends the options of a whole command, and argparse dropped it
+        # next to the positional; before the command it is a command word,
+        # but for a last "--", which argparse left for want of a command
+        if token == "--" and (handler or i == len(argv)) and not rest:
+            rest, stray = True, stray + [token] * (not unread and after != i - 1)
             continue
-        elif token == "--" and not rest:  # ends the options
-            if not positional and after != i - 1:  # argparse dropped it only by the positional
-                stray.append(token)
-            rest = True
-            continue
-        elif found is None:  # the positional, or a stray argument once it is read
-            found, positional, after = (positional or "", token), None, i if positional else after
+        if found is None:  # the positional, or a stray argument once it is read
+            found, after = ((unread or [""])[0], token), i if unread and handler else after
         name, text = found
         if not name:
             stray.append(token)
-        elif options[name] is None:  # -h or --help
-            if text is not None and (name != "-h" or not text or text.strip("h")):
-                _exit(words, f"argument -h/--help: ignored explicit argument {text!r}")
+        elif options[name] is None:  # -h or --help: argparse refused ambiguous prefixes first
             for later in argv[i : argv.index("--", i) if "--" in argv[i:] else None]:
-                _option(later, options, words)  # argparse refused ambiguous prefixes first
-            _exit(words)
-        elif text is None:
-            pending = name
+                _option(later, options, words)
+            bad = text is not None and (name != "-h" or not text or text.strip("h") != "")
+            _exit(words, f"argument -h/--help: ignored explicit argument {text!r}" if bad else "")
         else:
-            reader, dest = options[name], name.lstrip("-").replace("-", "_")
+            if text is None:  # the next token, unless it is "--" or an option
+                if argv[i : i + 1] in ([], ["--"]) or _option(argv[i], options, words):
+                    _exit(words, f"argument {name}: expected one argument")
+                text, i = argv[i], i + 1
+            reader = options[name]
             try:
                 value = int(text) if reader is int else text
-                if isinstance(reader, tuple) and text not in reader:
-                    raise ValueError
             except ValueError:
-                _exit(words, f"argument {name}: invalid value: {text!r}")
-            for other in {o for group in groups if name in group for o in group} & given - {name}:
+                _exit(words, f"argument {name}: invalid int value: {text!r}")
+            if isinstance(reader, tuple) and text not in reader:
+                choices = f"(choose from {str(reader)[1:-1]})"
+                _exit(words, f"argument {name}: invalid choice: {text!r} {choices}")
+            for other in {o for g in groups if name in g for o in g} & given.keys() - {name}:
                 _exit(words, f"argument {name}: not allowed with argument {other}")
-            given.add(name)
-            setattr(args, dest, (getattr(args, dest) or []) + [value] if reader is list else value)
-    if pending:
-        _exit(words, f"argument {pending}: expected one argument")
-    missing = [positional] * bool(positional) + [" ".join(g) for g in groups if not given & set(g)]
-    if missing or args.handler is None:
-        _exit(words, f"the following arguments are required: {', '.join(missing or ['COMMAND'])}")
+            given[name] = given.get(name, []) + [value] if reader is list else value
+    missing = unread + [" ".join(group) for group in groups if not given.keys() & set(group)]
+    if missing:  # an exclusive group is the one required input of its command
+        _exit(words, f"one of the arguments {missing[0]} is required" if " " in missing[0] else
+              f"the following arguments are required: {', '.join(missing)}")
     if stray:
-        _exit(words, f"unrecognized arguments: {' '.join(stray)}")
-    return args
+        _exit([], f"unrecognized arguments: {' '.join(stray)}")
+    values = {name.lstrip("-").replace("-", "_"): value for name, value in given.items()}
+    return SimpleNamespace(**_DEFAULTS | {"workers": 1, "format": "json"} | values, handler=handler)
 
 
 def main(argv=None) -> int:

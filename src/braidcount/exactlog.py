@@ -23,9 +23,10 @@ factorisation over the coprime base decides that; this base is the simple
 quadratic form of Bernstein, "Factoring into coprimes in essentially linear
 time" (J. Algorithms 54, 2005).  What neither settles within
 :data:`MAX_PRECISION` bits raises ValueError: no answer is guessed.  An
-exact form is used only after an enclosure, or where an argument's
-enclosure touches zero the exact forms themselves, have certified that
-every logarithm, root and divisor in the tree is well defined.
+exact form is used only after an enclosure has certified that every
+logarithm, root and divisor in the tree is well defined, or, where an
+argument's enclosure touches zero, after exact forms whose terms all have
+one sign have certified it: a form that is not empty may still be zero.
 """
 
 from __future__ import annotations
@@ -596,17 +597,25 @@ def _enclose(node: Node, prec: int) -> interval.Interval:
     return interval.exp((e if r is None else interval.number(r, prec)) * log)
 
 
+def _nonzero(form: dict) -> bool:
+    """Whether ``form`` is provably not zero: its terms all positive or all
+    negative.  A form that is not empty may still be zero, as an integer
+    power of a sum stays an opaque atom."""
+    return bool(form) and (_positive_sum(form) or _positive_sum(_add({}, form, -1)))
+
+
 def _defined(node: Node) -> bool:
     """Whether exact forms prove every logarithm, root and power in the tree
-    taken of a positive number, and every divisor nonzero."""
+    taken of a positive number, and every divisor and base of a negative
+    integer power nonzero (see :func:`_nonzero`)."""
     op, args = node.op, node.args
     if not all(_defined(a) for a in args if isinstance(a, Node)):
         return False
     if op == "div":
-        return bool(_exact(args[1]))
+        return _nonzero(_exact(args[1]))
     r = _rational(_exact(args[1])) if op == "pow" else None
     if r is not None and r.denominator == 1:
-        return r >= 0 or bool(_exact(args[0]))
+        return r >= 0 or _nonzero(_exact(args[0]))
     if op in ("log", "sqrt", "pow"):
         form = _exact(args[0])
         return bool(form) and _positive_sum(form)

@@ -116,18 +116,25 @@ def draw(rng: random.Random) -> list[str]:
 
 
 def outcome(parse, argv):
-    """("exit", code) or the namespace ``parse`` gives, and its stdout."""
-    out = io.StringIO()
+    """("exit", code, the last line on stderr) or the namespace ``parse``
+    gives, and its stdout."""
+    out, err = io.StringIO(), io.StringIO()
     try:
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             return parse(list(argv)), out.getvalue()
     except SystemExit as exc:
-        return ("exit", exc.code), out.getvalue()
+        return ("exit", exc.code, (err.getvalue().splitlines() or [""])[-1]), out.getvalue()
 
 
 def agree(argv) -> bool:
+    """Both readers exit with the same code and error line, or give the same
+    handler and values.  argparse refused an ambiguous prefix before it read
+    any token of its level, where the reader names the first fault it
+    reaches, so there the codes alone must agree."""
     expected, _ = outcome(argparse_cli.parse_args, argv)
     got, _ = outcome(cli.parse_args, argv)
+    if isinstance(expected, tuple) and "ambiguous option" in expected[2]:
+        return expected[:2] == got[:2]
     if isinstance(expected, tuple) or isinstance(got, tuple):
         return expected == got
     names = set(vars(expected)) - {"command", "kind"}
@@ -140,8 +147,8 @@ CORPUS = [draw(random.Random(SEED + k)) for k in range(CASES)]
 def test_corpus_covers_every_outcome():
     outcomes = [outcome(argparse_cli.parse_args, argv)[0] for argv in CORPUS]
     handlers = {o.handler for o in outcomes if not isinstance(o, tuple)}
-    assert handlers == {row[0] for row in cli.GRAMMAR.values()}
-    assert {("exit", 0), ("exit", 2)} <= {o for o in outcomes if isinstance(o, tuple)}
+    assert handlers == {row[0] for row in cli.GRAMMAR.values()} - {None}
+    assert {("exit", 0), ("exit", 2)} <= {o[:2] for o in outcomes if isinstance(o, tuple)}
     assert sum(isinstance(o, tuple) for o in outcomes) < 0.8 * len(outcomes)
 
 
@@ -175,8 +182,8 @@ def test_edge_cases_agree(argv):
 
 
 @pytest.mark.parametrize("argv, reference, message", [
-    (["normalize", "--format=--", "s1"], [], "argument --format: invalid value: '--'"),
-    (["count", "words", "--X=--"], [], "argument --X: invalid value: '--'"),
+    (["normalize", "--format=--", "s1"], [], "argument --format: invalid choice: '--' (choose"),
+    (["count", "words", "--X=--"], [], "argument --X: invalid int value: '--'"),
 ])
 def test_dashes_after_equals_are_the_value(capsys, argv, reference, message):
     # argparse drops a "--" from an option's values, so the reference read
@@ -197,7 +204,7 @@ def cheap(argv) -> bool:
     """A command line whose handler returns at once, or a usage error."""
     got, _ = outcome(argparse_cli.parse_args, argv)
     if isinstance(got, tuple):
-        return got == ("exit", 2)
+        return got[:2] == ("exit", 2)
     return got.handler is not cli.cmd_verify or got.suite == ["words"]
 
 

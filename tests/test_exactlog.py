@@ -234,6 +234,9 @@ FAR_LOG = "log(exp(-exp(exp(20)))) + exp(exp(20)) + 10"
 #: log(a) - log(a) with a = e^(-e^(e^21)) - e^(-e^(e^20)) < 0: not a real
 #: number, though the exact forms of the two logarithms cancel
 NEGATIVE_LOG = "log({a}) - log({a})".format(a="exp(-exp(exp(21))) - exp(-exp(exp(20)))")
+#: exactly 0, though its exact form is not empty: the square of a sum of
+#: atoms stays an opaque atom, so no divisor can be proven nonzero by it
+ZERO = "((1+pi)**2 - pi**2 - 2*pi - 1)"
 
 
 class TestLogOfAFarExp:
@@ -261,3 +264,21 @@ class TestLogOfAFarExp:
         # only an argument whose exact form is a positive sum is known positive
         with pytest.raises(ValueError, match="cannot certify"):
             bounds(parse(NEGATIVE_LOG))
+
+    @pytest.mark.parametrize("text", [
+        f"0/{ZERO}", f"1/{ZERO} - 1/{ZERO}", f"{ZERO}**-1 - {ZERO}**-1",
+        f"3 + 1/{ZERO} - 1/{ZERO}",
+    ])
+    def test_division_by_an_unproven_nonzero_is_not_certified(self, text):
+        # a divisor is known nonzero only where its exact form's terms are
+        # all positive or all negative
+        for certify in (bounds, sign, floor, floor_exp):
+            with pytest.raises(ValueError, match="cannot certify"):
+                certify(parse(text))
+
+    def test_count_words_refuses_an_undefined_y(self, capsys):
+        from braidcount.cli import main
+
+        assert main(["count", "words", "--Y", f"3 + 1/{ZERO} - 1/{ZERO}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "cannot certify" in captured.err
