@@ -5,7 +5,8 @@ A seeded grammar draws command lines around every command: valid ones,
 each option spelt ``--opt v``, ``--opt=v`` or as a prefix, and mutations
 that insert, drop or repeat tokens (bad ints and choices, unknown options,
 ``--``, ``-h`` and values that start with ``-``).  On each, both readers
-must exit with the same code or give the same handler and values.
+must exit with the same code and error line or give the same handler and
+values.
 """
 
 import contextlib
