@@ -63,12 +63,12 @@ half twist (``D^-2`` allowed); the empty string is the identity braid.
 from __future__ import annotations
 
 import re
-from functools import reduce
+from functools import lru_cache, reduce
 from itertools import accumulate, chain, cycle, groupby, islice, permutations
 from typing import Iterable
 
 from ._record import Record
-from .words import FreeWord, other_generator, token_exponent
+from .words import MEMO_SIZE, FreeWord, other_generator, token_exponent
 
 A_LETTER = 0
 T_LETTER = 1
@@ -181,11 +181,6 @@ _DELTA_TOKEN = re.compile(r"D(?:\^(?P<exp>-?\d+))?\Z")
 #: and a text of 2000 random exponents from 1 to 999 0.12 s and 34 MB.
 MAX_BRAID_LETTERS = 10**6
 
-#: Decoded braid tokens kept across calls, no bad one and no entry past the cap:
-#: ``(run, size)``, with the run ``(3, e)`` for ``D^e``.
-_DECODED: dict[str, tuple] = {}
-_DECODED_CAP = 512
-
 
 def _token_run(token: str, pos: int = -1) -> tuple[int, int]:
     """A braid token's run ``(generator, exponent)``, or ``(3, e)`` for ``D^e``;
@@ -202,6 +197,13 @@ def _token_run(token: str, pos: int = -1) -> tuple[int, int]:
     return int(match.group("gen")), -exp if match.group("shift") == "S" else exp
 
 
+@lru_cache(maxsize=MEMO_SIZE)
+def _decoded_run(token: str) -> tuple[tuple[int, int], int]:
+    """A braid token's run and its size in letters, kept across calls."""
+    gen, exp = _token_run(token)
+    return (gen, exp), 3 * abs(exp) if gen == 3 else abs(exp)
+
+
 def _refuse_overflow(sizes: dict[str, int], tokens: Iterable[str]) -> None:
     """Raise at the first of ``tokens`` past :data:`MAX_BRAID_LETTERS` letters."""
     for pos, total in enumerate(accumulate(map(sizes.__getitem__, tokens))):
@@ -212,24 +214,18 @@ def _refuse_overflow(sizes: dict[str, int], tokens: Iterable[str]) -> None:
 def parse_braid(text: str) -> BraidWord:
     """Parse braid text syntax; raises :class:`BraidSyntaxError` on bad tokens
     and on words of more than :data:`MAX_BRAID_LETTERS` letters."""
-    # take each distinct token from _DECODED or decode it, in order of first
-    # appearance, and size the word before any run is built
+    # decode each distinct token once, in order of first appearance, and
+    # size the word before any run is built
     tokens = text.split()
     runs: dict[str, tuple[int, int]] = {}
     sizes: dict[str, int] = {}
     for token in dict.fromkeys(tokens):
-        entry = _DECODED.get(token)
-        if entry is None:
-            try:
-                gen, exp = _token_run(token)
-            except BraidSyntaxError:  # raised again at its position, unless an overflow comes first
-                pos = tokens.index(token)
-                _refuse_overflow(sizes, islice(tokens, pos))
-                _token_run(token, pos)
-            entry = (gen, exp), 3 * abs(exp) if gen == 3 else abs(exp)
-            if len(_DECODED) < _DECODED_CAP:
-                _DECODED[token] = entry
-        runs[token], sizes[token] = entry
+        try:
+            runs[token], sizes[token] = _decoded_run(token)
+        except BraidSyntaxError:  # raised again at its position, unless an overflow comes first
+            pos = tokens.index(token)
+            _refuse_overflow(sizes, islice(tokens, pos))
+            _token_run(token, pos)
     # no token is larger than the largest, so most texts need no sum
     if tokens and len(tokens) * max(sizes.values()) > MAX_BRAID_LETTERS:
         if sum(map(sizes.__getitem__, tokens)) > MAX_BRAID_LETTERS:
@@ -447,7 +443,7 @@ _ID_CODE = 3 * _PERMS.index(PERM_ID)
 #: The nontrivial Schreier generators ``T(p) a T(p a)^-1`` of the transversal
 #: ``T = 1, a, t, t^2, a t, a t^2``, keyed by the representative they are read
 #: after; every other step by one coset letter stays inside the transversal.
-_A_TERMS = {
+_SCHREIER = {
     (TT_LETTER,): (1, 1),
     (A_LETTER, TT_LETTER): (2, 1),
     (T_LETTER,): (2, -1),
@@ -455,7 +451,7 @@ _A_TERMS = {
 }
 _A_TERM_AT = {
     reduce(_compose, map(_PERM_LETTER.__getitem__, rep), PERM_ID): term
-    for rep, term in _A_TERMS.items()
+    for rep, term in _SCHREIER.items()
 }
 #: ``_PERM_SPELL[3 * i + letter]`` is the pure term spelled by ``letter`` read
 #: after a prefix of strand permutation ``_PERMS[i]``, or None: indexed like

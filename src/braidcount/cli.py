@@ -1,4 +1,7 @@
-"""Command-line front end.
+from __future__ import annotations
+
+# assigned, not a docstring, so that python -OO keeps the usage entries
+__doc__ = _USAGE = """Command-line front end.
 
 Usage::
 
@@ -38,8 +41,6 @@ a unique prefix of a long option (``--form``).  A value starting with
 a negative number; ``--`` is never a value and, after the command words,
 ends the options.
 """
-
-from __future__ import annotations
 
 import io
 import json
@@ -327,7 +328,7 @@ def _exit(words: list[str], error: str = ""):
     argparse did: on stdout with exit code 0, or with ``error`` on stderr
     and exit code 2."""
     head = " ".join(["braidcount", *words])
-    entries = re.findall(rf"^ +((?:braidcount \[|{head}\b).*(?:\n {{5,}}.*)*)", __doc__ or "", re.M)
+    entries = re.findall(rf"^ +((?:braidcount \[|{head}\b).*(?:\n {{5,}}.*)*)", _USAGE, re.M)
     print("usage: " + "\n       ".join(entries) + (error and f"\n{head}: error: {error}"),
           file=sys.stderr if error else sys.stdout)
     raise SystemExit(2 if error else 0)

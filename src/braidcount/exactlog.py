@@ -51,7 +51,7 @@ MAX_THRESHOLD_Y = MAX_POWER_BITS * math.log(2)
 #: 10^4 bits of the largest threshold ``e^Y``.  On a 2-core host ``bounds``
 #: took 0.3 s at this precision and did not finish in 60 s at 10^6 bits.
 MAX_PRECISION = 1 << 15
-_MAX_TERMS = 64  # a product with more terms becomes one opaque atom
+_MAX_TERM_COUNT = 64  # a product with more terms becomes one opaque atom
 
 _FUNCTIONS = frozenset({"log", "exp", "sqrt"})
 _CONSTANTS = frozenset({"pi", "E"})
@@ -309,7 +309,7 @@ def _add(a: dict, b: dict, scale=1) -> dict:
 
 
 def _mul(a: dict, b: dict) -> dict:
-    if len(a) * len(b) > _MAX_TERMS:
+    if len(a) * len(b) > _MAX_TERM_COUNT:
         return _atom(_opaque("mul", a, b))
     out: dict = {}
     for m1, c1 in a.items():
@@ -478,7 +478,7 @@ def _canonical(form: dict) -> dict:
         if len(parts) == 1:  # (k log b)^e
             (b, k), = parts
             return _mul(_power(_const(k), e), _atom(("log", b), e))
-        if e.denominator != 1 or not 0 < e <= _MAX_TERMS:
+        if e.denominator != 1 or not 0 < e <= _MAX_TERM_COUNT:
             return None
         total: dict = {}
         for b, k in parts:

@@ -22,6 +22,8 @@ from __future__ import annotations
 
 import re
 import sys
+from functools import lru_cache
+from itertools import starmap
 from typing import Iterable, Iterator
 
 from ._record import Record
@@ -96,11 +98,9 @@ class FreeWord(Record):
 
 _WORD_TOKEN = re.compile(r"(?P<shift>[aA])(?P<gen>[12])(?:\^(?P<exp>-?\d+))?\Z")
 
-#: Decoded tokens and valid syllables, kept across calls; no entry past the cap.
-_TERMS: dict[str, tuple[int, int]] = {}
-_TERMS_CAP = 512
-_SYLLABLES: dict[tuple[str, int, int, int], Syllable] = {}
-_SYLLABLES_CAP = 512
+#: Entries that each memo of decoded tokens and syllables keeps across calls,
+#: the most recently used.
+MEMO_SIZE = 512
 
 
 def token_exponent(match: re.Match, pos: int, error: type[ValueError]) -> int:
@@ -113,7 +113,7 @@ def token_exponent(match: re.Match, pos: int, error: type[ValueError]) -> int:
         raise error(f"exponent has more than {limit} digits", pos) from None
 
 
-def _token_term(token: str, pos: int) -> tuple[int, int]:
+def _token_term(token: str, pos: int = -1) -> tuple[int, int]:
     """The term of one word token; ``pos`` places a syntax error."""
     match = _WORD_TOKEN.match(token)
     if match is None:
@@ -122,18 +122,20 @@ def _token_term(token: str, pos: int) -> tuple[int, int]:
     return int(match.group("gen")), -exp if match.group("shift") == "A" else exp
 
 
+_decoded_term = lru_cache(maxsize=MEMO_SIZE)(_token_term)
+
+
 def parse_word(text: str) -> FreeWord:
     """Parse word text syntax; raises :class:`WordSyntaxError` on bad tokens."""
-    # decode each distinct token once, into _TERMS or, once it is full, fresh
-    fresh: dict[str, tuple[int, int]] = {}
-    terms = []
-    for pos, token in enumerate(text.split()):
-        term = _TERMS.get(token) or fresh.get(token)
-        if term is None:
-            term = _token_term(token, pos)
-            (_TERMS if len(_TERMS) < _TERMS_CAP else fresh)[token] = term
-        terms.append(term)
-    return FreeWord.from_terms(terms)
+    # decode each distinct token once; a bad one raises again at its position
+    tokens = text.split()
+    terms: dict[str, tuple[int, int]] = {}
+    for token in dict.fromkeys(tokens):
+        try:
+            terms[token] = _decoded_term(token)
+        except WordSyntaxError:
+            _token_term(token, tokens.index(token))
+    return FreeWord.from_terms(map(terms.__getitem__, tokens))
 
 
 def word_to_text(w: FreeWord) -> str:
@@ -175,6 +177,9 @@ class Syllable(Record):
             out.append((gen, self.sign))
             gen = other_generator(gen)
         return tuple(out)
+
+
+_syllable = lru_cache(maxsize=MEMO_SIZE)(Syllable)
 
 
 class SyllableDecomposition(Record):
@@ -228,16 +233,7 @@ def _syllable_runs(
 
 def syllable_decompose(w: FreeWord) -> SyllableDecomposition:
     """Split a reduced word into its unique syllable sequence."""
-    # build each distinct syllable once, into _SYLLABLES or, once it is full, fresh
-    fresh: dict[tuple[str, int, int, int], Syllable] = {}
-    syllables = []
-    for run in _syllable_runs(w.terms):
-        syllable = _SYLLABLES.get(run) or fresh.get(run)
-        if syllable is None:
-            syllable = Syllable(*run)
-            (_SYLLABLES if len(_SYLLABLES) < _SYLLABLES_CAP else fresh)[run] = syllable
-        syllables.append(syllable)
-    return SyllableDecomposition(tuple(syllables))
+    return SyllableDecomposition(tuple(starmap(_syllable, _syllable_runs(w.terms))))
 
 
 def syllable_degrees(w: FreeWord) -> tuple[int, ...]:

@@ -6,7 +6,7 @@ import sys
 import time
 import tracemalloc
 from collections import Counter
-from functools import reduce
+from functools import lru_cache, reduce
 from itertools import chain, groupby, product
 
 import pytest
@@ -41,7 +41,7 @@ from braidcount.braid import (
     swap_generators,
     unembed,
 )
-from braidcount.words import FreeWord, parse_word
+from braidcount.words import MEMO_SIZE, FreeWord, parse_word
 
 braid_letters = st.tuples(st.sampled_from((1, 2)), st.sampled_from((1, -1)))
 braid_words = st.lists(braid_letters, max_size=10).map(
@@ -475,8 +475,14 @@ class TestParsing:
 
 @pytest.fixture
 def cold_tokens(monkeypatch):
-    """An empty token memo for this test; the process's own comes back after."""
-    monkeypatch.setattr(braid, "_DECODED", {})
+    """An empty token cache of the same size for this test; the process's own
+    comes back after."""
+    monkeypatch.setattr(braid, "_decoded_run", fresh_cache(braid._decoded_run))
+
+
+def fresh_cache(cached, maxsize=None):
+    """A new, empty ``lru_cache`` of the function that ``cached`` wraps."""
+    return lru_cache(maxsize=maxsize or cached.cache_info().maxsize)(cached.__wrapped__)
 
 
 @pytest.mark.usefixtures("cold_tokens")
@@ -487,7 +493,7 @@ class TestTokenMemo:
         texts = [" ".join(token_text(*t) for t in tokens) for tokens in cases]
         cold = []
         for text in texts:
-            braid._DECODED.clear()
+            braid._decoded_run.cache_clear()
             cold.append(parse_braid(text))
         warm = [parse_braid(text) for text in texts]
         again = [parse_braid(text) for text in texts]
@@ -505,7 +511,11 @@ class TestTokenMemo:
                 with pytest.raises(BraidSyntaxError) as err:
                     parse_braid(text)
                 assert err.value.position == pos, text
-        assert set(braid._DECODED) == {"s1", "s2", "S1^3", "D"}
+        # the good tokens are kept, and only those
+        info = braid._decoded_run.cache_info()
+        assert info.currsize == 4
+        parse_braid("s1 s2 S1^3 D")
+        assert braid._decoded_run.cache_info()[:2] == (info.hits + 4, info.misses)
 
     def test_refusals_match_sizing_token_by_token_when_warm(self, monkeypatch):
         # each text cold, then again after every text has warmed the memo
@@ -527,7 +537,7 @@ class TestTokenMemo:
 
         cold = []
         for tokens in texts:
-            braid._DECODED.clear()
+            braid._decoded_run.cache_clear()
             cold.append(refusal(tokens))
         warm = [refusal(tokens) for tokens in texts]
         assert cold == warm
@@ -537,18 +547,24 @@ class TestTokenMemo:
                 assert got <= 40
             else:
                 assert got.endswith(f"(at token {expected[1]})")
-        assert not {"s3", "d", "D1", "S1^x"} & set(braid._DECODED)
+        # no bad token is kept: each lookup of one misses
+        misses = braid._decoded_run.cache_info().misses
+        for token in ("s3", "d", "D1", "S1^x"):
+            with pytest.raises(BraidSyntaxError):
+                braid._decoded_run(token)
+        assert braid._decoded_run.cache_info().misses == misses + 4
 
     def test_repeated_token_past_the_ceiling(self):
         for _ in range(2):
             with pytest.raises(BraidSyntaxError) as err:
                 parse_braid("s1^600000 s1^600000")
             assert str(err.value) == "more than 1000000 letters (at token 1)"
-        # kept as one run and its size
-        assert braid._DECODED == {"s1^600000": ((1, 600000), 600000)}
+        # kept as one run and its size: looked up once per call, decoded once
+        assert braid._decoded_run.cache_info()[:2] == (1, 1)
+        assert braid._decoded_run.cache_info().currsize == 1
+        assert braid._decoded_run("s1^600000") == ((1, 600000), 600000)
 
     def test_stops_at_its_cap(self, monkeypatch):
-        monkeypatch.setattr(braid, "_DECODED_CAP", 8)
         decoded = Counter()
 
         def counted(token, pos=-1):
@@ -557,27 +573,43 @@ class TestTokenMemo:
 
         run = braid._token_run
         monkeypatch.setattr(braid, "_token_run", counted)
+        monkeypatch.setattr(braid, "_decoded_run", fresh_cache(braid._decoded_run, 8))
         specs = [("sS"[k % 2], 1 + k % 3 % 2, k) for k in range(1, 21)] + [("D", 0, -2)]
         tokens = [token_text(*spec) for spec in specs]
         text = " ".join(tokens * 3)
         expected = BraidWord(per_token_letters(specs * 3))
-        # each distinct token once per call, also those past the cap
+        # each distinct token once per call; read in turn, 21 of them evict
+        # one another from a cache of 8 before they come round again
         assert parse_braid(text) == expected
         assert decoded == dict.fromkeys(tokens, 1)
-        assert list(braid._DECODED) == tokens[:8]
         assert parse_braid(text) == expected
-        assert decoded == {t: 1 if i < 8 else 2 for i, t in enumerate(tokens)}
-        assert list(braid._DECODED) == tokens[:8]
+        assert decoded == dict.fromkeys(tokens, 2)
+        # the 8 most recently used are kept
+        info = braid._decoded_run.cache_info()
+        assert info.currsize == 8
+        assert parse_braid(" ".join(tokens[-8:])) == BraidWord(per_token_letters(specs[-8:]))
+        assert braid._decoded_run.cache_info()[:2] == (info.hits + 8, info.misses)
+        assert decoded == dict.fromkeys(tokens, 2)
 
     def test_real_cap_holds(self):
-        cap = braid._DECODED_CAP
+        cap = braid._decoded_run.cache_info().maxsize
+        assert cap == MEMO_SIZE
         tokens = [f"s{1 + k % 2}^{k - cap}" for k in range(2 * cap + 50)]
         text = " ".join(tokens)
         first = parse_braid(text)
-        assert len(braid._DECODED) == cap
+        assert braid._decoded_run.cache_info().currsize == cap
         assert parse_braid(text) == first
         assert len(first) == sum(abs(k - cap) for k in range(2 * cap + 50))
-        assert len(braid._DECODED) == cap
+        assert braid._decoded_run.cache_info().currsize == cap
+
+    def test_recently_used_tokens_are_hits(self):
+        cap = braid._decoded_run.cache_info().maxsize
+        tokens = [f"s{1 + k % 2}^{k + 1}" for k in range(cap + 50)]
+        parse_braid(" ".join(tokens))
+        info = braid._decoded_run.cache_info()
+        assert info.misses == cap + 50
+        parse_braid(" ".join(tokens[-50:]))
+        assert braid._decoded_run.cache_info()[:2] == (info.hits + 50, info.misses)
 
 
 class TestCosetAlgebra:

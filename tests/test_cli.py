@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import time
+from functools import lru_cache
 from pathlib import Path
 
 import pytest
@@ -630,15 +631,31 @@ class TestWarmProcess:
         (("bounds", "--word", "a1 a2 a1^"), 2),
     ])
     def test_second_call_prints_the_same(self, capsys, monkeypatch, argv, code):
-        # the first call fills the token and syllable memos, the second reads them
-        monkeypatch.setattr(braid, "_DECODED", {})
-        monkeypatch.setattr(words, "_TERMS", {})
-        monkeypatch.setattr(words, "_SYLLABLES", {})
+        # the first call fills empty token and syllable caches, the second reads them
+        for module, name in ((braid, "_decoded_run"), (words, "_decoded_term"), (words, "_syllable")):
+            cached = getattr(module, name)
+            monkeypatch.setattr(module, name, lru_cache(cached.cache_info().maxsize)(cached.__wrapped__))
         first = main(list(argv)), capsys.readouterr()
-        assert braid._DECODED or words._TERMS
+        assert braid._decoded_run.cache_info().currsize or words._decoded_term.cache_info().currsize
         second = main(list(argv)), capsys.readouterr()
         assert second == first
         assert first[0] == code
+
+
+@pytest.mark.parametrize("argv", [("--help",), ("count", "words")])
+def test_usage_survives_stripped_docstrings(argv):
+    # python -OO drops docstrings; the usage block is assigned, not a docstring
+    runs = [
+        subprocess.run(
+            [sys.executable, *flags, "-m", "braidcount.cli", *argv],
+            capture_output=True, timeout=60, env={**os.environ, "PYTHONPATH": str(SRC)},
+        )
+        for flags in ((), ("-OO",))
+    ]
+    assert [(r.stdout, r.stderr, r.returncode) for r in runs[1:]] == [
+        (runs[0].stdout, runs[0].stderr, runs[0].returncode)
+    ]
+    assert b"usage: braidcount [-h | --help]" in runs[0].stdout + runs[0].stderr
 
 
 class TestClosedStdout:

@@ -2,12 +2,16 @@
 
 import random
 import sys
+import threading
+import time
 from collections import Counter
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, strategies as st
 
-from braidcount import words
+from braidcount import braid, words
+from braidcount.braid import parse_braid
 from braidcount.invariants import extremal_length_bounds_word
 from braidcount.words import (
     FIRST_KIND,
@@ -195,9 +199,20 @@ def seeded_word_text(rng, terms):
 
 @pytest.fixture
 def cold_memos(monkeypatch):
-    """Empty token and syllable memos for this test; the process's own come back after."""
-    monkeypatch.setattr(words, "_TERMS", {})
-    monkeypatch.setattr(words, "_SYLLABLES", {})
+    """Empty token and syllable caches of the same sizes for this test; the
+    process's own come back after."""
+    monkeypatch.setattr(words, "_decoded_term", fresh_cache(words._decoded_term))
+    monkeypatch.setattr(words, "_syllable", fresh_cache(words._syllable))
+
+
+def fresh_cache(cached, maxsize=None, function=None):
+    """A new, empty ``lru_cache`` of ``function``, by default the one that
+    ``cached`` wraps."""
+    return lru_cache(maxsize=maxsize or cached.cache_info().maxsize)(function or cached.__wrapped__)
+
+
+def hits_and_misses():
+    return words._decoded_term.cache_info()[:2], words._syllable.cache_info()[:2]
 
 
 @pytest.mark.usefixtures("cold_memos")
@@ -207,8 +222,8 @@ class TestMemos:
         texts = [seeded_word_text(rng, rng.randint(0, 60)) for _ in range(200)]
         cold = []
         for text in texts:
-            words._TERMS.clear()
-            words._SYLLABLES.clear()
+            words._decoded_term.cache_clear()
+            words._syllable.cache_clear()
             w = parse_word(text)
             cold.append((w, tuple(syllable_decompose(w))))
         for _ in range(2):
@@ -225,54 +240,135 @@ class TestMemos:
                 with pytest.raises(WordSyntaxError) as err:
                     parse_word(text)
                 assert err.value.position == pos, text
-        assert set(words._TERMS) == {"a1", "a2", "A1^3"}
+        # the good tokens are kept, and only those
+        (hits, misses), _ = hits_and_misses()
+        assert words._decoded_term.cache_info().currsize == 3
+        parse_word("a1 a2 A1^3")
+        assert hits_and_misses()[0] == (hits + 3, misses)
 
     def test_malformed_syllable_is_never_kept(self):
         # the syllables before it are
         for _ in range(2):
             with pytest.raises(ValueError, match="malformed syllable"):
                 syllable_decompose(FreeWord(((1, 2), (2, 1), (1, 0), (2, 1))))
-        assert words._SYLLABLES == {(FIRST_KIND, 2, 1, 1): Syllable(FIRST_KIND, 2, 1, 1)}
+        info = words._syllable.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
+        assert words._syllable(FIRST_KIND, 2, 1, 1) == Syllable(FIRST_KIND, 2, 1, 1)
+        assert words._syllable.cache_info()[:2] == (2, 1)
 
     def test_stops_at_the_token_cap(self, monkeypatch):
-        monkeypatch.setattr(words, "_TERMS_CAP", 6)
         decoded = Counter()
         term = words._token_term
-        monkeypatch.setattr(
-            words, "_token_term", lambda token, pos: decoded.update([token]) or term(token, pos)
-        )
+        monkeypatch.setattr(words, "_decoded_term", fresh_cache(
+            words._decoded_term, 6, lambda token: decoded.update([token]) or term(token)
+        ))
         tokens = [f"a{1 + k % 2}^{k}" for k in range(1, 16)]
         text = " ".join(tokens * 3)
-        # each distinct token once per call, also those past the cap
+        # each distinct token once per call; read in turn, 15 of them evict
+        # one another from a cache of 6 before they come round again
         assert parse_word(text) == reference_parse(text)
         assert decoded == dict.fromkeys(tokens, 1)
         assert parse_word(text) == reference_parse(text)
-        assert decoded == {t: 1 if i < 6 else 2 for i, t in enumerate(tokens)}
-        assert list(words._TERMS) == tokens[:6]
+        assert decoded == dict.fromkeys(tokens, 2)
+        # the 6 most recently used are kept
+        (hits, misses), _ = hits_and_misses()
+        assert words._decoded_term.cache_info().currsize == 6
+        assert parse_word(" ".join(tokens[-6:])) == reference_parse(" ".join(tokens[-6:]))
+        assert hits_and_misses()[0] == (hits + 6, misses)
 
     def test_stops_at_the_syllable_cap(self, monkeypatch):
-        monkeypatch.setattr(words, "_SYLLABLES_CAP", 6)
         built = Counter()
-        monkeypatch.setattr(
-            words, "Syllable", lambda *run: built.update([run]) or Syllable(*run)
-        )
+        monkeypatch.setattr(words, "_syllable", fresh_cache(
+            words._syllable, 6, lambda *run: built.update([run]) or Syllable(*run)
+        ))
         w = parse_word(" ".join([f"a{1 + k % 2}^{k}" for k in range(2, 16)] * 2))
-        # each distinct syllable once per call, also those past the cap
+        # read in turn, 14 syllables evict one another from a cache of 6, so
+        # each is built at each of its two places
         deco = tuple(syllable_decompose(w))
         assert deco == reference_decompose(w)
-        assert list(built.values()) == [1] * 14
+        assert list(built.values()) == [2] * 14
         assert syllable_decompose(w).syllables == deco
-        assert list(built.values()) == [1] * 6 + [2] * 8
-        assert list(words._SYLLABLES) == list(built)[:6]
+        assert list(built.values()) == [4] * 14
+        # the 6 most recently used are kept
+        assert words._syllable.cache_info().currsize == 6
+        tail = parse_word(" ".join(f"a{1 + k % 2}^{k}" for k in range(10, 16)))
+        assert syllable_decompose(tail).syllables == deco[-6:]
+        assert list(built.values()) == [4] * 14
 
     def test_real_caps_hold(self):
         # each token a syllable of its own
-        size = max(words._TERMS_CAP, words._SYLLABLES_CAP)
-        text = " ".join(f"a1^{k} a2^{k}" for k in range(2, 2 + size))
+        assert words._decoded_term.cache_info().maxsize == words.MEMO_SIZE
+        assert words._syllable.cache_info().maxsize == words.MEMO_SIZE
+        text = " ".join(f"a1^{k} a2^{k}" for k in range(2, 2 + words.MEMO_SIZE))
         first = parse_word(text), syllable_decompose(parse_word(text))
         assert (parse_word(text), syllable_decompose(parse_word(text))) == first
-        assert len(words._TERMS) == words._TERMS_CAP
-        assert len(words._SYLLABLES) == words._SYLLABLES_CAP
+        assert words._decoded_term.cache_info().currsize == words.MEMO_SIZE
+        assert words._syllable.cache_info().currsize == words.MEMO_SIZE
+
+    def test_recently_used_tokens_and_syllables_are_hits(self):
+        # each token a syllable of its own
+        tokens = [f"a{1 + k % 2}^{k}" for k in range(2, 2 + words.MEMO_SIZE + 50)]
+        syllable_decompose(parse_word(" ".join(tokens)))
+        before = hits_and_misses()
+        assert [misses for _, misses in before] == [words.MEMO_SIZE + 50] * 2
+        syllable_decompose(parse_word(" ".join(tokens[-50:])))
+        assert hits_and_misses() == tuple((hits + 50, misses) for hits, misses in before)
+
+    def test_threads_parse_past_the_caps(self, monkeypatch):
+        # eight threads, each over more distinct braid and word tokens and
+        # syllables than the caches keep and sharing most of them, while the
+        # sizes of the caches are sampled
+        monkeypatch.setattr(braid, "_decoded_run", fresh_cache(braid._decoded_run))
+        caches = [braid._decoded_run, words._decoded_term, words._syllable]
+        spans = [range(2 + 40 * t, 2 + 40 * t + words.MEMO_SIZE + 100) for t in range(8)]
+        texts = [
+            (" ".join(f"s{1 + k % 2}^{k - 300}" for k in span), " ".join(f"a{1 + k % 2}^{k}" for k in span))
+            for span in spans
+        ]
+
+        def parse(texts):
+            w = parse_word(texts[1])
+            return parse_braid(texts[0]), w, syllable_decompose(w)
+
+        cold = []
+        for pair in texts:
+            for cache in caches:
+                cache.cache_clear()
+            cold.append(parse(pair))
+        for cache in caches:
+            cache.cache_clear()
+        got, peak = parse_in_threads(parse, texts, caches)
+        assert got == [[result] * 3 for result in cold]
+        assert peak <= words.MEMO_SIZE
+
+
+def parse_in_threads(parse, texts, caches, rounds=3, timeout=60):
+    """``rounds`` parses of each text in a thread of its own, all at once,
+    switching threads often: the results per text, and the largest
+    ``currsize`` of any of ``caches`` sampled meanwhile and after."""
+    results = [[] for _ in texts]
+    start = threading.Barrier(len(texts), timeout=timeout)
+
+    def work(i):
+        start.wait()
+        results[i].extend(parse(texts[i]) for _ in range(rounds))
+
+    threads = [threading.Thread(target=work, args=(i,), daemon=True) for i in range(len(texts))]
+    peak = 0
+    deadline = time.monotonic() + timeout
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        while any(thread.is_alive() for thread in threads) and time.monotonic() < deadline:
+            peak = max(peak, *(cache.cache_info().currsize for cache in caches))
+        for thread in threads:
+            thread.join(max(0, deadline - time.monotonic()))
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    return results, max(peak, *(cache.cache_info().currsize for cache in caches))
 
 
 class TestSyllables:
